@@ -21,7 +21,7 @@ from .errors import (
     NonFactorablePostselection,
     ShapeMismatch,
 )
-from .qcore import PureState, STRUCT_TOL
+from .qcore import PureState, STRUCT_TOL, digit_table
 
 __all__ = [
     "BasisSet",
@@ -78,15 +78,7 @@ class BasisSet:
 
 def _labels(dims) -> list[str]:
     sep = "," if any(d > 10 for d in dims) else ""
-    out = []
-    for index in range(math.prod(dims)):
-        digits = []
-        rem = index
-        for d in reversed(dims):
-            digits.append(str(rem % d))
-            rem //= d
-        out.append(sep.join(reversed(digits)))
-    return out
+    return [sep.join(map(str, row)) for row in digit_table(dims).tolist()]
 
 
 def computational_basis(dims) -> BasisSet:
@@ -227,11 +219,4 @@ class DeviceTable:
 def device_table(dims) -> DeviceTable:
     """Device table for the given party dimensions, columns in label order."""
     dims = tuple(int(d) for d in dims)
-    d = math.prod(dims)
-    digits = np.zeros((d, len(dims)), dtype=int)
-    for index in range(d):
-        rem = index
-        for pos in range(len(dims) - 1, -1, -1):
-            digits[index, pos] = rem % dims[pos]
-            rem //= dims[pos]
-    return DeviceTable(dims, digits, tuple(_labels(dims)))
+    return DeviceTable(dims, digit_table(dims), tuple(_labels(dims)))

@@ -54,6 +54,11 @@ LOG = logging.getLogger("weakcorr")
 
 FORMAT_CHOICES = ("json", "csv")
 
+# Largest Hilbert-space dimension (product of the party dims) a state or
+# basis file, or ``tables``, may ask for.  Checked before anything of that
+# size is allocated; 2**12 leaves room above ten qubits.
+MAX_DIM = 2**12
+
 __all__ = ["main", "load_state", "dump_state", "load_basis", "render_tables"]
 
 
@@ -145,6 +150,11 @@ def _parse_dims(doc) -> tuple[int, ...]:
         or not all(isinstance(d, int) and d >= 2 for d in dims)
     ):
         raise errors.ParseFailure('"dims" must be a non-empty list of integers >= 2')
+    d = math.prod(dims)
+    if d > MAX_DIM:
+        raise errors.ParseFailure(
+            f'"dims" span dimension {d}, above the limit MAX_DIM = {MAX_DIM}'
+        )
     return tuple(dims)
 
 
@@ -611,6 +621,13 @@ def render_tables(n: int, fmt: str = "text") -> str:
 def cmd_tables(args) -> int:
     if args.n_qubits < 1:
         print("error: n_qubits must be >= 1", file=sys.stderr)
+        return 2
+    if args.n_qubits > math.log2(MAX_DIM):
+        print(
+            f"error: n_qubits = {args.n_qubits} spans more than the limit "
+            f"MAX_DIM = {MAX_DIM} basis states",
+            file=sys.stderr,
+        )
         return 2
     _emit(render_tables(args.n_qubits, args.format), args.out)
     return 0

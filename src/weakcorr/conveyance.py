@@ -8,12 +8,22 @@ discarded as classical.  The broadcast step plays the same trick locally to
 equip one particle with a computational-basis-correlated copy for the
 single-party device lines.
 
-Two conveyance modes are provided.  ``"literal"`` executes the gates and
+Two conveyance modes are provided.  ``"literal"`` follows the gates and
 measurements exactly as wired, which preserves every computational-basis
 diagonal element for zero outcomes but dephases coherences involving the
 transferred parties (the original particle stays correlated with its
 image).  ``"idealized"`` relabels the input state directly: the identity
 map for zero outcomes and a local permutation otherwise.
+
+Neither :func:`convey` nor :func:`broadcast` simulates its gates.  Every
+gate is a controlled shift on computational labels and every measurement
+fixes a label, so the wired circuit maps basis state |x> to one basis state
+(an image or copy label computed from x) with amplitude 1/sqrt(l): the
+output is an index map of the input matrix.  Literal conveyance is that
+relabel times a mask (discarding the originals keeps only matrix elements
+whose conveyed labels agree), and broadcast embeds the matrix next to the
+computed copy labels.  :func:`strong_couple_and_measure` remains the gate-
+level building block the tests check both maps against.
 """
 
 from __future__ import annotations
@@ -25,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BadDimension, BadSubsystem, ImpossibleOutcome, ShapeMismatch
-from .qcore import DensityMatrix, PureState, ket2dm, partial_trace, tensor_product
+from .qcore import DensityMatrix, PureState, digit_table
 
 OUTCOME_TOL = 1e-14
 
@@ -70,34 +80,17 @@ def bell_state(dim: int, variant: str = "aligned") -> AncillaPair:
     return AncillaPair(l, PureState((l, l), amp))
 
 
-def _digits(dims) -> np.ndarray:
-    """Mixed-radix digit table, shape (prod(dims), len(dims))."""
-    d = math.prod(dims)
-    out = np.zeros((d, len(dims)), dtype=int)
-    for index in range(d):
-        rem = index
-        for pos in range(len(dims) - 1, -1, -1):
-            out[index, pos] = rem % dims[pos]
-            rem //= dims[pos]
-    return out
-
-
-def _relabel(rho: DensityMatrix, perm: np.ndarray) -> np.ndarray:
-    """Matrix of U rho U^dagger for the basis permutation |i> -> |perm[i]>."""
+def _relabel(matrix: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    """U m U^dagger for the basis permutation |i> -> |perm[i]>."""
     inverse = np.argsort(perm)
-    return rho.matrix[np.ix_(inverse, inverse)]
+    return matrix[np.ix_(inverse, inverse)]
 
 
 def _controlled_shift_perm(dims, control: int, target: int) -> np.ndarray:
     """Index permutation of |..x..m..> -> |..x..(m+x) mod l..>."""
-    digits = _digits(dims)
-    l = dims[target]
-    strides = np.ones(len(dims), dtype=int)
-    for pos in range(len(dims) - 2, -1, -1):
-        strides[pos] = strides[pos + 1] * dims[pos + 1]
-    shifted = (digits[:, target] + digits[:, control]) % l
-    base = np.arange(math.prod(dims))
-    return base + (shifted - digits[:, target]) * strides[target]
+    digits = digit_table(dims)
+    digits[:, target] = (digits[:, target] + digits[:, control]) % dims[target]
+    return np.ravel_multi_index(tuple(digits.T), dims)
 
 
 def strong_couple_and_measure(
@@ -122,8 +115,8 @@ def strong_couple_and_measure(
     if not 0 <= int(outcome) < l:
         raise ImpossibleOutcome(f"outcome {outcome} out of range for dimension {l}")
     perm = _controlled_shift_perm(joint.dims, control, target)
-    coupled = _relabel(joint, perm)
-    sel = np.flatnonzero(_digits(joint.dims)[:, target] == int(outcome))
+    coupled = _relabel(joint.matrix, perm)
+    sel = np.flatnonzero(digit_table(joint.dims)[:, target] == int(outcome))
     block = coupled[np.ix_(sel, sel)]
     prob = float(np.real(np.trace(block)))
     if prob < OUTCOME_TOL:
@@ -144,11 +137,16 @@ def convey(
     measurement result per conveyed party.  The output dims keep the party
     order: image of party 0 first, the receiver's own particle last.
 
-    ``"literal"`` runs the circuit: attach one entangled pair per conveyed
-    party, controlled-shift the party onto its ancilla, measure the ancilla,
-    then trace out the conveyed parties and the measured ancillas.
+    ``"literal"`` is the circuit: attach one aligned entangled pair per
+    conveyed party, controlled-shift the party onto its first member,
+    measure that member with result nu, then trace out the conveyed parties
+    and the measured ancillas.  The image of a party with label x is left
+    with label (nu - x) mod l, and discarding the original keeps only the
+    matrix elements whose conveyed labels agree, so the result is computed
+    as that relabel-and-mask of ``rho`` with probability prod 1/l.
     ``"idealized"`` relabels each conveyed party's computational digit by
-    ``x -> (x + outcome) mod l``, the identity for zero outcomes.
+    ``x -> (x + outcome) mod l``, the identity for zero outcomes.  The two
+    modes agree on the relabel only for qubits.
     """
     n = len(rho.dims)
     if n < 2:
@@ -159,36 +157,27 @@ def convey(
     if mode not in ("literal", "idealized"):
         raise ShapeMismatch(f"unknown conveyance mode {mode!r}")
 
-    if mode == "idealized":
-        digits = _digits(rho.dims)
-        strides = np.ones(n, dtype=int)
-        for pos in range(n - 2, -1, -1):
-            strides[pos] = strides[pos + 1] * rho.dims[pos + 1]
-        perm = np.arange(rho.dim)
-        for party, nu in enumerate(outcomes):
-            l = rho.dims[party]
-            if not 0 <= nu < l:
-                raise ImpossibleOutcome(f"outcome {nu} out of range for dim {l}")
-            shifted = (digits[:, party] + nu) % l
-            perm = perm + (shifted - digits[:, party]) * strides[party]
-        state = DensityMatrix(rho.dims, _relabel(rho, perm))
-        prob = 1.0 / math.prod(rho.dims[:-1])
-        return ConveyanceRecord(state, outcomes, prob)
+    for l, v in zip(rho.dims, outcomes):
+        if mode == "literal" and l < 2:
+            raise BadDimension(f"ancilla dimension must be >= 2, got {l}")
+        if not 0 <= v < l:
+            raise ImpossibleOutcome(f"outcome {v} out of range for dimension {l}")
 
-    work = rho
-    prob = 1.0
-    for party, nu in enumerate(outcomes):
-        pair = bell_state(rho.dims[party])
-        work = tensor_product(work, ket2dm(pair.state))
-        rec = strong_couple_and_measure(
-            work, control=party, target=len(work.dims) - 2, outcome=nu
-        )
-        work = rec.state
-        prob *= rec.probability
-    # Layout now: n original parties, then one image per conveyed party.
-    keep = list(range(n, 2 * n - 1)) + [n - 1]
-    state = partial_trace(work, keep)
-    return ConveyanceRecord(state, outcomes, prob)
+    radix = np.array(rho.dims[:-1])
+    nu = np.array(outcomes)
+    digits = digit_table(rho.dims)
+    if mode == "idealized":
+        digits[:, :-1] = (digits[:, :-1] + nu) % radix
+        matrix = rho.matrix
+    else:
+        digits[:, :-1] = (nu - digits[:, :-1]) % radix
+        # The receiver's particle is the fastest digit, so i // dims[-1]
+        # holds the conveyed labels of basis index i.
+        block = np.arange(rho.dim) // rho.dims[-1]
+        matrix = np.where(block[:, None] == block[None, :], rho.matrix, 0.0)
+    perm = np.ravel_multi_index(tuple(digits.T), rho.dims)
+    state = DensityMatrix(rho.dims, _relabel(matrix, perm))
+    return ConveyanceRecord(state, outcomes, 1.0 / math.prod(rho.dims[:-1]))
 
 
 def broadcast(
@@ -196,18 +185,32 @@ def broadcast(
 ) -> ConveyanceRecord:
     """Equip ``party`` with a computational-basis-correlated copy.
 
-    Attaches an entangled pair, controlled-shifts the party onto the second
-    pair member, measures that member with result ``outcome`` and removes
-    it.  The copy is appended as the last subsystem.  For outcome 0 the
-    (party, copy) pair carries sum_{ii'} rho_{ii'} |i><i'| (x) |i><i'|, so
-    the copy's marginal is the computational-basis dephasing of the party.
+    The circuit attaches an entangled pair sum_m |m>|m + offset> (offset 0
+    for ``"aligned"``, 1 for ``"flip"``), controlled-shifts the party onto
+    the second pair member, measures that member with result ``outcome``
+    and removes it.  The surviving member, appended as the last subsystem,
+    is left with label (outcome - offset - x) mod l when the party has
+    label x, so the result is computed as the embedding
+    rho_ij |i, c(i)><j, c(j)| with probability 1/l.  For outcome 0 of the
+    aligned pair the (party, copy) pair carries
+    sum_{ii'} rho_{ii'} |i><i'| (x) |i><i'|, so the copy's marginal is the
+    computational-basis dephasing of the party.
     """
     n = len(rho.dims)
     if not 0 <= party < n:
         raise BadSubsystem(f"party {party} out of range for {n} subsystems")
-    pair = bell_state(rho.dims[party], variant)
-    work = tensor_product(rho, ket2dm(pair.state))
-    rec = strong_couple_and_measure(
-        work, control=party, target=len(work.dims) - 1, outcome=outcome
-    )
-    return ConveyanceRecord(rec.state, (int(outcome),), rec.probability)
+    l = rho.dims[party]
+    outcome = int(outcome)
+    if l < 2:
+        raise BadDimension(f"ancilla dimension must be >= 2, got {l}")
+    if variant not in ("aligned", "flip"):
+        raise BadDimension(f"unknown ancilla variant {variant!r}")
+    if not 0 <= outcome < l:
+        raise ImpossibleOutcome(f"outcome {outcome} out of range for dimension {l}")
+    offset = 1 if variant == "flip" else 0
+    copy = (outcome - offset - digit_table(rho.dims)[:, party]) % l
+    rows = np.arange(rho.dim) * l + copy
+    matrix = np.zeros((rho.dim * l, rho.dim * l), dtype=complex)
+    matrix[np.ix_(rows, rows)] = rho.matrix
+    state = DensityMatrix(rho.dims + (l,), matrix)
+    return ConveyanceRecord(state, (outcome,), 1.0 / l)

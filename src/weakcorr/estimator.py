@@ -395,7 +395,6 @@ def weak_value_limits(
         return WeakValueTable(values, probs, tuple(skipped))
 
     diag = state.diagonal()
-    digits = np.array([[(i >> (n - 1 - p)) & 1 for p in range(n)] for i in range(columns)])
     for k, b in enumerate(basis_b.vectors):
         weights = diag * np.abs(b.amplitudes) ** 2
         probs[k] = float(weights.sum())
@@ -405,7 +404,7 @@ def weak_value_limits(
         values[0, k, :] = weights / probs[k]
         for line in range(1, table.n_lines):
             party = line - 1
-            copy_digit = (broadcast_outcome - digits[:, party]) % 2
+            copy_digit = (broadcast_outcome - table.party_digits[:, party]) % 2
             for wanted in (0, 1):
                 share = weights[copy_digit == wanted].sum() / probs[k]
                 cols = table.party_digits[:, party] == wanted

@@ -32,7 +32,7 @@ import numpy as np
 
 from .bases import DeviceTable
 from .errors import InvariantViolation, LayoutMismatch, NullPostselection, ShapeMismatch
-from .qcore import DensityMatrix, PureState
+from .qcore import DensityMatrix, PureState, digit_table
 
 POSTSELECTION_TOL = 1e-14
 
@@ -109,17 +109,6 @@ class DeviceReadings:
     postselection_probability: float
 
 
-def _digit_table(dims) -> np.ndarray:
-    d = int(np.prod(dims))
-    out = np.zeros((d, len(dims)), dtype=int)
-    for index in range(d):
-        rem = index
-        for pos in range(len(dims) - 1, -1, -1):
-            out[index, pos] = rem % dims[pos]
-            rem //= dims[pos]
-    return out
-
-
 def couple_all(
     state: DensityMatrix, table: DeviceTable, cfg: PointerConfig
 ) -> BranchState:
@@ -143,7 +132,7 @@ def couple_all(
         raise LayoutMismatch(
             f"state dims {state.dims} match neither {table.dims} nor its doubled layout"
         )
-    digits = _digit_table(state.dims)
+    digits = digit_table(state.dims)
     d_ext = state.dim
     columns = table.n_columns
     # Line-1 index of each extended label: the copies (if any) are the fast

@@ -36,6 +36,7 @@ __all__ = [
     "PureState",
     "DensityMatrix",
     "as_operator",
+    "digit_table",
     "tensor_product",
     "partial_trace",
     "trace_distance",
@@ -67,6 +68,17 @@ def as_operator(matrix, dim: int | None = None) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise InvariantViolation("operator entries must be finite")
     return m
+
+
+def digit_table(dims) -> np.ndarray:
+    """Mixed-radix digits of every flattened index, shape (prod(dims), len(dims)).
+
+    Row i lists the computational label of each subsystem in basis state i,
+    first subsystem most significant.
+    """
+    dims = _dims_tuple(dims)
+    strides = np.cumprod((1,) + dims[:0:-1])[::-1]
+    return (np.arange(math.prod(dims))[:, None] // strides) % np.array(dims)
 
 
 @dataclass(frozen=True)

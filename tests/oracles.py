@@ -2,10 +2,23 @@
 
 Everything here is written directly against numpy with explicit matrix
 constructions (kron chains, lifted gates, axis-pair traces) so that it
-shares no code path with the package under test.
+shares no code path with the package under test.  The one exception is the
+gate-level conveyance reference at the end, which chains the package's own
+circuit primitives (entangled pair, controlled shift plus measurement,
+partial trace); those primitives are checked against the brute-force
+oracles above.
 """
 
 import numpy as np
+
+from weakcorr import (
+    ConveyanceRecord,
+    bell_state,
+    ket2dm,
+    partial_trace,
+    strong_couple_and_measure,
+    tensor_product,
+)
 
 SQ2 = np.sqrt(2.0)
 
@@ -134,3 +147,39 @@ def random_rho(d, seed):
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     m = g @ g.conj().T
     return m / np.trace(m)
+
+
+# -- gate-level conveyance and broadcast
+
+
+def convey_literal_gates(rho, outcomes):
+    """Literal conveyance run gate by gate on a DensityMatrix.
+
+    One aligned entangled pair per conveyed party is attached, the party is
+    controlled-shifted onto the first pair member, that member is measured
+    with the given outcome and removed; finally the originals of the
+    conveyed parties are traced out.
+    """
+    n = len(rho.dims)
+    work = rho
+    prob = 1.0
+    for party, nu in enumerate(outcomes):
+        pair = bell_state(rho.dims[party])
+        work = tensor_product(work, ket2dm(pair.state))
+        rec = strong_couple_and_measure(
+            work, control=party, target=len(work.dims) - 2, outcome=nu
+        )
+        work = rec.state
+        prob *= rec.probability
+    # Layout now: n original parties, then one image per conveyed party.
+    keep = list(range(n, 2 * n - 1)) + [n - 1]
+    return ConveyanceRecord(partial_trace(work, keep), tuple(outcomes), prob)
+
+
+def broadcast_gates(rho, party, outcome, variant="aligned"):
+    """Copy fan-out run gate by gate: pair, controlled shift, measurement."""
+    pair = bell_state(rho.dims[party], variant)
+    work = tensor_product(rho, ket2dm(pair.state))
+    return strong_couple_and_measure(
+        work, control=party, target=len(work.dims) - 1, outcome=outcome
+    )

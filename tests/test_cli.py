@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line front end."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from weakcorr.cli import dump_state, load_state, main
+import weakcorr
+from weakcorr.cli import MAX_DIM, dump_state, load_state, main
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GHZ = str(FIXTURES / "ghz3.json")
@@ -57,6 +59,12 @@ def test_tables_two_parties_reports_ok(capsys):
 def test_tables_rejects_bad_size(capsys):
     code, _, err = run_cli(capsys, "tables", "0")
     assert code == 2 and "n_qubits" in err
+
+
+def test_tables_rejects_size_above_limit(capsys):
+    code, out, err = run_cli(capsys, "tables", "30")
+    assert code == 2 and out == ""
+    assert "n_qubits" in err and str(MAX_DIM) in err
 
 
 def test_tables_csv_format(capsys):
@@ -201,6 +209,16 @@ def test_non_hermitian_state_exits_3_naming_invariant(tmp_path, capsys):
     code, _, err = run_cli(capsys, "run", "--state", str(bad))
     assert code == 3
     assert "hermiticity" in err
+
+
+def test_oversized_state_exits_2_before_allocating(tmp_path, capsys):
+    # 22 qubits would need a 2**22 x 2**22 matrix; the file itself is tiny.
+    doc = {"dims": [2] * 22, "terms": [{"p": 1, "amplitudes": [[1, 0]]}]}
+    big = tmp_path / "state.json"
+    big.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "run", "--state", str(big))
+    assert code == 2
+    assert "dims" in err and str(MAX_DIM) in err
 
 
 def test_bad_decomposition_weights_exit_3(tmp_path, capsys):
@@ -366,10 +384,14 @@ def test_state_round_trip_is_idempotent():
 
 
 def test_console_entry_point_runs():
+    # The child process imports the same package copy as this one.
+    src = str(Path(weakcorr.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "weakcorr", "tables", "1"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "device operator table" in proc.stdout

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from oracles import convey_literal_bruteforce
+from oracles import broadcast_gates, convey_literal_bruteforce, convey_literal_gates
 
 from weakcorr import (
     bell_state,
@@ -150,6 +150,30 @@ def test_convey_outcome_probabilities_sum_to_one():
 def test_convey_validates_outcome_count():
     with pytest.raises(ShapeMismatch):
         convey(ket2dm(ghz(3)), (0,), "literal")
+
+
+def _assert_same_record(fast, slow):
+    assert fast.state.dims == slow.state.dims
+    np.testing.assert_allclose(fast.state.matrix, slow.state.matrix, rtol=0, atol=1e-12)
+    assert abs(fast.probability - slow.probability) <= 1e-12
+
+
+GATE_DIMS = [(2, 2), (2, 2, 2), (2, 2, 2, 2), (3, 3), (2, 3), (3, 2, 3)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("dims", GATE_DIMS, ids=str)
+def test_closed_form_stages_match_gate_level_circuit(dims, seed):
+    rho = random_density_matrix(dims, seed)
+    for nu in itertools.product(*(range(l) for l in dims[:-1])):
+        _assert_same_record(convey(rho, nu, "literal"), convey_literal_gates(rho, nu))
+    for party, l in enumerate(dims):
+        for variant in ("aligned", "flip"):
+            for mu in range(l):
+                _assert_same_record(
+                    broadcast(rho, party, mu, variant),
+                    broadcast_gates(rho, party, mu, variant),
+                )
 
 
 # -- broadcast
