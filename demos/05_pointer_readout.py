@@ -24,7 +24,7 @@ print("by exactly g, at any coupling strength:")
 t1 = device_table((2,))
 for g in (0.5, 1e-3):
     cfg = PointerConfig(g)
-    bs = couple_all(ket2dm(ket("0")), t1, cfg)
+    bs = couple_all(ket2dm(ket("0")), t1)
     r = postselect_and_read(bs, hadamard_mub(1).vectors[0], cfg)
     print(f"  g={g:<6} delta_q={r.delta_q[0, 0]:.15f} delta_p={r.delta_p[0, 0]:+.1e}")
 
@@ -39,7 +39,7 @@ print("  analytic W(|000><000|) =", expect)
 prev = None
 for g in (2e-1, 1e-1, 5e-2, 2.5e-2):
     cfg = PointerConfig(g)
-    bs = couple_all(rho, table, cfg)
+    bs = couple_all(rho, table)
     r = postselect_and_read(bs, b, cfg)
     w = extract_weak_value(r.delta_q, r.delta_p, cfg)[0, 0]
     err = abs(w - expect)
@@ -53,7 +53,7 @@ print("pointer spread sigma = 1/sqrt(2) the calibration is Im W = delta_p/g.")
 print("\nWith 32 devices coupled at g = 1e-3 the crosstalk on any single")
 print("device's reading stays below one part in 1e4:")
 cfg = PointerConfig(1e-3)
-bs = couple_all(rho, table, cfg)
+bs = couple_all(rho, table)
 full = postselect_and_read(bs, b, cfg)
 import dataclasses
 

@@ -31,6 +31,7 @@ __all__ = [
     "is_mutually_unbiased",
     "device_table",
     "party_factors",
+    "product_factors",
 ]
 
 
@@ -57,7 +58,8 @@ class BasisSet:
         for v in vectors:
             if v.dims != dims:
                 raise ShapeMismatch(f"vector dims {v.dims} do not match basis {dims}")
-        gram = self.matrix() @ self.matrix().conj().T
+        stacked = self.matrix()
+        gram = stacked @ stacked.conj().T
         dev = float(np.max(np.abs(gram - np.eye(d))))
         if dev > STRUCT_TOL:
             raise InvariantViolation(f"orthonormality: max |gram - I| = {dev:.3e}")
@@ -100,19 +102,13 @@ def hadamard_mub(n_qubits: int) -> BasisSet:
     if n_qubits < 1:
         raise BadSize(f"need at least one qubit, got {n_qubits}")
     n = int(n_qubits)
-    d = 2**n
-    scale = 1.0 / math.sqrt(d)
-    cols = np.arange(d)
-    vectors = []
-    labels = []
-    for k in range(d):
-        signs = (-1.0) ** np.array(
-            [bin(k & i).count("1") for i in cols], dtype=float
-        )
-        vectors.append(PureState((2,) * n, signs * scale))
-        word = format(k, f"0{n}b")
-        labels.append("".join("-" if ch == "1" else "+" for ch in word))
-    return BasisSet((2,) * n, tuple(vectors), tuple(labels))
+    dims = (2,) * n
+    scale = 1.0 / math.sqrt(2**n)
+    bits = digit_table(dims)
+    signs = 1.0 - 2.0 * ((bits @ bits.T) % 2)
+    vectors = tuple(PureState(dims, row * scale) for row in signs)
+    labels = tuple("".join("+-"[b] for b in row) for row in bits.tolist())
+    return BasisSet(dims, vectors, labels)
 
 
 def is_mutually_unbiased(b1: BasisSet, b2: BasisSet, tol: float = 1e-12) -> bool:
@@ -124,30 +120,44 @@ def is_mutually_unbiased(b1: BasisSet, b2: BasisSet, tol: float = 1e-12) -> bool
     return bool(np.max(np.abs(overlaps - 1.0 / d)) <= tol)
 
 
+def product_factors(rows: np.ndarray, dims) -> list[np.ndarray]:
+    """Single-party tensor factors of every row of a stack of product states.
+
+    ``rows`` has shape (K, prod(dims)); the result holds one (K, dims[p])
+    array per party, each row a unit vector.  The cuts are peeled off left
+    to right with one batched SVD each.  Factors are unique up to phases;
+    the largest-magnitude entry of each factor but the last is rotated to
+    be real and nonnegative.  Raises :class:`NonFactorablePostselection`
+    when any row is entangled across any cut (second singular value above
+    1e-10).
+    """
+    rest = np.asarray(rows, dtype=complex)
+    k = rest.shape[0]
+    factors = []
+    for d in dims[:-1]:
+        u, s, vh = np.linalg.svd(rest.reshape(k, d, -1), full_matrices=False)
+        if s.shape[1] > 1 and np.max(s[:, 1]) > 1e-10:
+            raise NonFactorablePostselection(
+                "state is entangled across a cut "
+                f"(residual singular value {np.max(s[:, 1]):.3e})"
+            )
+        head = u[:, :, 0]
+        pivot = head[np.arange(k), np.argmax(np.abs(head), axis=1)]
+        phase = pivot / np.abs(pivot)
+        factors.append(head / phase[:, None])
+        rest = vh[:, 0, :] * (phase * s[:, 0])[:, None]
+    factors.append(rest / np.linalg.norm(rest, axis=1)[:, None])
+    return factors
+
+
 def party_factors(state: PureState) -> tuple[PureState, ...]:
     """Single-party tensor factors of a product state, one per subsystem.
 
-    Factors are unique up to phases; the leading entry of each factor is
-    rotated to be real and nonnegative.  Raises
-    :class:`NonFactorablePostselection` when the state is entangled across
-    any cut (second singular value above 1e-10).
+    The one-row case of :func:`product_factors`, with the same phase
+    convention and entanglement check.
     """
-    factors = []
-    rest = state.amplitudes
-    for d in state.dims[:-1]:
-        m = rest.reshape(d, -1)
-        u, s, vh = np.linalg.svd(m, full_matrices=False)
-        if s.size > 1 and s[1] > 1e-10:
-            raise NonFactorablePostselection(
-                f"state is entangled across a cut (residual singular value {s[1]:.3e})"
-            )
-        head = u[:, 0]
-        pivot = head[int(np.argmax(np.abs(head)))]
-        phase = pivot / abs(pivot)
-        factors.append(PureState((d,), head / phase))
-        rest = vh[0] * (phase * s[0])
-    factors.append(PureState.normalized((state.dims[-1],), rest))
-    return tuple(factors)
+    factors = product_factors(state.amplitudes[None, :], state.dims)
+    return tuple(PureState((d,), f[0]) for d, f in zip(state.dims, factors))
 
 
 @dataclass(frozen=True)

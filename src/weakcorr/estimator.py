@@ -9,9 +9,13 @@ W are weak values of the device-table projectors.  Two backends produce the
 weak-value tables:
 
 * ``"analytic"`` evaluates the postselected weak-value formula
-  tr(|b><b| A rho) / tr(|b><b| rho) directly: on the conveyed state for
-  line 1, and on each party's marginal with the matching single-party
-  postselection factor for the other lines.
+  tr(|b><b| A rho) / tr(|b><b| rho) in closed form.  With B the
+  postselection vectors stacked as rows, line 1 on the conveyed state is
+  conj(B) * (B rho^T) / P, P being the row sums of the numerator (the
+  postselection probabilities).  Line p + 2 comes from party p's marginal
+  m_p and the stacked single-party factors F_p of the postselection
+  vectors: conj(F_p) * (F_p m_p^T), divided by its row sums, gives the weak
+  value of each digit, gathered to the columns by the digit table.
 * ``"circuit"`` runs the full pipeline (conveyance, broadcast, pointer
   coupling, postselected readout, shift-to-weak-value extraction) at the
   configured coupling strength.
@@ -34,7 +38,7 @@ from .bases import (
     DeviceTable,
     device_table,
     hadamard_mub,
-    party_factors,
+    product_factors,
 )
 from .conveyance import broadcast, convey
 from .errors import (
@@ -201,39 +205,52 @@ def _require_qubits(rho: DensityMatrix) -> int:
     return len(rho.dims)
 
 
+def _line0(
+    state: DensityMatrix, basis_matrix: np.ndarray, threshold: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Postselection probabilities, kept-row mask and line-0 weak values.
+
+    With B the stacked postselection vectors, the weak value of |i><i| under
+    postselection k is conj(B[k, i]) (rho B[k])_i / P_k, so the whole line is
+    conj(B) * (B rho^T) divided row-wise by P = its row sums.  Rows with
+    P_k below ``threshold`` stay zero.
+    """
+    num = basis_matrix.conj() * (basis_matrix @ state.matrix.T)
+    probs = np.real(num.sum(axis=1))
+    kept = probs >= threshold
+    _check_postselection(probs[kept])
+    values = np.zeros_like(num)
+    values[kept] = num[kept] / probs[kept, None]
+    return probs, kept, values
+
+
+def _check_postselection(probs: np.ndarray) -> None:
+    if probs.size and probs.min() <= 1e-14:
+        raise NullPostselection(f"postselection probability {probs.min():.3e}")
+
+
 def _analytic_table(
     state: DensityMatrix,
     basis_b: BasisSet,
     table: DeviceTable,
     threshold: float,
 ) -> WeakValueTable:
-    n = table.n_parties
-    columns = table.n_columns
-    factors = [party_factors(b) for b in basis_b.vectors]
-    marginals = [partial_trace(state, [p]) for p in range(n)]
-    values = np.zeros((table.n_lines, len(basis_b), columns), dtype=complex)
-    probs = np.zeros(len(basis_b))
-    skipped = []
-    for k, b in enumerate(basis_b.vectors):
-        probs[k] = postselection_probability(state, b)
-        if probs[k] < threshold:
-            skipped.append(k)
-            continue
-        for i in range(columns):
-            values[0, k, i] = analytic_weak_value(state, table.projector(0, i), b)
-        for line in range(1, table.n_lines):
-            party = line - 1
-            per_digit = [
-                analytic_weak_value(
-                    marginals[party],
-                    np.diag(np.eye(table.dims[party])[digit]).astype(complex),
-                    factors[k][party],
-                )
-                for digit in range(table.dims[party])
-            ]
-            for i in range(columns):
-                values[line, k, i] = per_digit[table.shift_digit(line, i)]
-    return WeakValueTable(values, probs, tuple(skipped))
+    basis_matrix = basis_b.matrix()
+    factors = product_factors(basis_matrix, table.dims)
+    probs, kept, line0 = _line0(state, basis_matrix, threshold)
+    values = np.zeros((table.n_lines,) + line0.shape, dtype=complex)
+    values[0] = line0
+    for party, f in enumerate(factors):
+        # Party line: weak values of |v><v| on the marginal, postselected on
+        # the party's factor, gathered to the columns whose digit is v.
+        marginal = partial_trace(state, [party]).matrix
+        num = f.conj() * (f @ marginal.T)
+        pf = np.real(num.sum(axis=1))
+        _check_postselection(pf[kept])
+        per_digit = np.zeros_like(num)
+        per_digit[kept] = num[kept] / pf[kept, None]
+        np.take(per_digit, table.party_digits[:, party], axis=1, out=values[party + 1])
+    return WeakValueTable(values, probs, tuple(np.flatnonzero(~kept).tolist()))
 
 
 def _circuit_table(
@@ -249,7 +266,7 @@ def _circuit_table(
     if not skip_broadcast:
         for party in range(table.n_parties):
             extended = broadcast(extended, party, broadcast_outcome).state
-    bs = couple_all(extended, table, cfg)
+    bs = couple_all(extended, table)
     values = np.zeros((table.n_lines, len(basis_b), table.n_columns), dtype=complex)
     probs = np.zeros(len(basis_b))
     skipped = []
@@ -371,33 +388,22 @@ def weak_value_limits(
     allows (see ``weakcorr.pointer``): exactly at every g with copies, and
     with an O(g^2) bias without them.
     """
-    n = table.n_parties
-    columns = table.n_columns
-    values = np.zeros((table.n_lines, len(basis_b), columns), dtype=complex)
+    if skip_broadcast:
+        probs, kept, line0 = _line0(state, basis_b.matrix(), skip_threshold)
+        values = np.zeros((table.n_lines,) + line0.shape, dtype=complex)
+        values[0] = line0
+        # The lifted |v><v| of a party sums |i><i| over the columns whose
+        # digit is v, so its weak value is the matching sum of line 0.
+        per_label = line0.reshape((len(basis_b),) + table.dims)
+        for party in range(table.n_parties):
+            others = tuple(1 + p for p in range(table.n_parties) if p != party)
+            per_digit = per_label.sum(axis=others)
+            np.take(per_digit, table.party_digits[:, party], axis=1, out=values[party + 1])
+        return WeakValueTable(values, probs, tuple(np.flatnonzero(~kept).tolist()))
+
+    values = np.zeros((table.n_lines, len(basis_b), table.n_columns), dtype=complex)
     probs = np.zeros(len(basis_b))
     skipped = []
-    if skip_broadcast:
-        for k, b in enumerate(basis_b.vectors):
-            probs[k] = postselection_probability(state, b)
-            if probs[k] < skip_threshold:
-                skipped.append(k)
-                continue
-            for i in range(columns):
-                values[0, k, i] = analytic_weak_value(state, table.projector(0, i), b)
-            for line in range(1, table.n_lines):
-                party = line - 1
-                eye = np.eye(2)
-                lifted = {}
-                for digit in (0, 1):
-                    ops = [np.diag(eye[digit]).astype(complex) if p == party else eye for p in range(n)]
-                    full = ops[0]
-                    for op in ops[1:]:
-                        full = np.kron(full, op)
-                    lifted[digit] = analytic_weak_value(state, full, b)
-                for i in range(columns):
-                    values[line, k, i] = lifted[table.shift_digit(line, i)]
-        return WeakValueTable(values, probs, tuple(skipped))
-
     diag = state.diagonal()
     for k, b in enumerate(basis_b.vectors):
         weights = diag * np.abs(b.amplitudes) ** 2

@@ -119,20 +119,16 @@ class DeviceReadings:
     postselection_probability: float
 
 
-def couple_all(
-    state: DensityMatrix, table: DeviceTable, cfg: PointerConfig
-) -> BranchState:
+def couple_all(state: DensityMatrix, table: DeviceTable) -> BranchState:
     """Couple every device in the table to ``state``.
 
     Two layouts are accepted: the broadcast layout, where the line-1
     particles come first and one copy particle per party follows, and the
     merged layout without copies, where the single-party lines couple
     directly to the line-1 particles.  The branch representation counts
-    shifts in units of the coupling strength, so ``cfg`` only fixes the
-    configuration the couplings were prepared with; the strength is applied
-    at read time.
+    shifts in units of the coupling strength, which is applied at read time
+    (see :func:`postselect_and_read`).
     """
-    del cfg
     n = table.n_parties
     if state.dims == table.dims + table.dims:
         copy_offset = n

@@ -2,20 +2,26 @@
 
 Everything here is written directly against numpy with explicit matrix
 constructions (kron chains, lifted gates, axis-pair traces) so that it
-shares no code path with the package under test.  The one exception is the
-gate-level conveyance reference at the end, which chains the package's own
-circuit primitives (entangled pair, controlled shift plus measurement,
-partial trace); those primitives are checked against the brute-force
-oracles above.
+shares no code path with the package under test.  Two sections at the end
+are the exceptions: the gate-level conveyance reference chains the
+package's own circuit primitives (entangled pair, controlled shift plus
+measurement, partial trace), and the per-element weak-value tables call
+the package's one-element weak-value formula once per (postselection,
+column).  Those primitives are checked against the brute-force oracles
+above.
 """
 
 import numpy as np
 
 from weakcorr import (
     ConveyanceRecord,
+    WeakValueTable,
+    analytic_weak_value,
     bell_state,
     ket2dm,
+    party_factors,
     partial_trace,
+    postselection_probability,
     strong_couple_and_measure,
     tensor_product,
 )
@@ -211,3 +217,74 @@ def broadcast_gates(rho, party, outcome, variant="aligned"):
     return strong_couple_and_measure(
         work, control=party, target=len(work.dims) - 1, outcome=outcome
     )
+
+
+# -- per-element weak-value tables
+
+
+def analytic_table_loop(state, basis_b, table, threshold=1e-14):
+    """Analytic weak-value table built one (postselection, column) at a time.
+
+    Line 0 is the weak value of each dense joint projector on ``state``;
+    line p + 1 is the weak value of |digit><digit| on party p's marginal,
+    postselected on party p's factor of the postselection vector.
+    """
+    n = table.n_parties
+    columns = table.n_columns
+    factors = [party_factors(b) for b in basis_b.vectors]
+    marginals = [partial_trace(state, [p]) for p in range(n)]
+    values = np.zeros((table.n_lines, len(basis_b), columns), dtype=complex)
+    probs = np.zeros(len(basis_b))
+    skipped = []
+    for k, b in enumerate(basis_b.vectors):
+        probs[k] = postselection_probability(state, b)
+        if probs[k] < threshold:
+            skipped.append(k)
+            continue
+        for i in range(columns):
+            values[0, k, i] = analytic_weak_value(state, table.projector(0, i), b)
+        for line in range(1, table.n_lines):
+            party = line - 1
+            per_digit = [
+                analytic_weak_value(
+                    marginals[party],
+                    np.diag(np.eye(table.dims[party])[digit]).astype(complex),
+                    factors[k][party],
+                )
+                for digit in range(table.dims[party])
+            ]
+            for i in range(columns):
+                values[line, k, i] = per_digit[table.shift_digit(line, i)]
+    return WeakValueTable(values, probs, tuple(skipped))
+
+
+def skip_broadcast_limits_loop(state, basis_b, table, threshold=1e-14):
+    """Zero-coupling table without copies, one lifted projector at a time.
+
+    Every line reads the weak value of its projector on the full qubit
+    state: |i><i| on line 0, and |bit><bit| of party p lifted to all
+    qubits on line p + 1.
+    """
+    n = table.n_parties
+    columns = table.n_columns
+    values = np.zeros((table.n_lines, len(basis_b), columns), dtype=complex)
+    probs = np.zeros(len(basis_b))
+    skipped = []
+    for k, b in enumerate(basis_b.vectors):
+        probs[k] = postselection_probability(state, b)
+        if probs[k] < threshold:
+            skipped.append(k)
+            continue
+        for i in range(columns):
+            values[0, k, i] = analytic_weak_value(state, table.projector(0, i), b)
+        for line in range(1, table.n_lines):
+            party = line - 1
+            lifted = {
+                digit: analytic_weak_value(
+                    state, lift1(P1 if digit else P0, party, n), b
+                )
+                for digit in (0, 1)
+            }
+            for i in range(columns):
+                values[line, k, i] = lifted[table.shift_digit(line, i)]
+    return WeakValueTable(values, probs, tuple(skipped))

@@ -208,7 +208,7 @@ def test_criterion_08_pointer_calibration():
     exact = True
     for g in (0.5, 1e-2, 1e-4):
         cfg = PointerConfig(g)
-        bs = couple_all(ket2dm(ket("0")), table1, cfg)
+        bs = couple_all(ket2dm(ket("0")), table1)
         readings = postselect_and_read(bs, plus, cfg)
         exact &= abs(readings.delta_q[0, 0] - g) <= 1e-14
         exact &= abs(readings.delta_p[0, 0]) <= 1e-14
@@ -219,7 +219,7 @@ def test_criterion_08_pointer_calibration():
     mub = hadamard_mub(3)
     rho = random_density_matrix((2, 2, 2), 31)
     cfg = PointerConfig(1e-4)
-    bs = couple_all(rho, table3, cfg)
+    bs = couple_all(rho, table3)
     worst = 0.0
     eye = np.eye(2, dtype=complex)
     for k in range(8):

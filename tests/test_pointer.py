@@ -45,7 +45,7 @@ def test_pointer_config_validation():
 
 def test_couple_all_single_qubit_shift_indicators():
     table = device_table([2])
-    bs = couple_all(ket2dm(ket("0")), table, CFG)
+    bs = couple_all(ket2dm(ket("0")), table)
     assert bs.branches() == [(0, 0, (1 + 0j))]
     # label 0 satisfies the |0><0| devices on both lines, never the |1><1| ones
     np.testing.assert_array_equal(bs.shifts[0, :, 0], [1, 1])
@@ -56,7 +56,7 @@ def test_couple_all_single_qubit_shift_indicators():
 def test_couple_all_ghz_pipeline_branches():
     table = device_table([2, 2, 2])
     state = pipeline_state(ket2dm(ghz(3)))
-    bs = couple_all(state, table, CFG)
+    bs = couple_all(state, table)
     diag = [(k, w) for k, b, w in bs.branches() if k == b]
     assert len(diag) == 2
     labels = sorted(k for k, _ in diag)
@@ -68,15 +68,15 @@ def test_couple_all_ghz_pipeline_branches():
 def test_couple_all_layout_mismatch():
     table = device_table([2, 2, 2])
     with pytest.raises(LayoutMismatch):
-        couple_all(random_density_matrix((2, 2), 0), table, CFG)
+        couple_all(random_density_matrix((2, 2), 0), table)
 
 
 def test_branch_state_assemble_round_trip():
     table = device_table([2, 2, 2])
     state = pipeline_state(random_density_matrix((2, 2, 2), 5))
-    bs = couple_all(state, table, CFG)
+    bs = couple_all(state, table)
     np.testing.assert_allclose(bs.assemble().matrix, state.matrix, atol=1e-12)
-    skip = couple_all(random_density_matrix((2, 2, 2), 6), table, CFG)
+    skip = couple_all(random_density_matrix((2, 2, 2), 6), table)
     np.testing.assert_allclose(
         skip.assemble().matrix, random_density_matrix((2, 2, 2), 6).matrix, atol=1e-15
     )
@@ -87,7 +87,7 @@ def test_always_satisfied_projector_reads_exact_shift():
     plus = PureState((2,), [1 / SQ2, 1 / SQ2])
     for g in (1e-1, 1e-3):
         cfg = PointerConfig(g=g)
-        bs = couple_all(ket2dm(ket("0")), table, cfg)
+        bs = couple_all(ket2dm(ket("0")), table)
         readings = postselect_and_read(bs, plus, cfg)
         assert abs(readings.delta_q[0, 0] - g) < 1e-14
         assert abs(readings.delta_p[0, 0]) < 1e-14
@@ -100,7 +100,7 @@ def test_ghz_pipeline_line1_reading_matches_dephased_weak_value():
     mub = hadamard_mub(3)
     for g in (1e-2, 1e-3):
         cfg = PointerConfig(g=g)
-        bs = couple_all(state, table, cfg)
+        bs = couple_all(state, table)
         readings = postselect_and_read(bs, mub.vectors[0], cfg)
         assert readings.delta_q[0, 0] / g == pytest.approx(0.5, abs=1e-12)
         assert readings.postselection_probability == pytest.approx(1 / 8, abs=1e-12)
@@ -111,7 +111,7 @@ def test_real_weak_values_leave_momentum_untouched():
     rho = random_density_matrix((2, 2, 2), 9)
     state = pipeline_state(rho)
     mub = hadamard_mub(3)
-    bs = couple_all(state, table, CFG)
+    bs = couple_all(state, table)
     readings = postselect_and_read(bs, mub.vectors[3], CFG)
     np.testing.assert_allclose(readings.delta_p, 0.0, atol=1e-14)
 
@@ -119,11 +119,11 @@ def test_real_weak_values_leave_momentum_untouched():
 def test_postselect_rejects_wrong_dimension_and_null():
     table = device_table([2, 2, 2])
     state = pipeline_state(ket2dm(ghz(3)))
-    bs = couple_all(state, table, CFG)
+    bs = couple_all(state, table)
     with pytest.raises(ShapeMismatch):
         postselect_and_read(bs, PureState((2,), [1, 0]), CFG)
     # a postselection with no support on the state's diagonal is null
-    solo = couple_all(ket2dm(ket("0")), device_table([2]), CFG)
+    solo = couple_all(ket2dm(ket("0")), device_table([2]))
     with pytest.raises(NullPostselection):
         postselect_and_read(solo, ket("1"), CFG)
 
@@ -131,7 +131,7 @@ def test_postselect_rejects_wrong_dimension_and_null():
 def test_forbidden_postselection_leaks_in_quadratically():
     # the weak couplings disturb the state, so a postselection orthogonal to
     # the undisturbed state picks up a residual probability of order g^2
-    skip_bs = couple_all(ket2dm(ghz(3)), device_table([2, 2, 2]), CFG)
+    skip_bs = couple_all(ket2dm(ghz(3)), device_table([2, 2, 2]))
     readings = postselect_and_read(skip_bs, hadamard_mub(3).vectors[1], CFG)
     assert 0 < readings.postselection_probability < CFG.g**2
 
@@ -155,7 +155,7 @@ def test_extraction_inverts_synthetic_complex_weak_values():
     rho = random_density_matrix((2, 2, 2), 31)
     mub = hadamard_mub(3)
     cfg = PointerConfig(g=1e-4)
-    bs = couple_all(rho, table, cfg)
+    bs = couple_all(rho, table)
     eye = np.eye(2, dtype=complex)
     for k in (0, 5):
         b = mub.vectors[k]
@@ -183,7 +183,7 @@ def test_weak_limit_exact_for_diagonal_states():
         rho = DensityMatrix((2, 2, 2), np.diag(p / p.sum()).astype(complex))
         for g in (1e-1, 1e-2, 1e-3):
             cfg = PointerConfig(g=g)
-            bs = couple_all(rho, table, cfg)
+            bs = couple_all(rho, table)
             readings = postselect_and_read(bs, mub.vectors[0], cfg)
             w = extract_weak_value(readings.delta_q, readings.delta_p, cfg)
             for i in range(8):
@@ -200,7 +200,7 @@ def test_weak_limit_error_shrinks_with_g_for_coherent_states():
     errs = []
     for g in (1e-2, 5e-3, 2.5e-3):
         cfg = PointerConfig(g=g)
-        bs = couple_all(rho, table, cfg)
+        bs = couple_all(rho, table)
         readings = postselect_and_read(bs, mub.vectors[0], cfg)
         w = extract_weak_value(readings.delta_q, readings.delta_p, cfg)
         expect = eq_weak_value(rho.matrix, table.projector(0, 0), mub.vector(0).astype(complex))
@@ -211,7 +211,7 @@ def test_weak_limit_error_shrinks_with_g_for_coherent_states():
 def test_simultaneous_readout_covers_every_device():
     table = device_table([2, 2, 2])
     state = pipeline_state(random_density_matrix((2, 2, 2), 13))
-    bs = couple_all(state, table, CFG)
+    bs = couple_all(state, table)
     readings = postselect_and_read(bs, hadamard_mub(3).vectors[2], CFG)
     assert readings.delta_q.shape == (4, 8)
     assert readings.delta_p.shape == (4, 8)
@@ -222,7 +222,7 @@ def test_many_devices_disturb_single_device_readings_weakly():
     table = device_table([2, 2, 2])
     rho = random_density_matrix((2, 2, 2), 55)
     cfg = PointerConfig(g=1e-3)
-    bs = couple_all(rho, table, cfg)  # 32 devices on the bare state
+    bs = couple_all(rho, table)  # 32 devices on the bare state
     full = postselect_and_read(bs, hadamard_mub(3).vectors[0], cfg)
     for line, col in ((0, 0), (1, 1), (3, 5)):
         mask = np.zeros_like(bs.shifts)
