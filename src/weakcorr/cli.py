@@ -546,13 +546,10 @@ def render_tables(n: int, fmt: str = "text") -> str:
     def joint_proj(label: str) -> str:
         return f"|{label}><{label}|"
 
-    recon_ok = True
-    for col in range(table.n_columns):
-        parts = table.projector(1, col)
-        for line in range(2, table.n_lines):
-            parts = np.kron(parts, table.projector(line, col))
-        if not np.allclose(parts, table.projector(0, col), atol=1e-12):
-            recon_ok = False
+    # One-hot party projectors |x_p><x_p| tensor to |i><i| iff the x_p spell i.
+    recon_ok = np.array_equal(
+        np.ravel_multi_index(table.party_digits.T, table.dims), np.arange(table.n_columns)
+    )
     mub_ok = is_mutually_unbiased(comp, mub, tol=1e-12)
 
     sign_rows = []

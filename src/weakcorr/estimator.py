@@ -20,6 +20,12 @@ weak-value tables:
   coupling, postselected readout, shift-to-weak-value extraction) at the
   configured coupling strength.
 
+The circuit backend's zero-coupling limit (``weak_value_limits``) is one
+formula for both device layouts: line 1 as above, on the dephased state
+when copies are attached, and party lines that sum line 1 over the other
+parties' digits, gathered to the columns through a digit map, the column's
+own digit x_p without copies and (mu - x_p) mod d_p with them.
+
 Postselections with probability below 1e-14 contribute zero by convention
 (the P_k prefactor annihilates the undefined weak value) and are reported
 as skipped.  Weak values are generally complex; the bracket above uses the
@@ -205,52 +211,63 @@ def _require_qubits(rho: DensityMatrix) -> int:
     return len(rho.dims)
 
 
-def _line0(
-    state: DensityMatrix, basis_matrix: np.ndarray, threshold: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _normalise_rows(num: np.ndarray, kept: np.ndarray) -> np.ndarray:
+    """Each kept row of ``num`` divided by its sum; the other rows zero."""
+    sums = np.real(num.sum(axis=1))[kept]
+    if sums.size and sums.min() <= 1e-14:
+        raise NullPostselection(f"postselection probability {sums.min():.3e}")
+    values = np.zeros_like(num)
+    values[kept] = num[kept] / sums[:, None]
+    return values
+
+
+def _weak_value_numerator(rho: np.ndarray, basis_matrix: np.ndarray) -> np.ndarray:
+    """conj(B) * (B rho^T): entry (k, i) is <b_k|i><i| rho |b_k>."""
+    return basis_matrix.conj() * (basis_matrix @ rho.T)
+
+
+def _line0(num: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Postselection probabilities, kept-row mask and line-0 weak values.
 
-    With B the stacked postselection vectors, the weak value of |i><i| under
-    postselection k is conj(B[k, i]) (rho B[k])_i / P_k, so the whole line is
-    conj(B) * (B rho^T) divided row-wise by P = its row sums.  Rows with
-    P_k below ``threshold`` stay zero.
+    The probabilities are the row sums of the numerator; rows below
+    SKIP_THRESHOLD are skipped and stay zero.
     """
-    num = basis_matrix.conj() * (basis_matrix @ state.matrix.T)
     probs = np.real(num.sum(axis=1))
-    kept = probs >= threshold
-    _check_postselection(probs[kept])
-    values = np.zeros_like(num)
-    values[kept] = num[kept] / probs[kept, None]
-    return probs, kept, values
+    kept = probs >= SKIP_THRESHOLD
+    return probs, kept, _normalise_rows(num, kept)
 
 
-def _check_postselection(probs: np.ndarray) -> None:
-    if probs.size and probs.min() <= 1e-14:
-        raise NullPostselection(f"postselection probability {probs.min():.3e}")
+def _table(
+    probs: np.ndarray,
+    kept: np.ndarray,
+    line0: np.ndarray,
+    per_digit: Sequence[np.ndarray],
+    digits: np.ndarray,
+) -> WeakValueTable:
+    """Assemble line 0 and the party lines, each party's (K, d_p) weak
+    values of its digits gathered to the columns through ``digits[:, p]``."""
+    values = np.zeros((len(per_digit) + 1,) + line0.shape, dtype=complex)
+    values[0] = line0
+    for party, lines in enumerate(per_digit):
+        np.take(lines, digits[:, party], axis=1, out=values[party + 1])
+    return WeakValueTable(values, probs, tuple(np.flatnonzero(~kept).tolist()))
 
 
 def _analytic_table(
-    state: DensityMatrix,
-    basis_b: BasisSet,
-    table: DeviceTable,
-    threshold: float,
+    state: DensityMatrix, basis_b: BasisSet, table: DeviceTable
 ) -> WeakValueTable:
     basis_matrix = basis_b.matrix()
     factors = product_factors(basis_matrix, table.dims)
-    probs, kept, line0 = _line0(state, basis_matrix, threshold)
-    values = np.zeros((table.n_lines,) + line0.shape, dtype=complex)
-    values[0] = line0
-    for party, f in enumerate(factors):
-        # Party line: weak values of |v><v| on the marginal, postselected on
-        # the party's factor, gathered to the columns whose digit is v.
-        marginal = partial_trace(state, [party]).matrix
-        num = f.conj() * (f @ marginal.T)
-        pf = np.real(num.sum(axis=1))
-        _check_postselection(pf[kept])
-        per_digit = np.zeros_like(num)
-        per_digit[kept] = num[kept] / pf[kept, None]
-        np.take(per_digit, table.party_digits[:, party], axis=1, out=values[party + 1])
-    return WeakValueTable(values, probs, tuple(np.flatnonzero(~kept).tolist()))
+    probs, kept, line0 = _line0(_weak_value_numerator(state.matrix, basis_matrix))
+    # Party line: weak values of |v><v| on the marginal, postselected on the
+    # party's factor of each postselection vector.
+    per_digit = [
+        _normalise_rows(
+            _weak_value_numerator(partial_trace(state, [party]).matrix, f), kept
+        )
+        for party, f in enumerate(factors)
+    ]
+    return _table(probs, kept, line0, per_digit, table.party_digits)
 
 
 def _circuit_table(
@@ -260,7 +277,6 @@ def _circuit_table(
     cfg: PointerConfig,
     broadcast_outcome: int,
     skip_broadcast: bool,
-    threshold: float,
 ) -> WeakValueTable:
     extended = state
     if not skip_broadcast:
@@ -277,7 +293,7 @@ def _circuit_table(
             skipped.append(k)
             continue
         probs[k] = readings.postselection_probability
-        if probs[k] < threshold:
+        if probs[k] < SKIP_THRESHOLD:
             skipped.append(k)
             continue
         values[:, k, :] = extract_weak_value(readings.delta_q, readings.delta_p, cfg)
@@ -294,7 +310,6 @@ def correlation(
     outcomes: Sequence[int] | None = None,
     broadcast_outcome: int = 0,
     skip_broadcast: bool = False,
-    skip_threshold: float = SKIP_THRESHOLD,
 ) -> CorrelationReport:
     """Correlation of an n-qubit state via postselected weak values.
 
@@ -317,41 +332,32 @@ def correlation(
     conveyed = convey(rho, outcomes, mode)
 
     if backend == "analytic":
-        wvt = _analytic_table(conveyed.state, basis_b, table, skip_threshold)
+        wvt = _analytic_table(conveyed.state, basis_b, table)
     else:
         wvt = _circuit_table(
-            conveyed.state,
-            basis_b,
-            table,
-            cfg,
-            broadcast_outcome,
-            skip_broadcast,
-            skip_threshold,
+            conveyed.state, basis_b, table, cfg, broadcast_outcome, skip_broadcast
         )
 
-    skipped = set(wvt.skipped)
-    per_k = []
-    total = 0.0
-    for k in range(len(basis_b)):
-        if k in skipped:
-            per_k.append(
-                PostselectionTerm(k, basis_b.labels[k], float(wvt.probabilities[k]), 0.0, True)
-            )
-            continue
-        joint = wvt.values[0, k, :]
-        parts = np.prod(wvt.values[1:, k, :], axis=0)
-        term = float(np.sum(np.abs(joint - parts)))
-        total += float(wvt.probabilities[k]) * term
-        per_k.append(
-            PostselectionTerm(k, basis_b.labels[k], float(wvt.probabilities[k]), term, False)
-        )
+    probs = wvt.probabilities
+    kept = ~np.isin(np.arange(len(basis_b)), wvt.skipped)
+    # Skipped rows of the table are zero, so their terms are zero too.
+    terms = np.abs(wvt.values[0] - np.prod(wvt.values[1:], axis=0)).sum(axis=-1)
+    # A running total in row order, so C is bitwise the row-by-row sum.
+    total = np.cumsum(np.where(kept, probs * terms, 0.0))[-1]
+    per_k = map(
+        PostselectionTerm,
+        range(len(kept)),
+        basis_b.labels,
+        probs.tolist(),
+        terms.tolist(),
+        (~kept).tolist(),
+    )
 
     diag_eff = conveyed.state.diagonal()
-    recombined = np.einsum("k,ki->i", wvt.probabilities, wvt.values[0])
+    recombined = np.einsum("k,ki->i", probs, wvt.values[0])
     residual = float(np.max(np.abs(recombined - diag_eff)))
-    alive = [float(wvt.probabilities[k]) for k in range(len(basis_b)) if k not in skipped]
     return CorrelationReport(
-        C=total,
+        C=float(total),
         backend=backend,
         mode=mode,
         g=cfg.g,
@@ -363,7 +369,7 @@ def correlation(
         per_k=tuple(per_k),
         oracle_diag=correlation_oracle_diag(rho),
         max_completeness_residual=residual,
-        min_postselection_probability=min(alive) if alive else 0.0,
+        min_postselection_probability=float(probs[kept].min()) if kept.any() else 0.0,
     )
 
 
@@ -373,50 +379,39 @@ def weak_value_limits(
     table: DeviceTable,
     broadcast_outcome: int = 0,
     skip_broadcast: bool = False,
-    skip_threshold: float = SKIP_THRESHOLD,
 ) -> WeakValueTable:
     """Zero-coupling limit of the circuit backend's weak-value table.
 
-    With copies attached, the postselected readout only sees diagonal
-    matrix elements: line 1 tends to the dephased-state weak values and the
-    single-party lines to postselected marginal diagonals (copy digits are
-    relabeled by the broadcast outcome).  Without copies the readings tend
-    to the analytic weak values of the device projectors on the full state.
-    ``state`` is the conveyed state entering the device matrix.
+    ``state`` is the conveyed state entering the device matrix.  Both
+    layouts share one formula: line 1 is the numerator N divided row-wise
+    by its row sums P (the postselection probabilities), and party p's line
+    in column i is the sum of line 1 over the columns whose digit for p is
+    m(i), the digit map.  The layout picks N and m:
+
+    * without copies, N = conj(B) * (B rho^T) and m(i) is the column's own
+      digit x_p: the readings tend to the weak values of the device
+      projectors on the full state;
+    * with copies, the readout only sees diagonal matrix elements, so N is
+      the same formula on the dephased state, |B|^2 * diag(rho), and the
+      device of party p reads the copy, whose digit is (mu - x_p) mod d_p
+      for broadcast outcome mu; that relabel is its own inverse, so
+      m(i) = (mu - x_p) mod d_p.
 
     The readout reaches these limits at the order the pointer damping
     allows (see ``weakcorr.pointer``): exactly at every g with copies, and
     with an O(g^2) bias without them.
     """
+    basis_matrix = basis_b.matrix()
     if skip_broadcast:
-        probs, kept, line0 = _line0(state, basis_b.matrix(), skip_threshold)
-        values = np.zeros((table.n_lines,) + line0.shape, dtype=complex)
-        values[0] = line0
-        # The lifted |v><v| of a party sums |i><i| over the columns whose
-        # digit is v, so its weak value is the matching sum of line 0.
-        per_label = line0.reshape((len(basis_b),) + table.dims)
-        for party in range(table.n_parties):
-            others = tuple(1 + p for p in range(table.n_parties) if p != party)
-            per_digit = per_label.sum(axis=others)
-            np.take(per_digit, table.party_digits[:, party], axis=1, out=values[party + 1])
-        return WeakValueTable(values, probs, tuple(np.flatnonzero(~kept).tolist()))
-
-    values = np.zeros((table.n_lines, len(basis_b), table.n_columns), dtype=complex)
-    probs = np.zeros(len(basis_b))
-    skipped = []
-    diag = state.diagonal()
-    for k, b in enumerate(basis_b.vectors):
-        weights = diag * np.abs(b.amplitudes) ** 2
-        probs[k] = float(weights.sum())
-        if probs[k] < skip_threshold:
-            skipped.append(k)
-            continue
-        values[0, k, :] = weights / probs[k]
-        for line in range(1, table.n_lines):
-            party = line - 1
-            copy_digit = (broadcast_outcome - table.party_digits[:, party]) % 2
-            for wanted in (0, 1):
-                share = weights[copy_digit == wanted].sum() / probs[k]
-                cols = table.party_digits[:, party] == wanted
-                values[line, k, cols] = share
-    return WeakValueTable(values, probs, tuple(skipped))
+        num = _weak_value_numerator(state.matrix, basis_matrix)
+        digits = table.party_digits
+    else:
+        num = (np.abs(basis_matrix) ** 2 * state.diagonal()).astype(complex)
+        digits = (broadcast_outcome - table.party_digits) % np.array(table.dims)
+    probs, kept, line0 = _line0(num)
+    per_label = line0.reshape((len(basis_b),) + table.dims)
+    per_digit = [
+        per_label.sum(axis=tuple(1 + p for p in range(table.n_parties) if p != party))
+        for party in range(table.n_parties)
+    ]
+    return _table(probs, kept, line0, per_digit, digits)

@@ -2,13 +2,14 @@
 
 Everything here is written directly against numpy with explicit matrix
 constructions (kron chains, lifted gates, axis-pair traces) so that it
-shares no code path with the package under test.  Two sections at the end
+shares no code path with the package under test.  The sections at the end
 are the exceptions: the gate-level conveyance reference chains the
 package's own circuit primitives (entangled pair, controlled shift plus
 measurement, partial trace), and the per-element weak-value tables call
 the package's one-element weak-value formula once per (postselection,
 column).  Those primitives are checked against the brute-force oracles
-above.
+above.  The last two are the row-by-row loops the array expressions of
+the estimator replaced: the copies-layout limits and the correlation sum.
 """
 
 import numpy as np
@@ -288,3 +289,55 @@ def skip_broadcast_limits_loop(state, basis_b, table, threshold=1e-14):
             for i in range(columns):
                 values[line, k, i] = lifted[table.shift_digit(line, i)]
     return WeakValueTable(values, probs, tuple(skipped))
+
+
+def copies_limits_loop(state, basis_b, table, broadcast_outcome=0, threshold=1e-14):
+    """Zero-coupling table with broadcast copies, one postselection at a time.
+
+    Qubit parties only: the copy digit is taken mod 2 and only the digits
+    0 and 1 are filled in.  Line 0 is the postselected dephased state; the
+    line of party p in a column with digit v sums line 0 over the labels
+    whose copy digit (broadcast_outcome - x_p) mod 2 equals v.
+    """
+    values = np.zeros((table.n_lines, len(basis_b), table.n_columns), dtype=complex)
+    probs = np.zeros(len(basis_b))
+    skipped = []
+    diag = state.diagonal()
+    for k, b in enumerate(basis_b.vectors):
+        weights = diag * np.abs(b.amplitudes) ** 2
+        probs[k] = float(weights.sum())
+        if probs[k] < threshold:
+            skipped.append(k)
+            continue
+        values[0, k, :] = weights / probs[k]
+        for line in range(1, table.n_lines):
+            party = line - 1
+            copy_digit = (broadcast_outcome - table.party_digits[:, party]) % 2
+            for wanted in (0, 1):
+                share = weights[copy_digit == wanted].sum() / probs[k]
+                cols = table.party_digits[:, party] == wanted
+                values[line, k, cols] = share
+    return WeakValueTable(values, probs, tuple(skipped))
+
+
+# -- the correlation sum
+
+
+def correlation_sum_loop(wvt):
+    """C = sum_k P_k sum_i |W[0, k, i] - prod_j W[j, k, i]|, row by row.
+
+    Returns C and the per-postselection terms, 0.0 for skipped rows.
+    """
+    skipped = set(wvt.skipped)
+    terms = []
+    total = 0.0
+    for k in range(wvt.values.shape[1]):
+        if k in skipped:
+            terms.append(0.0)
+            continue
+        joint = wvt.values[0, k, :]
+        parts = np.prod(wvt.values[1:, k, :], axis=0)
+        term = float(np.sum(np.abs(joint - parts)))
+        total += float(wvt.probabilities[k]) * term
+        terms.append(term)
+    return total, terms

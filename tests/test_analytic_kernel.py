@@ -1,5 +1,6 @@
-"""The vectorized analytic kernel against its per-element reference, plus
-seeded property tests of the analytic correlation."""
+"""The vectorized weak-value tables and correlation sum against their
+row-by-row references, plus seeded property tests of the analytic
+correlation."""
 
 from itertools import permutations
 from pathlib import Path
@@ -7,10 +8,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import analytic_table_loop, skip_broadcast_limits_loop
+from oracles import (
+    analytic_table_loop,
+    copies_limits_loop,
+    correlation_sum_loop,
+    skip_broadcast_limits_loop,
+)
 
 from weakcorr import (
     BasisSet,
+    PointerConfig,
+    computational_basis,
     convey,
     correlation,
     device_table,
@@ -99,6 +107,61 @@ def test_skip_broadcast_limits_match_per_element_loop(rho, mode, basis):
     table = device_table(rho.dims)
     got = weak_value_limits(conveyed, basis, table, skip_broadcast=True)
     assert_same_table(got, skip_broadcast_limits_loop(conveyed, basis, table))
+
+
+def seeded_cases():
+    for n in range(2, 6):
+        for seed in range(3):
+            for mode in ("idealized", "literal"):
+                for mu in (0, 1):
+                    case = f"n{n}-seed{seed}-{mode}-mu{mu}"
+                    yield pytest.param(n, seed, mode, mu, id=case)
+
+
+@pytest.mark.parametrize("n, seed, mode, mu", list(seeded_cases()))
+def test_copies_limits_match_qubit_loop(n, seed, mode, mu):
+    conveyed = convey(random_density_matrix((2,) * n, seed), (0,) * (n - 1), mode).state
+    table = device_table(conveyed.dims)
+    for basis in (hadamard_mub(n), random_product_basis(n, seed)):
+        got = weak_value_limits(conveyed, basis, table, mu)
+        want = copies_limits_loop(conveyed, basis, table, mu)
+        assert np.max(np.abs(got.values - want.values)) <= 1e-15
+        assert np.max(np.abs(got.probabilities - want.probabilities)) <= 1e-15
+        assert got.skipped == want.skipped
+
+
+@pytest.mark.parametrize("mu", [0, 1])
+def test_copies_limits_skip_like_qubit_loop(mu):
+    # GHZ postselected on computational labels: six of eight rows vanish.
+    basis = computational_basis(GHZ3.dims)
+    table = device_table(GHZ3.dims)
+    got = weak_value_limits(GHZ3, basis, table, mu)
+    want = copies_limits_loop(GHZ3, basis, table, mu)
+    assert got.skipped == want.skipped == (1, 2, 3, 4, 5, 6)
+    assert np.max(np.abs(got.values - want.values)) <= 1e-15
+
+
+def assert_same_sum(rep):
+    total, terms = correlation_sum_loop(rep.table)
+    assert [t.term for t in rep.per_k] == terms
+    assert [t.skipped for t in rep.per_k] == [k in rep.skipped for k in range(len(terms))]
+    assert rep.C == total
+
+
+@pytest.mark.parametrize("n, seed, mode, mu", list(seeded_cases()))
+def test_correlation_sum_matches_row_loop(n, seed, mode, mu):
+    rho = random_density_matrix((2,) * n, seed)
+    assert_same_sum(
+        correlation(rho, "circuit", mode, PointerConfig(1e-3), broadcast_outcome=mu)
+    )
+    if mu == 0:
+        assert_same_sum(correlation(rho, "analytic", mode))
+
+
+def test_correlation_sum_matches_row_loop_with_skipped_rows():
+    rep = correlation(GHZ3, "analytic", "idealized")
+    assert rep.skipped == (1, 2, 4, 7)
+    assert_same_sum(rep)
 
 
 # -- properties of the analytic correlation

@@ -9,15 +9,19 @@ from weakcorr import (
     BasisSet,
     PointerConfig,
     analytic_weak_value,
+    broadcast,
     computational_basis,
     correlation,
     correlation_oracle_diag,
+    couple_all,
     device_table,
+    extract_weak_value,
     ghz,
     hadamard_mub,
     ket,
     ket2dm,
     maximally_mixed,
+    postselect_and_read,
     postselection_probability,
     random_density_matrix,
     reconstruct_element,
@@ -279,6 +283,37 @@ def test_circuit_limit_table_matches_circuit_at_small_g():
     limits = weak_value_limits(conveyed, hadamard_mub(3), device_table([2, 2, 2]))
     np.testing.assert_allclose(rep.table.values, limits.values, atol=1e-9)
     np.testing.assert_allclose(rep.table.probabilities, limits.probabilities, atol=1e-9)
+
+
+def random_unitary_basis(dims, seed):
+    rng = np.random.default_rng(seed)
+    d = int(np.prod(dims))
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    q = np.linalg.qr(g)[0]
+    vectors = tuple(PureState(dims, row) for row in q.T)
+    return BasisSet(dims, vectors, tuple(str(k) for k in range(d)))
+
+
+@pytest.mark.parametrize("dims", [(3, 3), (2, 3), (3, 2)])
+def test_qudit_copies_limits_match_circuit_readout(dims):
+    # With copies the readout is exact at every g, so the limit table must
+    # equal it on any party dimensions, including the qutrit copy digits.
+    rho = random_density_matrix(dims, 61)
+    basis = random_unitary_basis(dims, 62)
+    table = device_table(dims)
+    cfg = PointerConfig(1e-3)
+    for mu in range(min(dims)):
+        extended = rho
+        for party in range(len(dims)):
+            extended = broadcast(extended, party, mu).state
+        bs = couple_all(extended, table)
+        limits = weak_value_limits(rho, basis, table, mu)
+        assert limits.skipped == ()
+        for k, b in enumerate(basis.vectors):
+            readings = postselect_and_read(bs, b, cfg)
+            w = extract_weak_value(readings.delta_q, readings.delta_p, cfg)
+            assert np.max(np.abs(w - limits.values[:, k, :])) <= 1e-12, (mu, k)
+            assert abs(readings.postselection_probability - limits.probabilities[k]) <= 1e-12
 
 
 def test_circuit_error_bounded_linearly_in_g():
