@@ -486,22 +486,9 @@ def cmd_sweep(args) -> int:
             skip_broadcast=rc.skip_broadcast,
         )
         err = abs(report.C - oracle)
-        keep = [
-            k
-            for k in range(len(basis))
-            if k not in report.table.skipped and k not in limits.skipped
-        ]
-        residual = (
-            float(
-                np.max(
-                    np.abs(
-                        report.table.values[:, keep, :] - limits.values[:, keep, :]
-                    )
-                )
-            )
-            if keep
-            else 0.0
-        )
+        kept = np.isin(np.arange(len(basis)), report.table.skipped + limits.skipped, invert=True)
+        diff = np.abs(report.table.values - limits.values)[:, kept]
+        residual = float(diff.max()) if kept.any() else 0.0
         trend = "na" if prev_err is None else ("yes" if err <= prev_err else "no")
         rows.append((g, report.C, err, residual, trend))
         prev_err = err

@@ -16,9 +16,9 @@ weak-value tables:
   m_p and the stacked single-party factors F_p of the postselection
   vectors: conj(F_p) * (F_p m_p^T), divided by its row sums, gives the weak
   value of each digit, gathered to the columns by the digit table.
-* ``"circuit"`` runs the full pipeline (conveyance, broadcast, pointer
-  coupling, postselected readout, shift-to-weak-value extraction) at the
-  configured coupling strength.
+* ``"circuit"`` returns what the pointers read at the configured coupling
+  strength, in closed form: the readout is the zero-coupling limit below
+  on the damped state rho * Lambda_g (see ``weakcorr.pointer``).
 
 The circuit backend's zero-coupling limit (``weak_value_limits``) is one
 formula for both device layouts: line 1 as above, on the dephased state
@@ -46,19 +46,15 @@ from .bases import (
     hadamard_mub,
     product_factors,
 )
-from .conveyance import broadcast, convey
+from .conveyance import convey
 from .errors import (
     BadDimension,
+    ImpossibleOutcome,
     NullPostselection,
     ShapeMismatch,
     UnbiasednessViolation,
 )
-from .pointer import (
-    PointerConfig,
-    couple_all,
-    extract_weak_value,
-    postselect_and_read,
-)
+from .pointer import PointerConfig
 from .qcore import DensityMatrix, PureState, as_operator, partial_trace
 
 SKIP_THRESHOLD = 1e-14
@@ -270,34 +266,19 @@ def _analytic_table(
     return _table(probs, kept, line0, per_digit, table.party_digits)
 
 
-def _circuit_table(
-    state: DensityMatrix,
-    basis_b: BasisSet,
-    table: DeviceTable,
-    cfg: PointerConfig,
-    broadcast_outcome: int,
-    skip_broadcast: bool,
-) -> WeakValueTable:
-    extended = state
-    if not skip_broadcast:
-        for party in range(table.n_parties):
-            extended = broadcast(extended, party, broadcast_outcome).state
-    bs = couple_all(extended, table)
-    values = np.zeros((table.n_lines, len(basis_b), table.n_columns), dtype=complex)
-    probs = np.zeros(len(basis_b))
-    skipped = []
-    for k, b in enumerate(basis_b.vectors):
-        try:
-            readings = postselect_and_read(bs, b, cfg)
-        except NullPostselection:
-            skipped.append(k)
-            continue
-        probs[k] = readings.postselection_probability
-        if probs[k] < SKIP_THRESHOLD:
-            skipped.append(k)
-            continue
-        values[:, k, :] = extract_weak_value(readings.delta_q, readings.delta_p, cfg)
-    return WeakValueTable(values, probs, tuple(skipped))
+def _damping(table: DeviceTable, cfg: PointerConfig) -> np.ndarray:
+    """Lambda_g[i, j] = exp(-g^2 / (8 sigma^2)) ** D[i, j], the pointer overlaps.
+
+    D counts the devices whose ket and bra branches shift differently:
+    columns i and j on line 0, and on party p's line the d/d_p columns with
+    digit i_p and the d/d_p columns with digit j_p.
+    """
+    d = table.n_columns
+    differing = 2.0 - 2.0 * np.eye(d)
+    for x, d_p in zip(table.party_digits.T, table.dims):
+        differing += (2 * d // d_p) * (x[:, None] != x[None, :])
+    g, sigma = cfg.g, cfg.sigma
+    return np.exp(-(g * g) / (8.0 * sigma * sigma)) ** differing
 
 
 def correlation(
@@ -330,13 +311,17 @@ def correlation(
     table = device_table(rho.dims)
     outcomes = tuple(int(v) for v in (outcomes if outcomes is not None else [0] * (n - 1)))
     conveyed = convey(rho, outcomes, mode)
+    mu = int(broadcast_outcome)
+    bad = [l for l in rho.dims if not 0 <= mu < l]
+    if backend == "circuit" and not skip_broadcast and bad:
+        raise ImpossibleOutcome(f"outcome {mu} out of range for dimension {bad[0]}")
 
     if backend == "analytic":
         wvt = _analytic_table(conveyed.state, basis_b, table)
     else:
-        wvt = _circuit_table(
-            conveyed.state, basis_b, table, cfg, broadcast_outcome, skip_broadcast
-        )
+        # The pointer readout in closed form (see weakcorr.pointer).
+        damped = conveyed.state.matrix * _damping(table, cfg)
+        wvt = _limits_table(damped, basis_b, table, mu, skip_broadcast)
 
     probs = wvt.probabilities
     kept = ~np.isin(np.arange(len(basis_b)), wvt.skipped)
@@ -363,7 +348,7 @@ def correlation(
         g=cfg.g,
         sigma=cfg.sigma,
         outcomes=outcomes,
-        broadcast_outcome=int(broadcast_outcome),
+        broadcast_outcome=mu,
         skip_broadcast=bool(skip_broadcast),
         table=wvt,
         per_k=tuple(per_k),
@@ -397,16 +382,29 @@ def weak_value_limits(
       for broadcast outcome mu; that relabel is its own inverse, so
       m(i) = (mu - x_p) mod d_p.
 
-    The readout reaches these limits at the order the pointer damping
-    allows (see ``weakcorr.pointer``): exactly at every g with copies, and
+    This is the g = 0 case (Lambda = 1) of the builder that also gives the
+    circuit backend's table at coupling g, on the damped state
+    rho * Lambda_g (see ``weakcorr.pointer``): exact at every g with
+    copies, where only the diagonal is read and Lambda_g is 1 there, and
     with an O(g^2) bias without them.
     """
+    return _limits_table(state.matrix, basis_b, table, broadcast_outcome, skip_broadcast)
+
+
+def _limits_table(
+    matrix: np.ndarray,
+    basis_b: BasisSet,
+    table: DeviceTable,
+    broadcast_outcome: int,
+    skip_broadcast: bool,
+) -> WeakValueTable:
+    """The limit formula of ``weak_value_limits`` on the state matrix ``matrix``."""
     basis_matrix = basis_b.matrix()
     if skip_broadcast:
-        num = _weak_value_numerator(state.matrix, basis_matrix)
+        num = _weak_value_numerator(matrix, basis_matrix)
         digits = table.party_digits
     else:
-        num = (np.abs(basis_matrix) ** 2 * state.diagonal()).astype(complex)
+        num = (np.abs(basis_matrix) ** 2 * np.real(np.diagonal(matrix))).astype(complex)
         digits = (broadcast_outcome - table.party_digits) % np.array(table.dims)
     probs, kept, line0 = _line0(num)
     per_label = line0.reshape((len(basis_b),) + table.dims)

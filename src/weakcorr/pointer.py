@@ -31,6 +31,16 @@ broadcast copies the postselected trace keeps only elements whose copy
 digits agree, which fixes every party digit, so no device is damped and
 the readout is exact at every g.  Without copies the coherences survive
 and the bias is O(g^2).
+
+Summed over the devices, the readings under every postselection are the
+g -> 0 weak values of the damped state rho * Lambda_g, where
+Lambda_g[i, j] = exp(-g^2 / (8 sigma^2)) ** D[i, j] and
+D[i, j] = 2 [i != j] + sum_p 2 (d / d_p) [i_p != j_p] counts the devices
+whose ket and bra branches differ.  The circuit backend of
+``weakcorr.estimator`` computes that closed form; the staged readout here
+(:func:`couple_all`, :func:`postselect_and_read`,
+:func:`extract_weak_value`) is the gate-level reference it is tested
+against.
 """
 
 from __future__ import annotations

@@ -10,6 +10,9 @@ the package's one-element weak-value formula once per (postselection,
 column).  Those primitives are checked against the brute-force oracles
 above.  The last two are the row-by-row loops the array expressions of
 the estimator replaced: the copies-layout limits and the correlation sum.
+The staged circuit readout at the very end chains the package's gate-level
+pipeline (broadcast, pointer coupling, one postselected readout per
+postselection), which the circuit backend computes in closed form.
 """
 
 import numpy as np
@@ -19,13 +22,18 @@ from weakcorr import (
     WeakValueTable,
     analytic_weak_value,
     bell_state,
+    broadcast,
+    couple_all,
+    extract_weak_value,
     ket2dm,
     party_factors,
     partial_trace,
+    postselect_and_read,
     postselection_probability,
     strong_couple_and_measure,
     tensor_product,
 )
+from weakcorr.errors import NullPostselection
 
 SQ2 = np.sqrt(2.0)
 
@@ -341,3 +349,39 @@ def correlation_sum_loop(wvt):
         total += float(wvt.probabilities[k]) * term
         terms.append(term)
     return total, terms
+
+
+# -- the staged circuit readout
+
+
+def staged_circuit_table(
+    state, basis_b, table, cfg, broadcast_outcome=0, skip_broadcast=False, threshold=1e-14
+):
+    """Circuit weak-value table read stage by stage, one postselection at a time.
+
+    Unless ``skip_broadcast``, every party gets its broadcast copy with the
+    given outcome; every device is coupled to its pointer, line 1 is
+    postselected on each basis vector, and the pointer means are turned back
+    into weak values.  Rows whose postselection probability is below
+    ``threshold`` are skipped and keep probability 0.
+    """
+    extended = state
+    if not skip_broadcast:
+        for party in range(table.n_parties):
+            extended = broadcast(extended, party, broadcast_outcome).state
+    bs = couple_all(extended, table)
+    values = np.zeros((table.n_lines, len(basis_b), table.n_columns), dtype=complex)
+    probs = np.zeros(len(basis_b))
+    skipped = []
+    for k, b in enumerate(basis_b.vectors):
+        try:
+            readings = postselect_and_read(bs, b, cfg)
+        except NullPostselection:
+            skipped.append(k)
+            continue
+        probs[k] = readings.postselection_probability
+        if probs[k] < threshold:
+            skipped.append(k)
+            continue
+        values[:, k, :] = extract_weak_value(readings.delta_q, readings.delta_p, cfg)
+    return WeakValueTable(values, probs, tuple(skipped))

@@ -330,6 +330,16 @@ def test_sweep_rejects_bad_g_lists(capsys):
         assert code == 2, glist
 
 
+def test_sweep_rejects_out_of_range_broadcast_outcome(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"outcomes": [0, 0, 5]}))
+    code, out, err = run_cli(
+        capsys, "sweep", "--state", GHZ, "--config", str(cfg), "--g-list", "1e-2,1e-3"
+    )
+    assert code == 3 and out == ""
+    assert "outcome 5 out of range for dimension 2" in err
+
+
 def test_sweep_requires_g_list(capsys):
     assert main(["sweep", "--state", GHZ]) == 2
 

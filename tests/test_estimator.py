@@ -31,6 +31,7 @@ from weakcorr import (
 )
 from weakcorr.errors import (
     BadDimension,
+    ImpossibleOutcome,
     NonFactorablePostselection,
     NullPostselection,
     UnbiasednessViolation,
@@ -314,6 +315,19 @@ def test_qudit_copies_limits_match_circuit_readout(dims):
             w = extract_weak_value(readings.delta_q, readings.delta_p, cfg)
             assert np.max(np.abs(w - limits.values[:, k, :])) <= 1e-12, (mu, k)
             assert abs(readings.postselection_probability - limits.probabilities[k]) <= 1e-12
+
+
+@pytest.mark.parametrize("mu", [2, -1])
+def test_circuit_rejects_out_of_range_broadcast_outcome(mu):
+    rho = random_density_matrix((2, 2, 2), 1)
+    with pytest.raises(ImpossibleOutcome, match=f"outcome {mu} out of range for dimension 2"):
+        correlation(rho, "circuit", broadcast_outcome=mu)
+
+
+def test_broadcast_outcome_is_unused_without_copies():
+    rho = random_density_matrix((2, 2, 2), 1)
+    rep = correlation(rho, "circuit", broadcast_outcome=2, skip_broadcast=True)
+    assert rep.C == correlation(rho, "circuit", skip_broadcast=True).C
 
 
 def test_circuit_error_bounded_linearly_in_g():
