@@ -34,6 +34,7 @@ from .estimator import (
     correlation_oracle_diag,
     postselection_probability,
     reconstruct_element,
+    reconstruct_matrix,
     weak_value_limits,
     weak_value_pure,
 )
@@ -84,6 +85,7 @@ __all__ = [
     "correlation_oracle_diag",
     "postselection_probability",
     "reconstruct_element",
+    "reconstruct_matrix",
     "weak_value_limits",
     "weak_value_pure",
     "BranchState",

@@ -28,7 +28,7 @@ import logging
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -43,7 +43,7 @@ from .bases import (
 from .estimator import (
     correlation,
     correlation_oracle_diag,
-    reconstruct_element,
+    reconstruct_matrix,
     weak_value_limits,
 )
 from .conveyance import convey
@@ -228,17 +228,7 @@ def load_config(path: str | None, args) -> RunConfig:
         doc = _read_json(path)
         if not isinstance(doc, dict):
             raise errors.ParseFailure("config file must contain a JSON object")
-    known = {
-        "backend",
-        "mode",
-        "g",
-        "sigma",
-        "outcomes",
-        "postselection_basis",
-        "seed",
-        "skip_broadcast",
-    }
-    unknown = set(doc) - known
+    unknown = set(doc) - {f.name for f in fields(RunConfig)}
     if unknown:
         raise errors.ParseFailure(f"unknown config keys: {sorted(unknown)}")
     merged = dict(doc)
@@ -530,9 +520,6 @@ def render_tables(n: int, fmt: str = "text") -> str:
     mub = hadamard_mub(n)
     comp = computational_basis((2,) * n)
 
-    def joint_proj(label: str) -> str:
-        return f"|{label}><{label}|"
-
     # One-hot party projectors |x_p><x_p| tensor to |i><i| iff the x_p spell i.
     recon_ok = np.array_equal(
         np.ravel_multi_index(table.party_digits.T, table.dims), np.arange(table.n_columns)
@@ -544,16 +531,16 @@ def render_tables(n: int, fmt: str = "text") -> str:
         amps = mub.vector(k).real * math.sqrt(2**n)
         sign_rows.append(["+" if a > 0 else "-" for a in amps])
 
+    # Line 1 projects on each column's label, line p + 2 on party p's digit.
+    cells = [
+        [f"|{v}><{v}|" for v in row]
+        for row in [table.labels, *table.party_digits.T.tolist()]
+    ]
+
     if fmt == "csv":
         lines = ["table,line,column,projector"]
-        for line in range(table.n_lines):
-            for col in range(table.n_columns):
-                label = (
-                    joint_proj(table.labels[col])
-                    if line == 0
-                    else f"|{table.shift_digit(line, col)}><{table.shift_digit(line, col)}|"
-                )
-                lines.append(f"device,{line + 1},{col + 1},{label}")
+        for line, row in enumerate(cells):
+            lines.extend(f"device,{line + 1},{col + 1},{c}" for col, c in enumerate(row))
         lines.append(f"device,reconstruction,,{'OK' if recon_ok else 'FAIL'}")
         lines.append("table,k," + ",".join(comp.labels))
         for k, row in enumerate(sign_rows):
@@ -561,14 +548,6 @@ def render_tables(n: int, fmt: str = "text") -> str:
         lines.append(f"basis,unbiased,,{'OK' if mub_ok else 'FAIL'}")
         return "\n".join(lines) + "\n"
 
-    cells = [[joint_proj(lbl) for lbl in table.labels]]
-    for line in range(1, table.n_lines):
-        cells.append(
-            [
-                f"|{table.shift_digit(line, col)}><{table.shift_digit(line, col)}|"
-                for col in range(table.n_columns)
-            ]
-        )
     width = max(len(c) for row in cells for c in row) + 3
     head_width = max(len("column"), len(f"line {table.n_lines}")) + 4
     out = [
@@ -622,14 +601,9 @@ def cmd_oracle(args) -> int:
     if any(d != 2 for d in rho.dims):
         raise errors.BadDimension("the reconstruction oracle requires qubit parties")
     n = len(rho.dims)
-    basis_a = computational_basis(rho.dims)
-    basis_b = hadamard_mub(n)
     d = rho.dim
     direct = rho.matrix
-    rebuilt = np.zeros((d, d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            rebuilt[i, j] = reconstruct_element(i, j, rho, basis_a, basis_b)
+    rebuilt = reconstruct_matrix(rho, computational_basis(rho.dims), hadamard_mub(n))
     residual = float(np.max(np.abs(rebuilt - direct)))
     marginals = partial_trace(rho, [0])
     for party in range(1, n):

@@ -26,6 +26,12 @@ when copies are attached, and party lines that sum line 1 over the other
 parties' digits, gathered to the columns through a digit map, the column's
 own digit x_p without copies and (mu - x_p) mod d_p with them.
 
+Matrix elements are read back from the same line-1 numerator
+(``reconstruct_matrix``): with beta_kx = <b_k|a_x>, the weak-value
+tomography identity rho_ij = sum_k (beta_kj / beta_ki) P_k W_ki becomes
+(N / beta)^T @ beta for the numerator N in the a frame, one O(d^3)
+expression for the whole matrix.
+
 Postselections with probability below 1e-14 contribute zero by convention
 (the P_k prefactor annihilates the undefined weak value) and are reported
 as skipped.  Weak values are generally complex; the bracket above uses the
@@ -66,6 +72,7 @@ __all__ = [
     "weak_value_pure",
     "analytic_weak_value",
     "postselection_probability",
+    "reconstruct_matrix",
     "reconstruct_element",
     "correlation",
     "correlation_oracle_diag",
@@ -103,33 +110,41 @@ def analytic_weak_value(rho: DensityMatrix, projector, b: PureState) -> complex:
     return num / prob
 
 
+def reconstruct_matrix(
+    rho: DensityMatrix, basis_a: BasisSet, basis_b: BasisSet
+) -> np.ndarray:
+    """Every <a_i| rho |a_j>, recovered from postselected weak values.
+
+    The identity of the module docstring, with P_k W_ki the line-1
+    numerator of the state and the postselection rows in the a frame,
+    conj(A) rho A^T and B A^dagger.  Every beta_kx = <b_k|a_x> must be
+    nonzero, which a mutually unbiased pair guarantees; the error names the
+    first zero found column by column.
+    """
+    if basis_a.dims != tuple(rho.dims) or basis_b.dims != tuple(rho.dims):
+        raise ShapeMismatch("bases must live on the state's subsystems")
+    a = basis_a.matrix()
+    b_in_a = basis_b.matrix() @ a.conj().T
+    beta = b_in_a.conj()
+    zero = np.argwhere(np.abs(beta.T) <= 1e-14)
+    if zero.size:
+        i, k = zero[0]
+        raise UnbiasednessViolation(
+            f"<b_{k}|a_{i}> = 0; reconstruction needs unbiased bases"
+        )
+    num = _weak_value_numerator(a.conj() @ rho.matrix @ a.T, b_in_a)
+    return (num / beta).T @ beta
+
+
 def reconstruct_element(
     i: int, j: int, rho: DensityMatrix, basis_a: BasisSet, basis_b: BasisSet
 ) -> complex:
     """<a_i| rho |a_j> recovered from postselected weak values.
 
-    Sums P_k (beta_kj / beta_ki) W_ki over the postselection basis, with
-    beta_kx = <b_k|a_x> and W_ki the weak value of |a_i><a_i| under
-    postselection b_k.  Requires every beta_ki to be nonzero, which a
-    mutually unbiased basis pair guarantees.
+    Element (i, j) of :func:`reconstruct_matrix`, which checks every
+    overlap beta_kx = <b_k|a_x>, not only those of column i.
     """
-    if basis_a.dims != tuple(rho.dims) or basis_b.dims != tuple(rho.dims):
-        raise ShapeMismatch("bases must live on the state's subsystems")
-    a_i = basis_a.vector(i)
-    a_j = basis_a.vector(j)
-    total = 0.0 + 0.0j
-    for k in range(len(basis_b)):
-        b = basis_b.vector(k)
-        beta_ki = complex(b.conj() @ a_i)
-        if abs(beta_ki) <= 1e-14:
-            raise UnbiasednessViolation(
-                f"<b_{k}|a_{i}> = 0; reconstruction needs unbiased bases"
-            )
-        beta_kj = complex(b.conj() @ a_j)
-        # P_k W_ki = <b|a_i><a_i| rho |b>, finite even when P_k vanishes.
-        pk_w = complex(b.conj() @ a_i) * complex(a_i.conj() @ rho.matrix @ b)
-        total += (beta_kj / beta_ki) * pk_w
-    return total
+    return complex(reconstruct_matrix(rho, basis_a, basis_b)[i, j])
 
 
 def correlation_oracle_diag(rho: DensityMatrix) -> float:
@@ -312,9 +327,6 @@ def correlation(
     outcomes = tuple(int(v) for v in (outcomes if outcomes is not None else [0] * (n - 1)))
     conveyed = convey(rho, outcomes, mode)
     mu = int(broadcast_outcome)
-    bad = [l for l in rho.dims if not 0 <= mu < l]
-    if backend == "circuit" and not skip_broadcast and bad:
-        raise ImpossibleOutcome(f"outcome {mu} out of range for dimension {bad[0]}")
 
     if backend == "analytic":
         wvt = _analytic_table(conveyed.state, basis_b, table)
@@ -386,7 +398,9 @@ def weak_value_limits(
     circuit backend's table at coupling g, on the damped state
     rho * Lambda_g (see ``weakcorr.pointer``): exact at every g with
     copies, where only the diagonal is read and Lambda_g is 1 there, and
-    with an O(g^2) bias without them.
+    with an O(g^2) bias without them.  With copies, a broadcast outcome
+    outside [0, d_p) for any party raises ImpossibleOutcome; without them
+    the outcome is ignored.
     """
     return _limits_table(state.matrix, basis_b, table, broadcast_outcome, skip_broadcast)
 
@@ -404,6 +418,11 @@ def _limits_table(
         num = _weak_value_numerator(matrix, basis_matrix)
         digits = table.party_digits
     else:
+        bad = [l for l in table.dims if not 0 <= broadcast_outcome < l]
+        if bad:
+            raise ImpossibleOutcome(
+                f"outcome {broadcast_outcome} out of range for dimension {bad[0]}"
+            )
         num = (np.abs(basis_matrix) ** 2 * np.real(np.diagonal(matrix))).astype(complex)
         digits = (broadcast_outcome - table.party_digits) % np.array(table.dims)
     probs, kept, line0 = _line0(num)

@@ -10,9 +10,11 @@ the package's one-element weak-value formula once per (postselection,
 column).  Those primitives are checked against the brute-force oracles
 above.  The last two are the row-by-row loops the array expressions of
 the estimator replaced: the copies-layout limits and the correlation sum.
-The staged circuit readout at the very end chains the package's gate-level
-pipeline (broadcast, pointer coupling, one postselected readout per
-postselection), which the circuit backend computes in closed form.
+The staged circuit readout chains the package's gate-level pipeline
+(broadcast, pointer coupling, one postselected readout per postselection),
+which the circuit backend computes in closed form.  The matrix-element
+reconstruction at the very end is the per-postselection sum the
+reconstruction identity replaced.
 """
 
 import numpy as np
@@ -33,7 +35,7 @@ from weakcorr import (
     strong_couple_and_measure,
     tensor_product,
 )
-from weakcorr.errors import NullPostselection
+from weakcorr.errors import NullPostselection, UnbiasednessViolation
 
 SQ2 = np.sqrt(2.0)
 
@@ -385,3 +387,28 @@ def staged_circuit_table(
             continue
         values[:, k, :] = extract_weak_value(readings.delta_q, readings.delta_p, cfg)
     return WeakValueTable(values, probs, tuple(skipped))
+
+
+# -- matrix-element reconstruction
+
+
+def reconstruct_element_loop(i, j, rho, basis_a, basis_b):
+    """<a_i| rho |a_j> as sum_k (beta_kj / beta_ki) P_k W_ki, one k at a time.
+
+    beta_kx = <b_k|a_x>; P_k W_ki = <b_k|a_i><a_i| rho |b_k> is finite even
+    when P_k vanishes.  Raises UnbiasednessViolation on a zero beta_ki.
+    """
+    a_i = basis_a.vector(i)
+    a_j = basis_a.vector(j)
+    total = 0.0 + 0.0j
+    for k in range(len(basis_b)):
+        b = basis_b.vector(k)
+        beta_ki = complex(b.conj() @ a_i)
+        if abs(beta_ki) <= 1e-14:
+            raise UnbiasednessViolation(
+                f"<b_{k}|a_{i}> = 0; reconstruction needs unbiased bases"
+            )
+        beta_kj = complex(b.conj() @ a_j)
+        pk_w = beta_ki * complex(a_i.conj() @ rho.matrix @ b)
+        total += (beta_kj / beta_ki) * pk_w
+    return total

@@ -378,6 +378,62 @@ def test_oracle_csv(capsys):
     assert out.splitlines()[0].startswith("i,j,direct_re")
 
 
+def test_oracle_csv_seven_qubits(tmp_path, capsys):
+    state = tmp_path / "random7.json"
+    state.write_text(dump_state(weakcorr.random_density_matrix((2,) * 7, 0)))
+    code, out, err = run_cli(capsys, "oracle", "--state", str(state), "--format", "csv")
+    assert code == 0, err
+    lines = out.splitlines()
+    assert lines[0].startswith("i,j,direct_re")
+    assert len(lines) == 1 + 128**2 + 1
+    assert lines[-1].startswith("# max_reconstruction_residual=")
+    assert float(lines[-1].split("=")[1]) < 1e-10
+
+
+# -- parse errors in state and basis files
+
+ZERO = [0.0, 0.0]
+
+
+def dense_state(*head):
+    """A two-qubit dense state file whose entries start with ``head``."""
+    return {"dims": [2, 2], "entries": list(head) + [ZERO] * (16 - len(head))}
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (dense_state(["1", 0.0]), "entry must be a [re, im] pair, got ['1', 0.0]"),
+        (dense_state(1.0), "entry must be a [re, im] pair, got 1.0"),
+        (dense_state([1.0, 0.0, 0.0]), "entry must be a [re, im] pair, got [1.0, 0.0, 0.0]"),
+        (dense_state([None, 0.0]), "entry must be a [re, im] pair, got [None, 0.0]"),
+        ({"dims": [2, 2], "entries": [ZERO] * 15}, '"entries" must hold 16 [re, im] pairs (row-major)'),
+        (
+            {"dims": [2], "terms": [{"p": 1.0, "amplitudes": ["1", ZERO]}]},
+            "amplitude must be a [re, im] pair, got '1'",
+        ),
+    ],
+)
+def test_malformed_state_entries_exit_2(tmp_path, capsys, doc, message):
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "run", "--state", str(state))
+    assert code == 2 and out == ""
+    assert err == f"error: parse-failure: {message}\n"
+
+
+def test_basis_vector_with_non_pair_exits_2(tmp_path, capsys):
+    basis = json.loads((FIXTURES / "basis_hadamard3.json").read_text())
+    basis["vectors"][2][5] = [0.5]
+    path = tmp_path / "basis.json"
+    path.write_text(json.dumps(basis))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"postselection_basis": str(path)}))
+    code, out, err = run_cli(capsys, "run", "--state", GHZ, "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err == "error: parse-failure: amplitude must be a [re, im] pair, got [0.5]\n"
+
+
 # -- state file round trip
 
 

@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from oracles import bruteforce_correlation, diag_correlation, mub_vectors
+from oracles import (
+    bruteforce_correlation,
+    diag_correlation,
+    mub_vectors,
+    reconstruct_element_loop,
+)
 
 from weakcorr import (
     BasisSet,
@@ -25,6 +30,7 @@ from weakcorr import (
     postselection_probability,
     random_density_matrix,
     reconstruct_element,
+    reconstruct_matrix,
     tensor_product,
     weak_value_limits,
     weak_value_pure,
@@ -122,8 +128,67 @@ def test_reconstruct_random_states_round_trip():
 
 def test_reconstruct_rejects_biased_bases():
     comp = computational_basis((2, 2))
-    with pytest.raises(UnbiasednessViolation):
-        reconstruct_element(0, 1, random_density_matrix((2, 2), 0), comp, comp)
+    rho = random_density_matrix((2, 2), 0)
+    # The first zero overlap, column by column, is the one named.
+    with pytest.raises(UnbiasednessViolation, match=r"<b_1\|a_0> = 0"):
+        reconstruct_element(0, 1, rho, comp, comp)
+    with pytest.raises(UnbiasednessViolation, match=r"<b_1\|a_0> = 0"):
+        reconstruct_matrix(rho, comp, comp)
+    # A zero overlap outside column i is rejected too.
+    with pytest.raises(UnbiasednessViolation, match=r"<b_1\|a_0> = 0"):
+        reconstruct_element(2, 3, rho, comp, comp)
+
+
+def basis_of_rows(dims, rows):
+    """A basis whose vectors are the rows of ``rows``."""
+    labels = [str(k) for k in range(len(rows))]
+    return BasisSet(dims, tuple(PureState(dims, r) for r in rows), labels)
+
+
+def basis_pair(name, n):
+    """(basis_a, basis_b) with no zero overlap <b_k|a_x>."""
+    dims = (2,) * n
+    comp, mub = computational_basis(dims), hadamard_mub(n)
+    if name == "comp-hadamard":
+        return comp, mub
+    if name == "hadamard-comp":
+        return mub, comp
+    d = 2**n
+    if name == "comp-fourier":
+        # Mutually unbiased to comp, with complex overlaps exp(2 pi i k x / d).
+        k = np.arange(d)
+        return comp, basis_of_rows(dims, np.exp(2j * np.pi * np.outer(k, k) / d) / np.sqrt(d))
+    # Both rotated by one random unitary u, which keeps every overlap.
+    rng = np.random.default_rng(100 + n)
+    u = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+    return basis_of_rows(dims, comp.matrix() @ u.T), basis_of_rows(dims, mub.matrix() @ u.T)
+
+
+@pytest.mark.parametrize("pair", ["comp-hadamard", "hadamard-comp", "rotated", "comp-fourier"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_reconstruct_matrix_matches_element_loop(pair, n):
+    basis_a, basis_b = basis_pair(pair, n)
+    a = basis_a.matrix()
+    for seed in range(3):
+        rho = random_density_matrix((2,) * n, seed)
+        got = reconstruct_matrix(rho, basis_a, basis_b)
+        want = np.array(
+            [
+                [reconstruct_element_loop(i, j, rho, basis_a, basis_b) for j in range(2**n)]
+                for i in range(2**n)
+            ]
+        )
+        assert np.max(np.abs(got - want)) <= 1e-12, (pair, n, seed)
+        # Both equal <a_i| rho |a_j>.
+        assert np.max(np.abs(got - a.conj() @ rho.matrix @ a.T)) <= 1e-12
+
+
+def test_reconstruct_element_is_the_matrix_entry():
+    basis_a, basis_b = basis_pair("rotated", 3)
+    rho = random_density_matrix((2, 2, 2), 4)
+    full = reconstruct_matrix(rho, basis_a, basis_b)
+    for i, j in [(0, 0), (0, 7), (5, 2), (7, 7)]:
+        assert reconstruct_element(i, j, rho, basis_a, basis_b) == full[i, j]
 
 
 # -- diagonal oracle
@@ -322,6 +387,17 @@ def test_circuit_rejects_out_of_range_broadcast_outcome(mu):
     rho = random_density_matrix((2, 2, 2), 1)
     with pytest.raises(ImpossibleOutcome, match=f"outcome {mu} out of range for dimension 2"):
         correlation(rho, "circuit", broadcast_outcome=mu)
+
+
+@pytest.mark.parametrize("mu", [2, -1])
+def test_limits_reject_out_of_range_broadcast_outcome(mu):
+    rho = random_density_matrix((2, 2, 2), 1)
+    mub, table = hadamard_mub(3), device_table((2, 2, 2))
+    with pytest.raises(ImpossibleOutcome, match=f"outcome {mu} out of range for dimension 2"):
+        weak_value_limits(rho, mub, table, mu)
+    ignored = weak_value_limits(rho, mub, table, mu, skip_broadcast=True)
+    plain = weak_value_limits(rho, mub, table, 0, skip_broadcast=True)
+    assert np.array_equal(ignored.values, plain.values)
 
 
 def test_broadcast_outcome_is_unused_without_copies():
