@@ -32,6 +32,7 @@ from .estimator import (
     analytic_weak_value,
     correlation,
     correlation_oracle_diag,
+    correlation_sweep,
     postselection_probability,
     reconstruct_element,
     reconstruct_matrix,
@@ -83,6 +84,7 @@ __all__ = [
     "analytic_weak_value",
     "correlation",
     "correlation_oracle_diag",
+    "correlation_sweep",
     "postselection_probability",
     "reconstruct_element",
     "reconstruct_matrix",

@@ -43,6 +43,7 @@ from .bases import (
 from .estimator import (
     correlation,
     correlation_oracle_diag,
+    correlation_sweep,
     reconstruct_matrix,
     weak_value_limits,
 )
@@ -132,14 +133,30 @@ def _read_json(path: str):
         return json.load(fh)
 
 
-def _as_complex(pair, what: str) -> complex:
-    if (
-        not isinstance(pair, (list, tuple))
-        or len(pair) != 2
-        or not all(isinstance(v, (int, float)) for v in pair)
+# The types of a JSON number; a JSON boolean is not one, although bool
+# subclasses int.
+_NUMBERS = frozenset({int, float})
+
+
+def _is_pair(v) -> bool:
+    return isinstance(v, list) and len(v) == 2 and {type(v[0]), type(v[1])} <= _NUMBERS
+
+
+def _complex_array(pairs: list, what: str) -> np.ndarray:
+    """One complex array from a list of [re, im] pairs.
+
+    The types are checked in one pass per nesting level; the error names
+    the first item that is not a pair of numbers.
+    """
+    if not (
+        set(map(type, pairs)) <= {list}
+        and set(map(len, pairs)) <= {2}
+        and set(map(type, itertools.chain.from_iterable(pairs))) <= _NUMBERS
     ):
-        raise errors.ParseFailure(f"{what} must be a [re, im] pair, got {pair!r}")
-    return complex(float(pair[0]), float(pair[1]))
+        bad = next(v for v in pairs if not _is_pair(v))
+        raise errors.ParseFailure(f"{what} must be a [re, im] pair, got {bad!r}")
+    flat = itertools.chain.from_iterable(pairs)
+    return np.fromiter(flat, float, 2 * len(pairs)).view(complex)
 
 
 def _parse_dims(doc) -> tuple[int, ...]:
@@ -171,8 +188,7 @@ def load_state(path: str) -> DensityMatrix:
             raise errors.ParseFailure(
                 f'"entries" must hold {d * d} [re, im] pairs (row-major)'
             )
-        flat = np.array([_as_complex(e, "entry") for e in entries])
-        return DensityMatrix(dims, flat.reshape(d, d))
+        return DensityMatrix(dims, _complex_array(entries, "entry").reshape(d, d))
     if "terms" in doc:
         terms = doc["terms"]
         if not isinstance(terms, list) or not terms:
@@ -183,14 +199,18 @@ def load_state(path: str) -> DensityMatrix:
             if not isinstance(term, dict) or "p" not in term or "amplitudes" not in term:
                 raise errors.ParseFailure('each term needs "p" and "amplitudes"')
             p = term["p"]
-            if not isinstance(p, (int, float)) or p <= 0:
+            if type(p) not in _NUMBERS:
+                raise errors.ParseFailure(
+                    f'decomposition weight "p" must be a number, got {p!r}'
+                )
+            if p <= 0:
                 raise errors.InvariantViolation(
                     f"decomposition weights must be positive, got {p!r}"
                 )
             amps = term["amplitudes"]
             if not isinstance(amps, list) or len(amps) != d:
                 raise errors.ParseFailure(f'"amplitudes" must hold {d} [re, im] pairs')
-            psi = PureState(dims, [_as_complex(a, "amplitude") for a in amps])
+            psi = PureState(dims, _complex_array(amps, "amplitude"))
             weights.append(float(p))
             matrix += float(p) * np.outer(psi.amplitudes, psi.amplitudes.conj())
         if abs(sum(weights) - 1.0) > 1e-9:
@@ -252,7 +272,7 @@ def load_config(path: str | None, args) -> RunConfig:
     outcomes = merged.get("outcomes", ())
     if outcomes != "enumerate":
         if not isinstance(outcomes, (list, tuple)) or not all(
-            isinstance(v, int) for v in outcomes
+            type(v) is int for v in outcomes
         ):
             raise errors.ParseFailure('outcomes must be a list of integers or "enumerate"')
         outcomes = tuple(outcomes)
@@ -260,7 +280,7 @@ def load_config(path: str | None, args) -> RunConfig:
     if not isinstance(basis, str):
         raise errors.ParseFailure("postselection_basis must be a string")
     seed = merged.get("seed", 0)
-    if not isinstance(seed, int):
+    if type(seed) is not int:
         raise errors.ParseFailure("seed must be an integer")
     skip = merged.get("skip_broadcast", False)
     if not isinstance(skip, bool):
@@ -290,7 +310,7 @@ def load_basis(name_or_path: str, dims) -> BasisSet:
     for vec in vectors:
         if not isinstance(vec, list) or len(vec) != d:
             raise errors.ParseFailure(f"every basis vector needs {d} [re, im] pairs")
-        states.append(PureState(bdims, [_as_complex(a, "amplitude") for a in vec]))
+        states.append(PureState(bdims, _complex_array(vec, "amplitude")))
     labels = doc.get("labels", [str(k + 1) for k in range(d)])
     if not isinstance(labels, list) or len(labels) != d:
         raise errors.ParseFailure(f'"labels" must hold {d} strings')
@@ -443,6 +463,9 @@ def cmd_sweep(args) -> int:
     if not g_list:
         print("error: --g-list must not be empty", file=sys.stderr)
         return 2
+    if not all(map(math.isfinite, g_list)):
+        print("error: --g-list values must be finite", file=sys.stderr)
+        return 2
     if any(g <= 0 for g in g_list) or any(
         a <= b for a, b in zip(g_list, g_list[1:])
     ):
@@ -460,27 +483,26 @@ def cmd_sweep(args) -> int:
     table = device_table(rho.dims)
     conveyed = convey(rho, nu, rc.mode)
     limits = weak_value_limits(conveyed.state, basis, table, mu, rc.skip_broadcast)
-    oracle = correlation_oracle_diag(rho)
+    reports = correlation_sweep(
+        rho,
+        rc.mode,
+        [PointerConfig(g, rc.sigma) for g in g_list],
+        postselection=basis,
+        outcomes=nu,
+        broadcast_outcome=mu,
+        skip_broadcast=rc.skip_broadcast,
+    )
 
     rows = []
     prev_err = None
-    for g in g_list:
-        report = correlation(
-            rho,
-            "circuit",
-            rc.mode,
-            PointerConfig(g, rc.sigma),
-            postselection=basis,
-            outcomes=nu,
-            broadcast_outcome=mu,
-            skip_broadcast=rc.skip_broadcast,
-        )
+    for report in reports:
+        oracle = report.oracle_diag
         err = abs(report.C - oracle)
         kept = np.isin(np.arange(len(basis)), report.table.skipped + limits.skipped, invert=True)
         diff = np.abs(report.table.values - limits.values)[:, kept]
         residual = float(diff.max()) if kept.any() else 0.0
         trend = "na" if prev_err is None else ("yes" if err <= prev_err else "no")
-        rows.append((g, report.C, err, residual, trend))
+        rows.append((report.g, report.C, err, residual, trend))
         prev_err = err
 
     if getattr(args, "format", "csv") == "json":

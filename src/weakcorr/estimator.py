@@ -20,6 +20,12 @@ weak-value tables:
   strength, in closed form: the readout is the zero-coupling limit below
   on the damped state rho * Lambda_g (see ``weakcorr.pointer``).
 
+``correlation_sweep`` reads one state at many coupling strengths.  What
+does not depend on g (the argument checks, the device table, the conveyed
+state, the oracle value and the exponent D of Lambda_g) is computed once
+per sweep; Lambda_g, the table and the combination step once per g.  The
+circuit backend of ``correlation`` is its one-g case.
+
 The circuit backend's zero-coupling limit (``weak_value_limits``) is one
 formula for both device layouts: line 1 as above, on the dephased state
 when copies are attached, and party lines that sum line 1 over the other
@@ -41,7 +47,7 @@ complex modulus.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -75,6 +81,7 @@ __all__ = [
     "reconstruct_matrix",
     "reconstruct_element",
     "correlation",
+    "correlation_sweep",
     "correlation_oracle_diag",
     "weak_value_limits",
 ]
@@ -281,19 +288,74 @@ def _analytic_table(
     return _table(probs, kept, line0, per_digit, table.party_digits)
 
 
-def _damping(table: DeviceTable, cfg: PointerConfig) -> np.ndarray:
-    """Lambda_g[i, j] = exp(-g^2 / (8 sigma^2)) ** D[i, j], the pointer overlaps.
+def _damping_exponent(table: DeviceTable) -> np.ndarray:
+    """D[i, j], the number of devices whose ket and bra branches shift differently.
 
-    D counts the devices whose ket and bra branches shift differently:
-    columns i and j on line 0, and on party p's line the d/d_p columns with
+    Columns i and j on line 0, and on party p's line the d/d_p columns with
     digit i_p and the d/d_p columns with digit j_p.
     """
     d = table.n_columns
     differing = 2.0 - 2.0 * np.eye(d)
     for x, d_p in zip(table.party_digits.T, table.dims):
         differing += (2 * d // d_p) * (x[:, None] != x[None, :])
+    return differing
+
+
+def _damping(exponent: np.ndarray, cfg: PointerConfig) -> np.ndarray:
+    """Lambda_g = exp(-g^2 / (8 sigma^2)) ** D, the pointer overlaps."""
     g, sigma = cfg.g, cfg.sigma
-    return np.exp(-(g * g) / (8.0 * sigma * sigma)) ** differing
+    return np.exp(-(g * g) / (8.0 * sigma * sigma)) ** exponent
+
+
+def _prepare(
+    rho: DensityMatrix,
+    mode: str,
+    postselection: BasisSet | None,
+    outcomes: Sequence[int] | None,
+) -> tuple[BasisSet, DeviceTable, tuple[int, ...], DensityMatrix]:
+    """Argument checks, postselection basis, device table, conveyed state."""
+    n = _require_qubits(rho)
+    basis_b = postselection or hadamard_mub(n)
+    if basis_b.dims != rho.dims:
+        raise ShapeMismatch("postselection basis does not match the state dims")
+    table = device_table(rho.dims)
+    outcomes = tuple(int(v) for v in (outcomes if outcomes is not None else [0] * (n - 1)))
+    return basis_b, table, outcomes, convey(rho, outcomes, mode).state
+
+
+def _report(
+    wvt: WeakValueTable,
+    labels: Sequence[str],
+    diag_eff: np.ndarray,
+    oracle_diag: float,
+    **settings,
+) -> CorrelationReport:
+    """The combination step: C, its per-postselection terms and diagnostics."""
+    probs = wvt.probabilities
+    kept = ~np.isin(np.arange(len(labels)), wvt.skipped)
+    # Skipped rows of the table are zero, so their terms are zero too.
+    terms = np.abs(wvt.values[0] - np.prod(wvt.values[1:], axis=0)).sum(axis=-1)
+    # A running total in row order, so C is bitwise the row-by-row sum.
+    total = np.cumsum(np.where(kept, probs * terms, 0.0))[-1]
+    per_k = map(
+        PostselectionTerm,
+        range(len(kept)),
+        labels,
+        probs.tolist(),
+        terms.tolist(),
+        (~kept).tolist(),
+    )
+    recombined = np.einsum("k,ki->i", probs, wvt.values[0])
+    residual = float(np.max(np.abs(recombined - diag_eff)))
+    return CorrelationReport(
+        C=float(total),
+        table=wvt,
+        per_k=tuple(per_k),
+        oracle_diag=oracle_diag,
+        max_completeness_residual=residual,
+        min_postselection_probability=float(probs[kept].min()) if kept.any() else 0.0,
+        **settings,
+    )
 
 
 def correlation(
@@ -314,60 +376,84 @@ def correlation(
     the three local copy measurements, used only by the circuit backend
     when ``skip_broadcast`` is false.  With ``skip_broadcast`` the single-
     party devices couple directly to the line-1 particles and no copies are
-    made.
+    made.  The circuit backend is the one-configuration case of
+    :func:`correlation_sweep`.
     """
-    n = _require_qubits(rho)
-    if backend not in ("analytic", "circuit"):
+    if backend == "circuit":
+        return next(
+            correlation_sweep(
+                rho,
+                mode,
+                [cfg or PointerConfig()],
+                postselection=postselection,
+                outcomes=outcomes,
+                broadcast_outcome=broadcast_outcome,
+                skip_broadcast=skip_broadcast,
+            )
+        )
+    if backend != "analytic":
         raise ShapeMismatch(f"unknown backend {backend!r}")
     cfg = cfg or PointerConfig()
-    basis_b = postselection or hadamard_mub(n)
-    if basis_b.dims != rho.dims:
-        raise ShapeMismatch("postselection basis does not match the state dims")
-    table = device_table(rho.dims)
-    outcomes = tuple(int(v) for v in (outcomes if outcomes is not None else [0] * (n - 1)))
-    conveyed = convey(rho, outcomes, mode)
-    mu = int(broadcast_outcome)
-
-    if backend == "analytic":
-        wvt = _analytic_table(conveyed.state, basis_b, table)
-    else:
-        # The pointer readout in closed form (see weakcorr.pointer).
-        damped = conveyed.state.matrix * _damping(table, cfg)
-        wvt = _limits_table(damped, basis_b, table, mu, skip_broadcast)
-
-    probs = wvt.probabilities
-    kept = ~np.isin(np.arange(len(basis_b)), wvt.skipped)
-    # Skipped rows of the table are zero, so their terms are zero too.
-    terms = np.abs(wvt.values[0] - np.prod(wvt.values[1:], axis=0)).sum(axis=-1)
-    # A running total in row order, so C is bitwise the row-by-row sum.
-    total = np.cumsum(np.where(kept, probs * terms, 0.0))[-1]
-    per_k = map(
-        PostselectionTerm,
-        range(len(kept)),
+    basis_b, table, outcomes, state = _prepare(rho, mode, postselection, outcomes)
+    return _report(
+        _analytic_table(state, basis_b, table),
         basis_b.labels,
-        probs.tolist(),
-        terms.tolist(),
-        (~kept).tolist(),
-    )
-
-    diag_eff = conveyed.state.diagonal()
-    recombined = np.einsum("k,ki->i", probs, wvt.values[0])
-    residual = float(np.max(np.abs(recombined - diag_eff)))
-    return CorrelationReport(
-        C=float(total),
+        state.diagonal(),
+        correlation_oracle_diag(rho),
         backend=backend,
         mode=mode,
         g=cfg.g,
         sigma=cfg.sigma,
         outcomes=outcomes,
-        broadcast_outcome=mu,
+        broadcast_outcome=int(broadcast_outcome),
         skip_broadcast=bool(skip_broadcast),
-        table=wvt,
-        per_k=tuple(per_k),
-        oracle_diag=correlation_oracle_diag(rho),
-        max_completeness_residual=residual,
-        min_postselection_probability=float(probs[kept].min()) if kept.any() else 0.0,
     )
+
+
+def correlation_sweep(
+    rho: DensityMatrix,
+    mode: str,
+    cfgs: Sequence[PointerConfig],
+    *,
+    postselection: BasisSet | None = None,
+    outcomes: Sequence[int] | None = None,
+    broadcast_outcome: int = 0,
+    skip_broadcast: bool = False,
+) -> Iterator[CorrelationReport]:
+    """The circuit backend's report at each pointer configuration of ``cfgs``.
+
+    Report i equals ``correlation(rho, "circuit", mode, cfgs[i], ...)``.
+    What does not depend on g is computed once, when this is called: the
+    argument checks, the conveyed state and its diagonal, the oracle value
+    and the damping exponent D.  Each report is built from Lambda_g and the
+    limit formula on rho * Lambda_g when the iterator reaches it, so one
+    table is held at a time.
+    """
+    basis_b, table, outcomes, state = _prepare(rho, mode, postselection, outcomes)
+    basis_matrix = basis_b.matrix()
+    mu = int(broadcast_outcome)
+    skip = bool(skip_broadcast)
+    diag_eff = state.diagonal()
+    oracle_diag = correlation_oracle_diag(rho)
+    exponent = _damping_exponent(table)
+
+    def report(cfg: PointerConfig) -> CorrelationReport:
+        damped = state.matrix * _damping(exponent, cfg)
+        return _report(
+            _limits_table(damped, basis_matrix, table, mu, skip),
+            basis_b.labels,
+            diag_eff,
+            oracle_diag,
+            backend="circuit",
+            mode=mode,
+            g=cfg.g,
+            sigma=cfg.sigma,
+            outcomes=outcomes,
+            broadcast_outcome=mu,
+            skip_broadcast=skip,
+        )
+
+    return map(report, cfgs)
 
 
 def weak_value_limits(
@@ -402,18 +488,20 @@ def weak_value_limits(
     outside [0, d_p) for any party raises ImpossibleOutcome; without them
     the outcome is ignored.
     """
-    return _limits_table(state.matrix, basis_b, table, broadcast_outcome, skip_broadcast)
+    return _limits_table(
+        state.matrix, basis_b.matrix(), table, broadcast_outcome, skip_broadcast
+    )
 
 
 def _limits_table(
     matrix: np.ndarray,
-    basis_b: BasisSet,
+    basis_matrix: np.ndarray,
     table: DeviceTable,
     broadcast_outcome: int,
     skip_broadcast: bool,
 ) -> WeakValueTable:
-    """The limit formula of ``weak_value_limits`` on the state matrix ``matrix``."""
-    basis_matrix = basis_b.matrix()
+    """The limit formula of ``weak_value_limits`` on the state matrix ``matrix``,
+    with the postselection vectors stacked as the rows of ``basis_matrix``."""
     if skip_broadcast:
         num = _weak_value_numerator(matrix, basis_matrix)
         digits = table.party_digits
@@ -426,7 +514,7 @@ def _limits_table(
         num = (np.abs(basis_matrix) ** 2 * np.real(np.diagonal(matrix))).astype(complex)
         digits = (broadcast_outcome - table.party_digits) % np.array(table.dims)
     probs, kept, line0 = _line0(num)
-    per_label = line0.reshape((len(basis_b),) + table.dims)
+    per_label = line0.reshape((len(basis_matrix),) + table.dims)
     per_digit = [
         per_label.sum(axis=tuple(1 + p for p in range(table.n_parties) if p != party))
         for party in range(table.n_parties)

@@ -13,8 +13,9 @@ the estimator replaced: the copies-layout limits and the correlation sum.
 The staged circuit readout chains the package's gate-level pipeline
 (broadcast, pointer coupling, one postselected readout per postselection),
 which the circuit backend computes in closed form.  The matrix-element
-reconstruction at the very end is the per-postselection sum the
-reconstruction identity replaced.
+reconstruction is the per-postselection sum the reconstruction identity
+replaced, and the circuit sweep at the very end is the one-call-per-g loop
+``correlation_sweep`` replaced.
 """
 
 import numpy as np
@@ -25,6 +26,7 @@ from weakcorr import (
     analytic_weak_value,
     bell_state,
     broadcast,
+    correlation,
     couple_all,
     extract_weak_value,
     ket2dm,
@@ -412,3 +414,11 @@ def reconstruct_element_loop(i, j, rho, basis_a, basis_b):
         pk_w = beta_ki * complex(a_i.conj() @ rho.matrix @ b)
         total += (beta_kj / beta_ki) * pk_w
     return total
+
+
+# -- the circuit sweep
+
+
+def correlation_loop(rho, mode, cfgs, **kwargs):
+    """One circuit-backend ``correlation`` call per pointer configuration."""
+    return [correlation(rho, "circuit", mode, cfg, **kwargs) for cfg in cfgs]

@@ -323,7 +323,7 @@ def test_run_enumerate_csv(tmp_path, capsys):
 
 
 def test_sweep_rejects_bad_g_lists(capsys):
-    for glist in ("", "1e-3,1e-2", "0,1e-3", "abc"):
+    for glist in ("", "1e-3,1e-2", "0,1e-3", "abc", "nan", "inf,1e-3", "1e-2,nan"):
         code, _, err = run_cli(
             capsys, "sweep", "--state", GHZ, "--g-list", glist
         )
@@ -419,6 +419,57 @@ def test_malformed_state_entries_exit_2(tmp_path, capsys, doc, message):
     state.write_text(json.dumps(doc))
     code, out, err = run_cli(capsys, "run", "--state", str(state))
     assert code == 2 and out == ""
+    assert err == f"error: parse-failure: {message}\n"
+
+
+# Each state or config below is accepted, every boolean read as 1 or 0, unless
+# booleans are rejected where numbers are expected.  A state file is read by
+# `oracle`, a config by `run` on the GHZ state.
+BOOLEAN_CASES = {
+    "entries": (
+        {"dims": [2], "entries": [[True, False], [0, 0], [0, 0], [False, False]]},
+        None,
+        "entry must be a [re, im] pair, got [True, False]",
+    ),
+    "amplitudes": (
+        {"dims": [2], "terms": [{"p": 1.0, "amplitudes": [[True, 0], [0, 0]]}]},
+        None,
+        "amplitude must be a [re, im] pair, got [True, 0]",
+    ),
+    "basis-amplitudes": (
+        None,
+        {"postselection_basis": "basis.json"},
+        "amplitude must be a [re, im] pair, got [True, False]",
+    ),
+    "p": (
+        {"dims": [2], "terms": [{"p": True, "amplitudes": [[1.0, 0.0], [0.0, 0.0]]}]},
+        None,
+        'decomposition weight "p" must be a number, got True',
+    ),
+    "outcomes": (
+        None,
+        {"outcomes": [True, False]},
+        'outcomes must be a list of integers or "enumerate"',
+    ),
+    "seed": (None, {"seed": True}, "seed must be an integer"),
+}
+
+
+@pytest.mark.parametrize("field", BOOLEAN_CASES)
+def test_json_booleans_are_not_numbers(tmp_path, monkeypatch, capsys, field):
+    state, config, message = BOOLEAN_CASES[field]
+    monkeypatch.chdir(tmp_path)
+    # The computational basis of three qubits, 1 and 0 written as booleans.
+    vectors = [[[i == k, False] for i in range(8)] for k in range(8)]
+    Path("basis.json").write_text(json.dumps({"dims": [2, 2, 2], "vectors": vectors}))
+    if state is not None:
+        Path("state.json").write_text(json.dumps(state))
+        argv = ["oracle", "--state", "state.json"]
+    else:
+        Path("cfg.json").write_text(json.dumps(config))
+        argv = ["run", "--state", GHZ, "--config", "cfg.json"]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
     assert err == f"error: parse-failure: {message}\n"
 
 
