@@ -14,7 +14,7 @@ print("computational labels:", comp.labels)
 print("sign-word labels:    ", mub.labels)
 
 print("\nEvery cross overlap has squared modulus 1/8:")
-overlaps = np.abs(comp.matrix().conj() @ mub.matrix().T) ** 2
+overlaps = np.abs(comp.matrix.conj() @ mub.matrix.T) ** 2
 print(overlaps)
 print("mutually unbiased:", is_mutually_unbiased(comp, mub))
 

@@ -3,6 +3,7 @@
 Two bases drive the protocol: the computational basis, whose rank-1
 projectors are measured weakly, and a mutually unbiased postselection basis
 built from tensor products of single-qubit (|0> +- |1>)/sqrt(2) states.
+A basis is one checked matrix, one basis vector per row.
 The device table arranges the measured projectors in a matrix with one
 joint line plus one line per party; the single-party projector in column i
 is the factor picked out of the joint projector of the same column.
@@ -21,7 +22,7 @@ from .errors import (
     NonFactorablePostselection,
     ShapeMismatch,
 )
-from .qcore import PureState, STRUCT_TOL, digit_table
+from .qcore import PureState, STRUCT_TOL, _dims_tuple, digit_table
 
 __all__ = [
     "BasisSet",
@@ -37,45 +38,46 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BasisSet:
-    """Ordered orthonormal basis with one label per vector."""
+    """Ordered orthonormal basis: one basis vector per row of ``matrix``.
+
+    ``matrix`` is a read-only complex (d, d) array and ``labels`` holds one
+    label per row.  Construction checks the shape, the label count, that
+    every amplitude is finite and that max |B B^dagger - I| <= STRUCT_TOL;
+    the Gram diagonal is the norm check of each vector.
+    """
 
     dims: tuple[int, ...]
-    vectors: tuple[PureState, ...]
+    matrix: np.ndarray
     labels: tuple[str, ...]
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
-        vectors = tuple(self.vectors)
+        dims = _dims_tuple(self.dims)
+        matrix = np.array(self.matrix, dtype=complex)
         labels = tuple(str(x) for x in self.labels)
         object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "vectors", vectors)
+        object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "labels", labels)
         d = math.prod(dims)
-        if len(vectors) != d:
-            raise InvariantViolation(f"basis has {len(vectors)} vectors, expected {d}")
+        if matrix.shape != (d, d):
+            raise InvariantViolation(f"basis matrix has shape {matrix.shape}, expected {(d, d)}")
         if len(labels) != d:
             raise InvariantViolation("one label per basis vector is required")
-        for v in vectors:
-            if v.dims != dims:
-                raise ShapeMismatch(f"vector dims {v.dims} do not match basis {dims}")
-        stacked = self.matrix()
-        gram = stacked @ stacked.conj().T
+        # Explicit: a NaN would pass the Gram test below, as NaN > tol is False.
+        if not np.all(np.isfinite(matrix)):
+            raise InvariantViolation("amplitudes must be finite")
+        gram = matrix @ matrix.conj().T
         dev = float(np.max(np.abs(gram - np.eye(d))))
         if dev > STRUCT_TOL:
             raise InvariantViolation(f"orthonormality: max |gram - I| = {dev:.3e}")
+        matrix.setflags(write=False)
 
     def __len__(self) -> int:
-        return len(self.vectors)
+        return len(self.matrix)
 
-    def __iter__(self):
-        return iter(self.vectors)
-
-    def matrix(self) -> np.ndarray:
-        """Stacked amplitudes, one basis vector per row."""
-        return np.stack([v.amplitudes for v in self.vectors])
-
-    def vector(self, k: int) -> np.ndarray:
-        return self.vectors[k].amplitudes
+    @property
+    def vectors(self) -> tuple[PureState, ...]:
+        """The rows as one :class:`PureState` each, rebuilt on every access."""
+        return tuple(PureState(self.dims, row) for row in self.matrix)
 
 
 def _labels(dims) -> list[str]:
@@ -86,9 +88,7 @@ def _labels(dims) -> list[str]:
 def computational_basis(dims) -> BasisSet:
     """Standard basis, first party most significant, labels "000", "001", ..."""
     dims = tuple(int(d) for d in dims)
-    d = math.prod(dims)
-    vectors = tuple(PureState(dims, row) for row in np.eye(d, dtype=complex))
-    return BasisSet(dims, vectors, tuple(_labels(dims)))
+    return BasisSet(dims, np.eye(math.prod(dims)), _labels(dims))
 
 
 def hadamard_mub(n_qubits: int) -> BasisSet:
@@ -106,9 +106,8 @@ def hadamard_mub(n_qubits: int) -> BasisSet:
     scale = 1.0 / math.sqrt(2**n)
     bits = digit_table(dims)
     signs = 1.0 - 2.0 * ((bits @ bits.T) % 2)
-    vectors = tuple(PureState(dims, row * scale) for row in signs)
-    labels = tuple("".join("+-"[b] for b in row) for row in bits.tolist())
-    return BasisSet(dims, vectors, labels)
+    labels = ["".join("+-"[b] for b in row) for row in bits.tolist()]
+    return BasisSet(dims, signs * scale, labels)
 
 
 def is_mutually_unbiased(b1: BasisSet, b2: BasisSet, tol: float = 1e-12) -> bool:
@@ -116,7 +115,7 @@ def is_mutually_unbiased(b1: BasisSet, b2: BasisSet, tol: float = 1e-12) -> bool
     if b1.dims != b2.dims:
         raise ShapeMismatch(f"dims differ: {b1.dims} vs {b2.dims}")
     d = math.prod(b1.dims)
-    overlaps = np.abs(b1.matrix().conj() @ b2.matrix().T) ** 2
+    overlaps = np.abs(b1.matrix.conj() @ b2.matrix.T) ** 2
     return bool(np.max(np.abs(overlaps - 1.0 / d)) <= tol)
 
 

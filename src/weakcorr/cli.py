@@ -242,6 +242,15 @@ class RunConfig:
     skip_broadcast: bool = False
 
 
+def _finite_number(merged: dict, name: str) -> float:
+    """Config or flag value ``name`` as a float; JSON booleans are not numbers."""
+    value = merged.get(name, getattr(RunConfig, name))
+    # Compared exactly, so NaN, infinities and integers beyond the float range fail.
+    if type(value) not in _NUMBERS or not abs(value) <= sys.float_info.max:
+        raise errors.ParseFailure(f"{name} must be a finite number")
+    return float(value)
+
+
 def load_config(path: str | None, args) -> RunConfig:
     doc = {}
     if path is not None:
@@ -263,8 +272,7 @@ def load_config(path: str | None, args) -> RunConfig:
         raise errors.ParseFailure(f'backend must be "analytic" or "circuit", got {backend!r}')
     if mode not in ("literal", "idealized"):
         raise errors.ParseFailure(f'mode must be "literal" or "idealized", got {mode!r}')
-    g = float(merged.get("g", 1e-3))
-    sigma = float(merged.get("sigma", 1.0 / math.sqrt(2.0)))
+    g, sigma = (_finite_number(merged, name) for name in ("g", "sigma"))
     if g <= 0 or sigma <= 0:
         raise errors.InvariantViolation(
             f"g and sigma must be positive, got g={g!r}, sigma={sigma!r}"
@@ -306,15 +314,14 @@ def load_basis(name_or_path: str, dims) -> BasisSet:
     d = math.prod(bdims)
     if not isinstance(vectors, list) or len(vectors) != d:
         raise errors.ParseFailure(f'"vectors" must hold {d} vectors')
-    states = []
-    for vec in vectors:
-        if not isinstance(vec, list) or len(vec) != d:
-            raise errors.ParseFailure(f"every basis vector needs {d} [re, im] pairs")
-        states.append(PureState(bdims, _complex_array(vec, "amplitude")))
+    if not all(isinstance(vec, list) and len(vec) == d for vec in vectors):
+        raise errors.ParseFailure(f"every basis vector needs {d} [re, im] pairs")
+    pairs = list(itertools.chain.from_iterable(vectors))
+    matrix = _complex_array(pairs, "amplitude").reshape(d, d)
     labels = doc.get("labels", [str(k + 1) for k in range(d)])
     if not isinstance(labels, list) or len(labels) != d:
         raise errors.ParseFailure(f'"labels" must hold {d} strings')
-    return BasisSet(bdims, tuple(states), tuple(str(x) for x in labels))
+    return BasisSet(bdims, matrix, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -548,10 +555,7 @@ def render_tables(n: int, fmt: str = "text") -> str:
     )
     mub_ok = is_mutually_unbiased(comp, mub, tol=1e-12)
 
-    sign_rows = []
-    for k in range(len(mub)):
-        amps = mub.vector(k).real * math.sqrt(2**n)
-        sign_rows.append(["+" if a > 0 else "-" for a in amps])
+    sign_rows = np.where(mub.matrix.real > 0, "+", "-").tolist()
 
     # Line 1 projects on each column's label, line p + 2 on party p's digit.
     cells = [

@@ -130,8 +130,8 @@ def reconstruct_matrix(
     """
     if basis_a.dims != tuple(rho.dims) or basis_b.dims != tuple(rho.dims):
         raise ShapeMismatch("bases must live on the state's subsystems")
-    a = basis_a.matrix()
-    b_in_a = basis_b.matrix() @ a.conj().T
+    a = basis_a.matrix
+    b_in_a = basis_b.matrix @ a.conj().T
     beta = b_in_a.conj()
     zero = np.argwhere(np.abs(beta.T) <= 1e-14)
     if zero.size:
@@ -274,7 +274,7 @@ def _table(
 def _analytic_table(
     state: DensityMatrix, basis_b: BasisSet, table: DeviceTable
 ) -> WeakValueTable:
-    basis_matrix = basis_b.matrix()
+    basis_matrix = basis_b.matrix
     factors = product_factors(basis_matrix, table.dims)
     probs, kept, line0 = _line0(_weak_value_numerator(state.matrix, basis_matrix))
     # Party line: weak values of |v><v| on the marginal, postselected on the
@@ -430,7 +430,7 @@ def correlation_sweep(
     table is held at a time.
     """
     basis_b, table, outcomes, state = _prepare(rho, mode, postselection, outcomes)
-    basis_matrix = basis_b.matrix()
+    basis_matrix = basis_b.matrix
     mu = int(broadcast_outcome)
     skip = bool(skip_broadcast)
     diag_eff = state.diagonal()
@@ -489,7 +489,7 @@ def weak_value_limits(
     the outcome is ignored.
     """
     return _limits_table(
-        state.matrix, basis_b.matrix(), table, broadcast_outcome, skip_broadcast
+        state.matrix, basis_b.matrix, table, broadcast_outcome, skip_broadcast
     )
 
 

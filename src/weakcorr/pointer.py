@@ -74,10 +74,10 @@ class PointerConfig:
     sigma: float = 1.0 / math.sqrt(2.0)
 
     def __post_init__(self):
-        if not (self.g > 0.0):
-            raise InvariantViolation(f"coupling strength must be positive, got {self.g}")
-        if not (self.sigma > 0.0):
-            raise InvariantViolation(f"pointer spread must be positive, got {self.sigma}")
+        if not (0.0 < self.g < math.inf):
+            raise InvariantViolation(f"coupling strength must lie in (0, inf), got {self.g}")
+        if not (0.0 < self.sigma < math.inf):
+            raise InvariantViolation(f"pointer spread must lie in (0, inf), got {self.sigma}")
 
 
 @dataclass(frozen=True)

@@ -400,11 +400,11 @@ def reconstruct_element_loop(i, j, rho, basis_a, basis_b):
     beta_kx = <b_k|a_x>; P_k W_ki = <b_k|a_i><a_i| rho |b_k> is finite even
     when P_k vanishes.  Raises UnbiasednessViolation on a zero beta_ki.
     """
-    a_i = basis_a.vector(i)
-    a_j = basis_a.vector(j)
+    a_i = basis_a.matrix[i]
+    a_j = basis_a.matrix[j]
     total = 0.0 + 0.0j
     for k in range(len(basis_b)):
-        b = basis_b.vector(k)
+        b = basis_b.matrix[k]
         beta_ki = complex(b.conj() @ a_i)
         if abs(beta_ki) <= 1e-14:
             raise UnbiasednessViolation(

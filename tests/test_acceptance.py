@@ -79,7 +79,7 @@ def test_criterion_01_table_fidelity():
 def test_criterion_02_mub_property():
     comp = computational_basis((2, 2, 2))
     mub = hadamard_mub(3)
-    overlaps = np.abs(comp.matrix().conj() @ mub.matrix().T) ** 2
+    overlaps = np.abs(comp.matrix.conj() @ mub.matrix.T) ** 2
     dev = float(np.max(np.abs(overlaps - 1 / 8)))
     _criterion(2, "all 64 cross overlaps equal 1/8 within 1e-12", dev <= 1e-12, f"max dev {dev:.2e}")
 
@@ -226,14 +226,14 @@ def test_criterion_08_pointer_calibration():
         readings = postselect_and_read(bs, mub.vectors[k], cfg)
         w = extract_weak_value(readings.delta_q, readings.delta_p, cfg)
         for i in range(8):
-            expect = eq_weak_value(rho.matrix, table3.projector(0, i), mub.vector(k))
+            expect = eq_weak_value(rho.matrix, table3.projector(0, i), mub.matrix[k])
             worst = max(worst, abs(w[0, i] - expect))
         for line in (1, 2, 3):
             for i in (0, 7):
                 digit = table3.shift_digit(line, i)
                 ops = [np.diag(eye[digit]) if p == line - 1 else eye for p in range(3)]
                 full = np.kron(np.kron(ops[0], ops[1]), ops[2])
-                expect = eq_weak_value(rho.matrix, full, mub.vector(k))
+                expect = eq_weak_value(rho.matrix, full, mub.matrix[k])
                 worst = max(worst, abs(w[line, i] - expect))
     ok = exact and worst <= 1e-3
     _criterion(
@@ -284,11 +284,7 @@ def test_criterion_10_outcome_robustness():
             ),
             np.eye(2),
         )
-        relabeled = BasisSet(
-            (2, 2, 2),
-            tuple(PureState((2, 2, 2), u @ v.amplitudes) for v in mub.vectors),
-            mub.labels,
-        )
+        relabeled = BasisSet((2, 2, 2), mub.matrix @ u.T, mub.labels)
         for seed in range(10):
             rho = random_density_matrix((2, 2, 2), 7_000 + seed)
             base = correlation(rho, "analytic", "idealized").C

@@ -28,7 +28,7 @@ from weakcorr import (
     weak_value_limits,
 )
 from weakcorr.cli import load_state
-from weakcorr.qcore import DensityMatrix, PureState, digit_table
+from weakcorr.qcore import DensityMatrix, digit_table
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GHZ3 = load_state(str(FIXTURES / "ghz3.json"))
@@ -47,8 +47,8 @@ def random_product_basis(n, seed):
         row = np.ones(1, dtype=complex)
         for u, bit in zip(unitaries, bits):
             row = np.kron(row, u[:, bit])
-        rows.append(PureState(dims, row))
-    return BasisSet(dims, tuple(rows), tuple(str(k) for k in range(2**n)))
+        rows.append(row)
+    return BasisSet(dims, rows, tuple(str(k) for k in range(2**n)))
 
 
 def random_product_state(n, seed):

@@ -20,7 +20,7 @@ from weakcorr.errors import (
     NonFactorablePostselection,
     ShapeMismatch,
 )
-from weakcorr.qcore import PureState, ghz
+from weakcorr.qcore import ghz
 
 SQ8 = np.sqrt(8.0)
 
@@ -28,13 +28,13 @@ SQ8 = np.sqrt(8.0)
 def test_computational_basis_single_qubit():
     b = computational_basis([2])
     assert b.labels == ("0", "1")
-    np.testing.assert_array_equal(b.matrix(), np.eye(2))
+    np.testing.assert_array_equal(b.matrix, np.eye(2))
 
 
 def test_computational_basis_three_qubits_label_order():
     b = computational_basis([2, 2, 2])
     assert b.labels == ("000", "001", "010", "011", "100", "101", "110", "111")
-    np.testing.assert_array_equal(b.matrix(), np.eye(8))
+    np.testing.assert_array_equal(b.matrix, np.eye(8))
 
 
 def test_computational_basis_qudit_labels():
@@ -43,23 +43,37 @@ def test_computational_basis_qudit_labels():
 
 
 def test_basis_set_rejects_non_orthonormal():
-    v = PureState((2,), [1.0, 0.0])
     with pytest.raises(InvariantViolation, match="orthonormality"):
-        BasisSet((2,), (v, v), ("a", "b"))
+        BasisSet((2,), [[1.0, 0.0], [1.0, 0.0]], ("a", "b"))
+
+
+@pytest.mark.parametrize(
+    "matrix, labels",
+    [
+        ([[np.nan, 0.0], [0.0, 1.0]], ("a", "b")),
+        ([[np.inf, 0.0], [0.0, 1.0]], ("a", "b")),
+        ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], ("a", "b")),
+        (np.eye(2), ("a",)),
+    ],
+    ids=["nan", "inf", "d-by-d-plus-1", "label-count"],
+)
+def test_basis_set_rejects_malformed_matrix(matrix, labels):
+    with pytest.raises(InvariantViolation):
+        BasisSet((2,), matrix, labels)
 
 
 def test_hadamard_mub_single_qubit():
     b = hadamard_mub(1)
-    np.testing.assert_allclose(b.vector(0), [1 / np.sqrt(2), 1 / np.sqrt(2)])
-    np.testing.assert_allclose(b.vector(1), [1 / np.sqrt(2), -1 / np.sqrt(2)])
+    np.testing.assert_allclose(b.matrix[0], [1 / np.sqrt(2), 1 / np.sqrt(2)])
+    np.testing.assert_allclose(b.matrix[1], [1 / np.sqrt(2), -1 / np.sqrt(2)])
 
 
 def test_hadamard_mub_matches_sign_pattern_rows():
     b = hadamard_mub(3)
     # rows 2 and 8 of the published sign table (1-based)
-    np.testing.assert_allclose(b.vector(1), np.array([1, -1, 1, -1, 1, -1, 1, -1]) / SQ8)
-    np.testing.assert_allclose(b.vector(7), np.array([1, -1, -1, 1, -1, 1, 1, -1]) / SQ8)
-    np.testing.assert_allclose(b.matrix(), mub_vectors(3), atol=1e-15)
+    np.testing.assert_allclose(b.matrix[1], np.array([1, -1, 1, -1, 1, -1, 1, -1]) / SQ8)
+    np.testing.assert_allclose(b.matrix[7], np.array([1, -1, -1, 1, -1, 1, 1, -1]) / SQ8)
+    np.testing.assert_allclose(b.matrix, mub_vectors(3), atol=1e-15)
 
 
 def test_hadamard_mub_rejects_bad_size():
@@ -71,7 +85,7 @@ def test_hadamard_mub_rejects_bad_size():
 def test_hadamard_mub_is_unbiased_to_computational(n):
     comp = computational_basis([2] * n)
     mub = hadamard_mub(n)
-    overlaps = np.abs(comp.matrix().conj() @ mub.matrix().T) ** 2
+    overlaps = np.abs(comp.matrix.conj() @ mub.matrix.T) ** 2
     np.testing.assert_allclose(overlaps, 1 / 2**n, atol=1e-12)
     assert is_mutually_unbiased(comp, mub)
 
@@ -91,7 +105,7 @@ def test_party_factors_recover_product_structure():
         rebuilt = factors[0].amplitudes
         for f in factors[1:]:
             rebuilt = np.kron(rebuilt, f.amplitudes)
-        np.testing.assert_allclose(rebuilt, mub.vector(k), atol=1e-12)
+        np.testing.assert_allclose(rebuilt, mub.matrix[k], atol=1e-12)
         for p, f in enumerate(factors):
             sign = -1.0 if (k >> (2 - p)) & 1 else 1.0
             want = np.array([1.0, sign]) / np.sqrt(2)

@@ -103,7 +103,7 @@ def test_qudit_circuit_table_matches_staged_readout(dims, seed):
         cfg = PointerConfig(g)
         for skip, mu in layouts(dims):
             damped = rho.matrix * _damping(exponent, cfg)
-            got = _limits_table(damped, basis.matrix(), table, mu, skip)
+            got = _limits_table(damped, basis.matrix, table, mu, skip)
             assert_matches_staged(got, staged_circuit_table(rho, basis, table, cfg, mu, skip))
 
 

@@ -242,6 +242,27 @@ def test_nonpositive_g_exits_3(capsys):
     assert code == 3 and "positive" in err
 
 
+@pytest.mark.parametrize(
+    "config, flags, field",
+    [
+        ('{"g": "abc"}', (), "g"),
+        ('{"g": null}', (), "g"),
+        ('{"g": [1]}', (), "g"),
+        ('{"g": 1e400}', (), "g"),
+        ('{"g": 1' + "0" * 400 + "}", (), "g"),
+        ('{"sigma": "nan"}', (), "sigma"),
+        ("{}", ("--g", "inf", "--backend", "circuit"), "g"),
+        ("{}", ("--sigma", "nan"), "sigma"),
+    ],
+)
+def test_g_and_sigma_must_be_finite_numbers(tmp_path, capsys, config, flags, field):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(config)
+    code, out, err = run_cli(capsys, "run", "--state", GHZ, "--config", str(cfg), *flags)
+    assert (code, out) == (2, "")
+    assert err == f"error: parse-failure: {field} must be a finite number\n"
+
+
 def test_usage_error_exits_2(capsys):
     assert main(["run"]) == 2
     assert main(["nonsense"]) == 2
@@ -452,6 +473,7 @@ BOOLEAN_CASES = {
         'outcomes must be a list of integers or "enumerate"',
     ),
     "seed": (None, {"seed": True}, "seed must be an integer"),
+    "g": (None, {"g": True}, "g must be a finite number"),
 }
 
 
@@ -483,6 +505,29 @@ def test_basis_vector_with_non_pair_exits_2(tmp_path, capsys):
     code, out, err = run_cli(capsys, "run", "--state", GHZ, "--config", str(cfg))
     assert code == 2 and out == ""
     assert err == "error: parse-failure: amplitude must be a [re, im] pair, got [0.5]\n"
+
+
+def test_basis_file_with_nan_amplitude_exits_3(tmp_path, capsys):
+    basis = json.loads((FIXTURES / "basis_hadamard3.json").read_text())
+    basis["vectors"][2][5] = [float("nan"), 0.0]
+    path = tmp_path / "basis.json"
+    path.write_text(json.dumps(basis))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"postselection_basis": str(path)}))
+    code, out, err = run_cli(capsys, "run", "--state", GHZ, "--config", str(cfg))
+    assert code == 3 and out == ""
+    assert "amplitudes must be finite" in err
+
+
+def test_basis_file_with_unnormalised_vector_exits_3(tmp_path, capsys):
+    basis = json.loads((FIXTURES / "basis_hadamard3.json").read_text())
+    basis["vectors"][2] = [[2 * re, 2 * im] for re, im in basis["vectors"][2]]
+    path = tmp_path / "basis.json"
+    path.write_text(json.dumps(basis))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"postselection_basis": str(path)}))
+    code, out, _ = run_cli(capsys, "run", "--state", GHZ, "--config", str(cfg))
+    assert code == 3 and out == ""
 
 
 # -- state file round trip

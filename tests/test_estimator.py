@@ -142,7 +142,7 @@ def test_reconstruct_rejects_biased_bases():
 def basis_of_rows(dims, rows):
     """A basis whose vectors are the rows of ``rows``."""
     labels = [str(k) for k in range(len(rows))]
-    return BasisSet(dims, tuple(PureState(dims, r) for r in rows), labels)
+    return BasisSet(dims, rows, labels)
 
 
 def basis_pair(name, n):
@@ -161,14 +161,14 @@ def basis_pair(name, n):
     # Both rotated by one random unitary u, which keeps every overlap.
     rng = np.random.default_rng(100 + n)
     u = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
-    return basis_of_rows(dims, comp.matrix() @ u.T), basis_of_rows(dims, mub.matrix() @ u.T)
+    return basis_of_rows(dims, comp.matrix @ u.T), basis_of_rows(dims, mub.matrix @ u.T)
 
 
 @pytest.mark.parametrize("pair", ["comp-hadamard", "hadamard-comp", "rotated", "comp-fourier"])
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_reconstruct_matrix_matches_element_loop(pair, n):
     basis_a, basis_b = basis_pair(pair, n)
-    a = basis_a.matrix()
+    a = basis_a.matrix
     for seed in range(3):
         rho = random_density_matrix((2,) * n, seed)
         got = reconstruct_matrix(rho, basis_a, basis_b)
@@ -265,11 +265,7 @@ def test_correlation_outcome_robustness_with_relabeled_basis():
             np.kron(np.linalg.matrix_power(x, outcomes[0]), np.linalg.matrix_power(x, outcomes[1])),
             np.eye(2),
         )
-        relabeled = BasisSet(
-            (2, 2, 2),
-            tuple(PureState((2, 2, 2), u @ v.amplitudes) for v in mub.vectors),
-            mub.labels,
-        )
+        relabeled = BasisSet((2, 2, 2), mub.matrix @ u.T, mub.labels)
         for seed in (2, 9):
             rho = random_density_matrix((2, 2, 2), seed)
             base = correlation(rho, "analytic", "idealized")
@@ -279,17 +275,27 @@ def test_correlation_outcome_robustness_with_relabeled_basis():
             assert moved.C == pytest.approx(base.C, abs=1e-10)
 
 
+@pytest.mark.parametrize("backend", ["analytic", "circuit"])
+def test_correlation_on_builtin_basis_builds_no_pure_state(monkeypatch, backend):
+    built = []
+    check = PureState.__post_init__
+
+    def counted(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(PureState, "__post_init__", counted)
+    correlation(random_density_matrix((2,) * 4, 0), backend)
+    assert len(built) == 0
+
+
 def test_correlation_rejects_entangled_postselection_for_analytic():
     bell = np.zeros((4, 4))
     bell[0] = [1, 0, 0, 1]
     bell[1] = [1, 0, 0, -1]
     bell[2] = [0, 1, 1, 0]
     bell[3] = [0, 1, -1, 0]
-    basis = BasisSet(
-        (2, 2),
-        tuple(PureState((2, 2), row / SQ2) for row in bell.astype(complex)),
-        ("a", "b", "c", "d"),
-    )
+    basis = BasisSet((2, 2), bell / SQ2, ("a", "b", "c", "d"))
     rho = random_density_matrix((2, 2), 0)
     with pytest.raises(NonFactorablePostselection):
         correlation(rho, "analytic", "idealized", postselection=basis)
@@ -356,8 +362,7 @@ def random_unitary_basis(dims, seed):
     d = int(np.prod(dims))
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     q = np.linalg.qr(g)[0]
-    vectors = tuple(PureState(dims, row) for row in q.T)
-    return BasisSet(dims, vectors, tuple(str(k) for k in range(d)))
+    return BasisSet(dims, q.T, tuple(str(k) for k in range(d)))
 
 
 @pytest.mark.parametrize("dims", [(3, 3), (2, 3), (3, 2)])

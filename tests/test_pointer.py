@@ -1,6 +1,7 @@
 """Tests for the pointer coupling and postselected readout."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -41,6 +42,10 @@ def test_pointer_config_validation():
         PointerConfig(g=0.0)
     with pytest.raises(InvariantViolation):
         PointerConfig(sigma=-1.0)
+    with pytest.raises(InvariantViolation):
+        PointerConfig(g=math.inf)
+    with pytest.raises(InvariantViolation):
+        PointerConfig(sigma=math.inf)
 
 
 def test_couple_all_single_qubit_shift_indicators():
@@ -188,7 +193,7 @@ def test_weak_limit_exact_for_diagonal_states():
             w = extract_weak_value(readings.delta_q, readings.delta_p, cfg)
             for i in range(8):
                 expect = eq_weak_value(
-                    rho.matrix, table.projector(0, i), mub.vector(0).astype(complex)
+                    rho.matrix, table.projector(0, i), mub.matrix[0].astype(complex)
                 )
                 assert abs(w[0, i] - expect) < 1e-12
 
@@ -203,7 +208,7 @@ def test_weak_limit_error_shrinks_with_g_for_coherent_states():
         bs = couple_all(rho, table)
         readings = postselect_and_read(bs, mub.vectors[0], cfg)
         w = extract_weak_value(readings.delta_q, readings.delta_p, cfg)
-        expect = eq_weak_value(rho.matrix, table.projector(0, 0), mub.vector(0).astype(complex))
+        expect = eq_weak_value(rho.matrix, table.projector(0, 0), mub.matrix[0].astype(complex))
         errs.append(abs(w[0, 0] - expect))
     assert errs[0] <= 1e-2 and errs[2] <= errs[1] <= errs[0]
 
