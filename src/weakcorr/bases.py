@@ -11,6 +11,7 @@ is the factor picked out of the joint projector of the same column.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -43,7 +44,9 @@ class BasisSet:
     ``matrix`` is a read-only complex (d, d) array and ``labels`` holds one
     label per row.  Construction checks the shape, the label count, that
     every amplitude is finite and that max |B B^dagger - I| <= STRUCT_TOL;
-    the Gram diagonal is the norm check of each vector.
+    the Gram diagonal is the norm check of each vector.  The single-party
+    factors of the rows (:attr:`factors`) are computed at most once per
+    instance.
     """
 
     dims: tuple[int, ...]
@@ -79,6 +82,23 @@ class BasisSet:
         """The rows as one :class:`PureState` each, rebuilt on every access."""
         return tuple(PureState(self.dims, row) for row in self.matrix)
 
+    @functools.cached_property
+    def factors(self) -> tuple[np.ndarray, ...]:
+        """Single-party factors of every row: one read-only (d, d_p) array per party.
+
+        :func:`product_factors` of the matrix, run on first access, so a
+        basis that is not a product basis raises
+        :class:`NonFactorablePostselection` there.
+        """
+        return _read_only(product_factors(self.matrix, self.dims))
+
+
+def _read_only(arrays) -> tuple[np.ndarray, ...]:
+    arrays = tuple(arrays)
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
 
 def _labels(dims) -> list[str]:
     sep = "," if any(d > 10 for d in dims) else ""
@@ -97,7 +117,9 @@ def hadamard_mub(n_qubits: int) -> BasisSet:
     Vector k uses the minus sign on qubit p exactly when bit p of k (first
     qubit = most significant bit) is set, so the amplitude on computational
     label i is (-1)^popcount(k & i) / sqrt(2^n).  Ordering therefore counts
-    the sign words in binary.  All vectors are stored normalized.
+    the sign words in binary.  All vectors are stored normalized.  The
+    factors are known, so the basis carries them: factor p of vector k is
+    (1, (-1)^bit_p(k))/sqrt(2), and :func:`product_factors` never runs.
     """
     if n_qubits < 1:
         raise BadSize(f"need at least one qubit, got {n_qubits}")
@@ -107,7 +129,12 @@ def hadamard_mub(n_qubits: int) -> BasisSet:
     bits = digit_table(dims)
     signs = 1.0 - 2.0 * ((bits @ bits.T) % 2)
     labels = ["".join("+-"[b] for b in row) for row in bits.tolist()]
-    return BasisSet(dims, signs * scale, labels)
+    basis = BasisSet(dims, signs * scale, labels)
+    factors = np.ones((n, len(bits), 2), dtype=complex)
+    factors[:, :, 1] = 1.0 - 2.0 * bits.T
+    # Seeds the cache of BasisSet.factors with one (K, 2) view per qubit.
+    vars(basis)["factors"] = _read_only(factors / math.sqrt(2.0))
+    return basis
 
 
 def is_mutually_unbiased(b1: BasisSet, b2: BasisSet, tol: float = 1e-12) -> bool:

@@ -22,6 +22,7 @@ The log level is controlled by the WEAKCORR_LOG environment variable.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import logging
@@ -146,7 +147,8 @@ def _complex_array(pairs: list, what: str) -> np.ndarray:
     """One complex array from a list of [re, im] pairs.
 
     The types are checked in one pass per nesting level; the error names
-    the first item that is not a pair of numbers.
+    the first item that is not a pair of numbers, or the index (from 0) of
+    the first pair holding an integer beyond the float range.
     """
     if not (
         set(map(type, pairs)) <= {list}
@@ -156,7 +158,15 @@ def _complex_array(pairs: list, what: str) -> np.ndarray:
         bad = next(v for v in pairs if not _is_pair(v))
         raise errors.ParseFailure(f"{what} must be a [re, im] pair, got {bad!r}")
     flat = itertools.chain.from_iterable(pairs)
-    return np.fromiter(flat, float, 2 * len(pairs)).view(complex)
+    try:
+        return np.fromiter(flat, float, 2 * len(pairs)).view(complex)
+    except OverflowError:
+        index = next(
+            i for i, v in enumerate(pairs) if max(map(abs, v)) > sys.float_info.max
+        )
+        raise errors.ParseFailure(
+            f"{what} {index} holds an integer beyond the float range"
+        ) from None
 
 
 def _parse_dims(doc) -> tuple[int, ...]:
@@ -206,6 +216,10 @@ def load_state(path: str) -> DensityMatrix:
             if p <= 0:
                 raise errors.InvariantViolation(
                     f"decomposition weights must be positive, got {p!r}"
+                )
+            if type(p) is int and p > sys.float_info.max:
+                raise errors.ParseFailure(
+                    'decomposition weight "p" is an integer beyond the float range'
                 )
             amps = term["amplitudes"]
             if not isinstance(amps, list) or len(amps) != d:
@@ -666,7 +680,9 @@ def cmd_oracle(args) -> int:
 # entry point
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="weakcorr",
         description="Correlation measurement of an unknown state via weak coupling.",

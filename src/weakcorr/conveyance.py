@@ -176,7 +176,9 @@ def convey(
         block = np.arange(rho.dim) // rho.dims[-1]
         matrix = np.where(block[:, None] == block[None, :], rho.matrix, 0.0)
     perm = np.ravel_multi_index(tuple(digits.T), rho.dims)
-    state = DensityMatrix(rho.dims, _relabel(matrix, perm))
+    # A relabel, or a relabel of the pinching onto equal conveyed labels:
+    # both keep the checked input's trace and positivity.
+    state = DensityMatrix._trusted(rho.dims, _relabel(matrix, perm))
     return ConveyanceRecord(state, outcomes, 1.0 / math.prod(rho.dims[:-1]))
 
 
@@ -212,5 +214,6 @@ def broadcast(
     rows = np.arange(rho.dim) * l + copy
     matrix = np.zeros((rho.dim * l, rho.dim * l), dtype=complex)
     matrix[np.ix_(rows, rows)] = rho.matrix
-    state = DensityMatrix(rho.dims + (l,), matrix)
+    # An isometric embedding keeps the checked input's trace and positivity.
+    state = DensityMatrix._trusted(rho.dims + (l,), matrix)
     return ConveyanceRecord(state, (outcome,), 1.0 / l)

@@ -14,8 +14,10 @@ weak-value tables:
   conj(B) * (B rho^T) / P, P being the row sums of the numerator (the
   postselection probabilities).  Line p + 2 comes from party p's marginal
   m_p and the stacked single-party factors F_p of the postselection
-  vectors: conj(F_p) * (F_p m_p^T), divided by its row sums, gives the weak
-  value of each digit, gathered to the columns by the digit table.
+  vectors (``BasisSet.factors``: carried by the builtin basis, factored
+  once per basis read from a file): conj(F_p) * (F_p m_p^T), divided by
+  its row sums, gives the weak value of each digit, gathered to the
+  columns by the digit table.
 * ``"circuit"`` returns what the pointers read at the configured coupling
   strength, in closed form: the readout is the zero-coupling limit below
   on the damped state rho * Lambda_g (see ``weakcorr.pointer``).
@@ -56,7 +58,6 @@ from .bases import (
     DeviceTable,
     device_table,
     hadamard_mub,
-    product_factors,
 )
 from .conveyance import convey
 from .errors import (
@@ -159,12 +160,15 @@ def correlation_oracle_diag(rho: DensityMatrix) -> float:
 
     Twice the computational-basis diagonal distance between the state and
     the product of its marginals; the independent reference value the
-    circuit backend is compared against.
+    circuit backend is compared against.  A marginal's diagonal is the
+    state's diagonal summed over the other parties' digits.
     """
     diag = rho.diagonal()
+    cube = diag.reshape(rho.dims)
+    n = len(rho.dims)
     prod = np.ones(1)
-    for party in range(len(rho.dims)):
-        prod = np.kron(prod, partial_trace(rho, [party]).diagonal())
+    for party in range(n):
+        prod = np.kron(prod, cube.sum(axis=tuple(q for q in range(n) if q != party)))
     return float(np.sum(np.abs(diag - prod)))
 
 
@@ -275,7 +279,7 @@ def _analytic_table(
     state: DensityMatrix, basis_b: BasisSet, table: DeviceTable
 ) -> WeakValueTable:
     basis_matrix = basis_b.matrix
-    factors = product_factors(basis_matrix, table.dims)
+    factors = basis_b.factors
     probs, kept, line0 = _line0(_weak_value_numerator(state.matrix, basis_matrix))
     # Party line: weak values of |v><v| on the marginal, postselected on the
     # party's factor of each postselection vector.

@@ -7,10 +7,16 @@ registers read left to right: ``ket("011")`` puts the first qubit in 0 and
 the last in 1.
 
 Operators are plain complex numpy arrays.  :class:`PureState` and
-:class:`DensityMatrix` wrap arrays with dimension bookkeeping and enforce
-their defining invariants at construction time.  All values are immutable
-(arrays are marked read-only) and every function is pure, so instances can
-be shared freely between threads and processes.
+:class:`DensityMatrix` wrap arrays with dimension bookkeeping.  Invariants
+are checked once, where a value enters the program: the public
+constructors check every one.  A stage whose output is a trace- and
+positivity-preserving map of a density matrix (a partial trace here, a
+conveyance relabel or mask, a broadcast embedding) is handed a value that
+was checked already, so its output is built with the private
+``DensityMatrix._trusted`` and skips the d x d eigensolve, which would
+only confirm what the map guarantees.  All values are immutable (arrays
+are marked read-only) and every function is pure, so instances can be
+shared freely between threads and processes.
 
 Structural invariants (norm, trace, Hermiticity) are enforced at 1e-12;
 spectral checks use 1e-10 because double-precision eigensolvers lose about
@@ -148,6 +154,20 @@ class DensityMatrix:
             raise InvariantViolation(f"positivity: smallest eigenvalue = {lo:.3e}")
         m.setflags(write=False)
 
+    @classmethod
+    def _trusted(cls, dims: tuple[int, ...], matrix: np.ndarray) -> "DensityMatrix":
+        """A density matrix without the checks, for stage outputs only.
+
+        ``matrix`` must be the image of a checked density matrix under a
+        map that preserves Hermiticity, trace and positivity; it is marked
+        read-only, not copied.
+        """
+        out = object.__new__(cls)
+        object.__setattr__(out, "dims", dims)
+        object.__setattr__(out, "matrix", matrix)
+        matrix.setflags(write=False)
+        return out
+
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
@@ -190,7 +210,7 @@ def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
     out_sub = keep + [n + k for k in keep]
     reduced = np.einsum(t, row_sub + col_sub, out_sub)
     d = math.prod(rho.dims[k] for k in keep)
-    return DensityMatrix(tuple(rho.dims[k] for k in keep), reduced.reshape(d, d))
+    return DensityMatrix._trusted(tuple(rho.dims[k] for k in keep), reduced.reshape(d, d))
 
 
 def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:

@@ -14,8 +14,9 @@ The staged circuit readout chains the package's gate-level pipeline
 (broadcast, pointer coupling, one postselected readout per postselection),
 which the circuit backend computes in closed form.  The matrix-element
 reconstruction is the per-postselection sum the reconstruction identity
-replaced, and the circuit sweep at the very end is the one-call-per-g loop
-``correlation_sweep`` replaced.
+replaced, the circuit sweep is the one-call-per-g loop
+``correlation_sweep`` replaced, and the diagonal oracle at the very end is
+the marginal-by-marginal loop ``correlation_oracle_diag`` replaced.
 """
 
 import numpy as np
@@ -422,3 +423,16 @@ def reconstruct_element_loop(i, j, rho, basis_a, basis_b):
 def correlation_loop(rho, mode, cfgs, **kwargs):
     """One circuit-backend ``correlation`` call per pointer configuration."""
     return [correlation(rho, "circuit", mode, cfg, **kwargs) for cfg in cfgs]
+
+
+# -- the diagonal oracle
+
+
+def correlation_oracle_diag_loop(rho):
+    """sum_i |rho_ii - prod_p (marginal diagonal of p)_i|, one d_p x d_p
+    marginal per party from the package's partial trace."""
+    diag = rho.diagonal()
+    prod = np.ones(1)
+    for party in range(len(rho.dims)):
+        prod = np.kron(prod, partial_trace(rho, [party]).diagonal())
+    return float(np.sum(np.abs(diag - prod)))

@@ -27,7 +27,7 @@ from weakcorr import (
     tensor_product,
     weak_value_limits,
 )
-from weakcorr.cli import load_state
+from weakcorr.cli import load_basis, load_state
 from weakcorr.qcore import DensityMatrix, digit_table
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -196,3 +196,38 @@ def test_random_product_states_have_zero_correlation(n, mode):
     for seed in range(5):
         rep = correlation(random_product_state(n, seed), "analytic", mode)
         assert abs(rep.C) <= 1e-12
+
+
+# -- the builtin basis's known factors against the factored basis file
+
+
+def builtin_vs_file_cases():
+    for name in ("ghz3", "classical3", "product3", "random3_seed7"):
+        yield name, load_state(str(FIXTURES / f"{name}.json"))
+    for seed in range(5):
+        yield f"seed{seed}", random_density_matrix((2, 2, 2), seed)
+
+
+@pytest.mark.parametrize(
+    "backend, kwargs",
+    [
+        ("analytic", {}),
+        ("analytic", {"outcomes": (1, 1)}),
+        ("circuit", {}),
+        ("circuit", {"skip_broadcast": True}),
+    ],
+)
+@pytest.mark.parametrize("mode", ["idealized", "literal"])
+def test_builtin_basis_report_matches_basis_file(backend, kwargs, mode):
+    # The file holds the same vectors; its factors come from product_factors.
+    file_basis = load_basis(str(FIXTURES / "basis_hadamard3.json"), (2, 2, 2))
+    for name, rho in builtin_vs_file_cases():
+        known = correlation(rho, backend, mode, **kwargs)
+        svd = correlation(rho, backend, mode, postselection=file_basis, **kwargs)
+        assert abs(known.C - svd.C) <= 1e-12, name
+        assert known.oracle_diag == svd.oracle_diag
+        for a, b in zip(known.per_k, svd.per_k, strict=True):
+            assert abs(a.term - b.term) <= 1e-12, name
+            assert abs(a.probability - b.probability) <= 1e-12, name
+            assert a.skipped == b.skipped
+        assert np.max(np.abs(known.table.values - svd.table.values)) <= 1e-12, name

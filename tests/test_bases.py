@@ -1,19 +1,25 @@
 """Tests for basis generation and the device table."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from oracles import mub_vectors
 
 from weakcorr import (
+    bases,
     computational_basis,
+    correlation,
     device_table,
     hadamard_mub,
     is_mutually_unbiased,
     ket2dm,
     party_factors,
+    random_density_matrix,
 )
-from weakcorr.bases import BasisSet
+from weakcorr.bases import BasisSet, product_factors
+from weakcorr.cli import load_basis
 from weakcorr.errors import (
     BadSize,
     InvariantViolation,
@@ -22,6 +28,7 @@ from weakcorr.errors import (
 )
 from weakcorr.qcore import ghz
 
+FIXTURES = Path(__file__).parent / "fixtures"
 SQ8 = np.sqrt(8.0)
 
 
@@ -113,6 +120,48 @@ def test_party_factors_recover_product_structure():
             np.testing.assert_allclose(
                 ket2dm(f).matrix, np.outer(want, want), atol=1e-12
             )
+
+
+def rebuild_rows(factors):
+    """Row k of the result is the Kronecker product of row k of every factor."""
+    rows = factors[0]
+    for f in factors[1:]:
+        rows = (rows[:, :, None] * f[:, None, :]).reshape(len(rows), -1)
+    return rows
+
+
+def projectors(f):
+    return np.einsum("ki,kj->kij", f, f.conj())
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_hadamard_factors_match_product_factors(n):
+    mub = hadamard_mub(n)
+    # The closed form and the batched SVD agree up to a phase per row.
+    for known, svd in zip(mub.factors, product_factors(mub.matrix, mub.dims), strict=True):
+        assert known.shape == (2**n, 2)
+        assert np.max(np.abs(projectors(known) - projectors(svd))) <= 1e-12
+        assert not known.flags.writeable
+    assert np.max(np.abs(rebuild_rows(mub.factors) - mub.matrix)) <= 1e-12
+
+
+def test_file_basis_is_factored_once(monkeypatch):
+    calls = []
+
+    def counted(rows, dims):
+        calls.append(dims)
+        return product_factors(rows, dims)
+
+    monkeypatch.setattr(bases, "product_factors", counted)
+    basis = load_basis(str(FIXTURES / "basis_hadamard3.json"), (2, 2, 2))
+    rho = random_density_matrix((2, 2, 2), 3)
+    first = correlation(rho, postselection=basis)
+    second = correlation(rho, postselection=basis)
+    assert calls == [(2, 2, 2)]
+    assert first.C == second.C
+    # The builtin basis carries its factors.
+    correlation(rho)
+    assert calls == [(2, 2, 2)]
 
 
 def test_party_factors_reject_entangled_states():

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import weakcorr
-from weakcorr.cli import MAX_DIM, dump_state, load_state, main
+from weakcorr.cli import MAX_DIM, build_parser, dump_state, load_state, main
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GHZ = str(FIXTURES / "ghz3.json")
@@ -507,6 +507,46 @@ def test_basis_vector_with_non_pair_exits_2(tmp_path, capsys):
     assert err == "error: parse-failure: amplitude must be a [re, im] pair, got [0.5]\n"
 
 
+BIG = 10**400  # a JSON integer beyond the float range
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (
+            {"dims": [2], "entries": [[0, 0], [0, 0], [0, BIG], [0, 0]]},
+            "entry 2 holds an integer beyond the float range",
+        ),
+        (
+            {"dims": [2], "terms": [{"p": 1, "amplitudes": [[-BIG, 0], [0, 0]]}]},
+            "amplitude 0 holds an integer beyond the float range",
+        ),
+        (
+            {"dims": [2], "terms": [{"p": BIG, "amplitudes": [[1, 0], [0, 0]]}]},
+            'decomposition weight "p" is an integer beyond the float range',
+        ),
+    ],
+)
+def test_state_file_with_integer_beyond_float_range_exits_2(tmp_path, capsys, doc, message):
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "oracle", "--state", str(state))
+    assert (code, out) == (2, "")
+    assert err == f"error: parse-failure: {message}\n"
+
+
+def test_basis_file_with_integer_beyond_float_range_exits_2(tmp_path, capsys):
+    basis = json.loads((FIXTURES / "basis_hadamard3.json").read_text())
+    basis["vectors"][2][5] = [0, BIG]
+    path = tmp_path / "basis.json"
+    path.write_text(json.dumps(basis))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"postselection_basis": str(path)}))
+    code, out, err = run_cli(capsys, "run", "--state", GHZ, "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err == "error: parse-failure: amplitude 21 holds an integer beyond the float range\n"
+
+
 def test_basis_file_with_nan_amplitude_exits_3(tmp_path, capsys):
     basis = json.loads((FIXTURES / "basis_hadamard3.json").read_text())
     basis["vectors"][2][5] = [float("nan"), 0.0]
@@ -557,3 +597,27 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "device operator table" in proc.stdout
+
+
+def test_main_is_unaffected_by_earlier_calls_in_one_process(capsys):
+    # The parser is built once per process and reused by every main() call.
+    src = str(Path(weakcorr.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    commands = [
+        ["run", "--state", RANDOM7, "--config", CFG_CIRCUIT],
+        ["sweep", "--state", RANDOM7, "--g-list", "0.1,0.01"],
+    ]
+    fresh = [
+        subprocess.run(
+            [sys.executable, "-m", "weakcorr", *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+        ).stdout
+        for argv in commands
+    ]
+    code, out, err = run_cli(capsys, "run", "--no-such-flag")
+    assert (code, out) == (2, "") and "usage:" in err
+    for argv, want in zip(commands, fresh):
+        assert run_cli(capsys, *argv) == (0, want, "")
+    assert build_parser() is build_parser()

@@ -231,3 +231,35 @@ def test_broadcast_outcome_probabilities_sum_to_one():
     rho = random_density_matrix((2,), 44)
     total = sum(broadcast(rho, 0, mu).probability for mu in (0, 1))
     assert total == pytest.approx(1.0, abs=1e-12)
+
+
+# -- stage outputs are valid density matrices
+#
+# convey and broadcast build their outputs without the constructor's checks,
+# since each maps a checked state by a trace- and positivity-preserving map;
+# the outputs must pass the checks anyway and be read-only.
+
+
+def assert_valid_output(out):
+    checked = DensityMatrix(out.dims, out.matrix)
+    np.testing.assert_array_equal(checked.matrix, out.matrix)
+    assert not out.matrix.flags.writeable
+
+
+@pytest.mark.parametrize("mode", ["literal", "idealized"])
+@pytest.mark.parametrize(
+    "dims, outcomes",
+    [((2, 2, 2), (0, 0)), ((2, 2, 2), (1, 0)), ((3, 2, 3), (0, 0)), ((3, 2, 3), (2, 1))],
+)
+def test_convey_output_passes_full_validation(mode, dims, outcomes):
+    for seed in range(3):
+        assert_valid_output(convey(random_density_matrix(dims, seed), outcomes, mode).state)
+
+
+@pytest.mark.parametrize("variant", ["aligned", "flip"])
+@pytest.mark.parametrize("dims", [(2, 2, 2), (3, 2, 3)])
+def test_broadcast_output_passes_full_validation(variant, dims):
+    rho = random_density_matrix(dims, 5)
+    for party, l in enumerate(dims):
+        for outcome in range(l):
+            assert_valid_output(broadcast(rho, party, outcome, variant).state)

@@ -1,10 +1,13 @@
 """Tests for weak values, reconstruction, and the correlation functional."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from oracles import (
     bruteforce_correlation,
+    correlation_oracle_diag_loop,
     diag_correlation,
     mub_vectors,
     reconstruct_element_loop,
@@ -42,9 +45,14 @@ from weakcorr.errors import (
     NullPostselection,
     UnbiasednessViolation,
 )
+from weakcorr.cli import load_state
 from weakcorr.qcore import DensityMatrix, PureState
 
 SQ2 = np.sqrt(2.0)
+FIXTURES = Path(__file__).parent / "fixtures"
+FIXTURE_STATES = [
+    str(FIXTURES / f"{name}.json") for name in ("ghz3", "classical3", "product3", "random3_seed7")
+]
 GHZ = ket2dm(ghz(3))
 CLASSICAL = DensityMatrix(
     (2, 2, 2), np.diag([0.5, 0, 0, 0, 0, 0, 0, 0.5]).astype(complex)
@@ -205,6 +213,15 @@ def test_oracle_diag_reference_values():
     )
 
 
+@pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 2), (2, 2, 2, 2)])
+def test_oracle_diag_matches_marginal_loop(dims):
+    states = [random_density_matrix(dims, seed) for seed in range(5)]
+    if dims == (2, 2, 2):
+        states += map(load_state, FIXTURE_STATES)
+    for rho in states:
+        assert abs(correlation_oracle_diag(rho) - correlation_oracle_diag_loop(rho)) <= 1e-12
+
+
 # -- correlation, analytic backend
 
 
@@ -287,6 +304,23 @@ def test_correlation_on_builtin_basis_builds_no_pure_state(monkeypatch, backend)
     monkeypatch.setattr(PureState, "__post_init__", counted)
     correlation(random_density_matrix((2,) * 4, 0), backend)
     assert len(built) == 0
+
+
+@pytest.mark.parametrize("backend", ["analytic", "circuit"])
+def test_correlation_revalidates_no_density_matrix(monkeypatch, backend):
+    # The input was checked when it was built; conveyance and marginals are
+    # maps of it that keep its invariants, so nothing is checked again.
+    rho = random_density_matrix((2,) * 4, 0)
+    checked = []
+    check = DensityMatrix.__post_init__
+
+    def counted(self):
+        checked.append(self)
+        check(self)
+
+    monkeypatch.setattr(DensityMatrix, "__post_init__", counted)
+    correlation(rho, backend)
+    assert len(checked) == 0
 
 
 def test_correlation_rejects_entangled_postselection_for_analytic():

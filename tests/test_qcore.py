@@ -1,5 +1,7 @@
 """Tests for the state primitives and linear-algebra operations."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,14 @@ def test_density_matrix_rejects_bad_trace_and_negative():
     neg = np.diag([1.5, -0.5]).astype(complex)
     with pytest.raises(InvariantViolation, match="positivity"):
         DensityMatrix((2,), neg)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
+def test_density_matrix_rejects_non_finite(bad):
+    m = np.diag([0.5, 0.5]).astype(complex)
+    m[1, 1] = bad
+    with pytest.raises(InvariantViolation, match="finite"):
+        DensityMatrix((2,), m)
 
 
 def test_states_are_immutable():
@@ -116,6 +126,19 @@ def test_partial_trace_matches_bruteforce():
     for keep in ([0], [1], [2], [0, 2], [2, 0], [1, 2]):
         expected = ptrace_keep(rho.matrix, [2, 2, 2], keep)
         np.testing.assert_allclose(partial_trace(rho, keep).matrix, expected, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "keep", [list(k) for r in (1, 2, 3) for k in itertools.permutations(range(3), r)]
+)
+@pytest.mark.parametrize("dims", [(2, 2, 2), (3, 2, 3)])
+def test_partial_trace_output_passes_full_validation(keep, dims):
+    # partial_trace skips the checks; its output must pass them anyway.
+    for seed in range(3):
+        out = partial_trace(random_density_matrix(dims, seed), keep)
+        checked = DensityMatrix(out.dims, out.matrix)
+        np.testing.assert_array_equal(checked.matrix, out.matrix)
+        assert not out.matrix.flags.writeable
 
 
 def test_partial_trace_bad_subsystem():
