@@ -1,0 +1,64 @@
+"""Byte-for-byte pins of the ``run`` and ``sweep`` reports.
+
+Each case runs ``main()`` from the fixtures directory with paths relative
+to it, so the report's "state" field (and the basis file a config names)
+reads the same on every machine, and compares what it prints with a file
+under ``fixtures/golden/``.  A change that is meant to alter report bytes
+rewrites the files with ``PYTHONPATH=src python tests/test_golden_reports.py``
+and shows the difference in its diff.
+"""
+
+import os
+import sys
+from pathlib import Path
+
+import pytest
+
+from weakcorr.cli import main
+
+FIXTURES = Path(__file__).parent / "fixtures"
+GOLDEN = FIXTURES / "golden"
+
+STATES = ("ghz3", "classical3", "product3", "random3_seed7")
+# analytic; circuit with copies; circuit without copies; circuit with copies,
+# broadcast outcome 1 and the postselection basis read from a file.
+RUN_CONFIGS = ("analytic", "circuit", "direct", "basis_file")
+SWEEP_STATES = ("random3_seed7", "ghz3")
+SWEEP_CONFIGS = ("circuit", "direct")
+G_LIST = "0.1,0.05,0.025"
+
+
+def _cases():
+    for state in STATES:
+        for config in RUN_CONFIGS:
+            for fmt in ("json", "csv"):
+                argv = ["run", "--state", f"{state}.json", "--config",
+                        f"config_{config}.json", "--format", fmt]
+                yield f"run-{state}-{config}.{fmt}", argv
+    for state in SWEEP_STATES:
+        for config in SWEEP_CONFIGS:
+            argv = ["sweep", "--state", f"{state}.json", "--config",
+                    f"config_{config}.json", "--g-list", G_LIST]
+            yield f"sweep-{state}-{config}.csv", argv
+
+
+CASES = dict(_cases())
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_report_matches_golden(name, monkeypatch, capsys):
+    monkeypatch.chdir(FIXTURES)
+    assert main(CASES[name]) == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN / name).read_bytes()
+
+
+def test_every_golden_file_has_a_case():
+    assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(CASES)
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    os.chdir(FIXTURES)
+    for name, argv in CASES.items():
+        if main([*argv, "--out", str(GOLDEN / name)]) != 0:
+            sys.exit(f"{name}: {' '.join(argv)} failed")
