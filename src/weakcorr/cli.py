@@ -130,8 +130,16 @@ def _complex_pair(z) -> list[_Raw]:
 
 
 def _read_json(path: str):
+    """The document in a JSON file; content that is not JSON raises ParseFailure."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise errors.ParseFailure(
+                f"at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+            ) from None
+        except ValueError as exc:  # not UTF-8, or an integer beyond int_max_str_digits
+            raise errors.ParseFailure(str(exc)) from None
 
 
 # The types of a JSON number; a JSON boolean is not one, although bool
@@ -357,7 +365,8 @@ def _split_outcomes(outcomes, n: int) -> tuple[tuple[int, ...], int]:
 
 
 def _run_block(report) -> dict:
-    block = {
+    values, skipped = report.table.values, report.table.skipped
+    return {
         "outcomes": list(report.outcomes),
         "broadcast_outcome": report.broadcast_outcome,
         "correlation": report.C,
@@ -377,18 +386,17 @@ def _run_block(report) -> dict:
             {
                 "k": k + 1,
                 "line": line + 1,
-                "values": [_complex_pair(z) for z in report.table.values[line, k]],
+                "values": [_complex_pair(z) for z in values[line, k]],
             }
-            for k in range(report.table.values.shape[1])
-            if k not in report.table.skipped
-            for line in range(report.table.values.shape[0])
+            for k in range(values.shape[1])
+            if k not in skipped
+            for line in range(values.shape[0])
         ],
         "diagnostics": {
             "max_completeness_residual": report.max_completeness_residual,
             "min_postselection_probability": report.min_postselection_probability,
         },
     }
-    return block
 
 
 def _run_csv(blocks) -> str:
@@ -519,9 +527,7 @@ def cmd_sweep(args) -> int:
     for report in reports:
         oracle = report.oracle_diag
         err = abs(report.C - oracle)
-        kept = np.isin(np.arange(len(basis)), report.table.skipped + limits.skipped, invert=True)
-        diff = np.abs(report.table.values - limits.values)[:, kept]
-        residual = float(diff.max()) if kept.any() else 0.0
+        residual = report.table.max_difference(limits)
         trend = "na" if prev_err is None else ("yes" if err <= prev_err else "no")
         rows.append((report.g, report.C, err, residual, trend))
         prev_err = err
@@ -745,15 +751,6 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except json.JSONDecodeError as exc:
-        print(
-            f"error: parse failure at line {exc.lineno}, column {exc.colno}: {exc.msg}",
-            file=sys.stderr,
-        )
-        return 2
-    except UnicodeDecodeError as exc:
-        print(f"error: parse failure: {exc}", file=sys.stderr)
-        return 2
     except errors.ParseFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -2,11 +2,11 @@
 
 The correlation of an n-party state is evaluated as
 
-    C = sum_k P_k sum_i | W[line 1, k, i] - prod_{j>=2} W[line j, k, i] |
+    C = sum_k P_k sum_i | W_joint[k, i] - prod_p W_p[k, x_p(i)] |
 
-where k runs over the postselection basis, i over the device columns, and
-W are weak values of the device-table projectors.  Two backends produce the
-weak-value tables:
+where k runs over the postselection basis, i over the device columns and
+x_p(i) is party p's digit of column i; W_joint (line 1) and the party lines
+W_p are weak values of the device-table projectors.  Two backends give them:
 
 * ``"analytic"`` evaluates the postselected weak-value formula
   tr(|b><b| A rho) / tr(|b><b| rho) in closed form.  With B the
@@ -16,23 +16,21 @@ weak-value tables:
   m_p and the stacked single-party factors F_p of the postselection
   vectors (``BasisSet.factors``: carried by the builtin basis, factored
   once per basis read from a file): conj(F_p) * (F_p m_p^T), divided by
-  its row sums, gives the weak value of each digit, gathered to the
-  columns by the digit table.
+  its row sums, gives the weak value of each digit.  The table keeps
+  that (K, d_p) line as it is; a column reads it at its digit x_p.
 * ``"circuit"`` returns what the pointers read at the configured coupling
   strength, in closed form: the readout is the zero-coupling limit below
   on the damped state rho * Lambda_g (see ``weakcorr.pointer``).
 
-``correlation_sweep`` reads one state at many coupling strengths.  What
-does not depend on g (the argument checks, the device table, the conveyed
-state, the oracle value and the exponent D of Lambda_g) is computed once
-per sweep; Lambda_g, the table and the combination step once per g.  The
-circuit backend of ``correlation`` is its one-g case.
+``correlation_sweep`` reads one state at many coupling strengths, doing
+once what does not depend on g; the circuit backend of ``correlation`` is
+its one-g case.
 
 The circuit backend's zero-coupling limit (``weak_value_limits``) is one
 formula for both device layouts: line 1 as above, on the dephased state
 when copies are attached, and party lines that sum line 1 over the other
-parties' digits, gathered to the columns through a digit map, the column's
-own digit x_p without copies and (mu - x_p) mod d_p with them.
+parties' digits, relabelled by a digit map: the digit x_p itself without
+copies and (mu - x_p) mod d_p with them.
 
 Matrix elements are read back from the same line-1 numerator
 (``reconstruct_matrix``): with beta_kx = <b_k|a_x>, the weak-value
@@ -68,7 +66,7 @@ from .errors import (
     UnbiasednessViolation,
 )
 from .pointer import PointerConfig
-from .qcore import DensityMatrix, PureState, as_operator, partial_trace
+from .qcore import DensityMatrix, PureState, as_operator, digit_table, partial_trace
 
 SKIP_THRESHOLD = 1e-14
 
@@ -174,21 +172,41 @@ def correlation_oracle_diag(rho: DensityMatrix) -> float:
 
 @dataclass(frozen=True)
 class WeakValueTable:
-    """Weak values per (line, postselection, column), plus probabilities.
+    """Weak values of line 1 and of each party's line, plus probabilities.
 
-    Rows belonging to skipped postselections are zero.  For a complete
-    postselection basis the probabilities sum to one and the line-1 values
-    satisfy sum_k P_k W[0, k, i] = <a_i| rho_eff |a_i> for the state the
-    table was built from.
+    ``joint`` holds one weak value per (postselection, column); party p's
+    line holds one per (postselection, digit), and the columns read it at
+    their digit x_p.  Rows of skipped postselections (probability below
+    SKIP_THRESHOLD) are zero.  For a complete postselection basis the
+    probabilities sum to one and sum_k P_k joint[k, i] = <a_i| rho_eff |a_i>
+    for the state the table was built from.
     """
 
-    values: np.ndarray  # complex, shape (lines, postselections, columns)
+    joint: np.ndarray  # complex, shape (postselections, columns)
+    parties: tuple[np.ndarray, ...]  # complex, party p's shape (postselections, d_p)
     probabilities: np.ndarray  # float, shape (postselections,)
-    skipped: tuple[int, ...]
 
     def __post_init__(self):
-        self.values.setflags(write=False)
-        self.probabilities.setflags(write=False)
+        for array in (self.joint, *self.parties, self.probabilities):
+            array.setflags(write=False)
+
+    @property
+    def skipped(self) -> tuple[int, ...]:
+        return tuple(np.flatnonzero(~(self.probabilities >= SKIP_THRESHOLD)).tolist())
+
+    @property
+    def values(self) -> np.ndarray:
+        """The dense (lines, postselections, columns) table, built on each access."""
+        digits = digit_table([line.shape[1] for line in self.parties]).T
+        dense = np.stack([self.joint, *(line[:, x] for line, x in zip(self.parties, digits))])
+        dense.setflags(write=False)
+        return dense
+
+    def max_difference(self, other: WeakValueTable) -> float:
+        """max |self - other| over every line, on the rows neither table skips."""
+        kept = (self.probabilities >= SKIP_THRESHOLD) & (other.probabilities >= SKIP_THRESHOLD)
+        pairs = zip((self.joint, *self.parties), (other.joint, *other.parties))
+        return max(float(np.abs(a - b)[kept].max(initial=0.0)) for a, b in pairs)
 
 
 @dataclass(frozen=True)
@@ -259,37 +277,14 @@ def _line0(num: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return probs, kept, _normalise_rows(num, kept)
 
 
-def _table(
-    probs: np.ndarray,
-    kept: np.ndarray,
-    line0: np.ndarray,
-    per_digit: Sequence[np.ndarray],
-    digits: np.ndarray,
-) -> WeakValueTable:
-    """Assemble line 0 and the party lines, each party's (K, d_p) weak
-    values of its digits gathered to the columns through ``digits[:, p]``."""
-    values = np.zeros((len(per_digit) + 1,) + line0.shape, dtype=complex)
-    values[0] = line0
-    for party, lines in enumerate(per_digit):
-        np.take(lines, digits[:, party], axis=1, out=values[party + 1])
-    return WeakValueTable(values, probs, tuple(np.flatnonzero(~kept).tolist()))
-
-
-def _analytic_table(
-    state: DensityMatrix, basis_b: BasisSet, table: DeviceTable
-) -> WeakValueTable:
-    basis_matrix = basis_b.matrix
-    factors = basis_b.factors
-    probs, kept, line0 = _line0(_weak_value_numerator(state.matrix, basis_matrix))
-    # Party line: weak values of |v><v| on the marginal, postselected on the
-    # party's factor of each postselection vector.
-    per_digit = [
-        _normalise_rows(
-            _weak_value_numerator(partial_trace(state, [party]).matrix, f), kept
-        )
-        for party, f in enumerate(factors)
-    ]
-    return _table(probs, kept, line0, per_digit, table.party_digits)
+def _analytic_table(state: DensityMatrix, basis_b: BasisSet) -> WeakValueTable:
+    probs, kept, line0 = _line0(_weak_value_numerator(state.matrix, basis_b.matrix))
+    # Party p's line: weak values of |v><v| on its marginal, postselected on F_p.
+    parties = tuple(
+        _normalise_rows(_weak_value_numerator(partial_trace(state, [p]).matrix, f), kept)
+        for p, f in enumerate(basis_b.factors)
+    )
+    return WeakValueTable(line0, parties, probs)
 
 
 def _damping_exponent(table: DeviceTable) -> np.ndarray:
@@ -327,6 +322,14 @@ def _prepare(
     return basis_b, table, outcomes, convey(rho, outcomes, mode).state
 
 
+def _party_product(parties: Sequence[np.ndarray]) -> np.ndarray:
+    """prod_p W_p[k, x_p(i)]: the party lines' outer product, first party most significant."""
+    product = parties[0]
+    for line in parties[1:]:
+        product = (product[:, :, None] * line[:, None, :]).reshape(len(line), -1)
+    return product
+
+
 def _report(
     wvt: WeakValueTable,
     labels: Sequence[str],
@@ -336,9 +339,9 @@ def _report(
 ) -> CorrelationReport:
     """The combination step: C, its per-postselection terms and diagnostics."""
     probs = wvt.probabilities
-    kept = ~np.isin(np.arange(len(labels)), wvt.skipped)
+    kept = probs >= SKIP_THRESHOLD
     # Skipped rows of the table are zero, so their terms are zero too.
-    terms = np.abs(wvt.values[0] - np.prod(wvt.values[1:], axis=0)).sum(axis=-1)
+    terms = np.abs(wvt.joint - _party_product(wvt.parties)).sum(axis=-1)
     # A running total in row order, so C is bitwise the row-by-row sum.
     total = np.cumsum(np.where(kept, probs * terms, 0.0))[-1]
     per_k = map(
@@ -349,7 +352,7 @@ def _report(
         terms.tolist(),
         (~kept).tolist(),
     )
-    recombined = np.einsum("k,ki->i", probs, wvt.values[0])
+    recombined = np.einsum("k,ki->i", probs, wvt.joint)
     residual = float(np.max(np.abs(recombined - diag_eff)))
     return CorrelationReport(
         C=float(total),
@@ -398,9 +401,9 @@ def correlation(
     if backend != "analytic":
         raise ShapeMismatch(f"unknown backend {backend!r}")
     cfg = cfg or PointerConfig()
-    basis_b, table, outcomes, state = _prepare(rho, mode, postselection, outcomes)
+    basis_b, _, outcomes, state = _prepare(rho, mode, postselection, outcomes)
     return _report(
-        _analytic_table(state, basis_b, table),
+        _analytic_table(state, basis_b),
         basis_b.labels,
         state.diagonal(),
         correlation_oracle_diag(rho),
@@ -472,17 +475,16 @@ def weak_value_limits(
     ``state`` is the conveyed state entering the device matrix.  Both
     layouts share one formula: line 1 is the numerator N divided row-wise
     by its row sums P (the postselection probabilities), and party p's line
-    in column i is the sum of line 1 over the columns whose digit for p is
-    m(i), the digit map.  The layout picks N and m:
+    at digit x is the sum of line 1 over the columns whose digit for p is
+    m(x), the digit map.  The layout picks N and m:
 
-    * without copies, N = conj(B) * (B rho^T) and m(i) is the column's own
-      digit x_p: the readings tend to the weak values of the device
-      projectors on the full state;
+    * without copies, N = conj(B) * (B rho^T) and m(x) = x: the readings
+      tend to the weak values of the device projectors on the full state;
     * with copies, the readout only sees diagonal matrix elements, so N is
       the same formula on the dephased state, |B|^2 * diag(rho), and the
       device of party p reads the copy, whose digit is (mu - x_p) mod d_p
       for broadcast outcome mu; that relabel is its own inverse, so
-      m(i) = (mu - x_p) mod d_p.
+      m(x) = (mu - x) mod d_p.
 
     This is the g = 0 case (Lambda = 1) of the builder that also gives the
     circuit backend's table at coupling g, on the damped state
@@ -508,7 +510,7 @@ def _limits_table(
     with the postselection vectors stacked as the rows of ``basis_matrix``."""
     if skip_broadcast:
         num = _weak_value_numerator(matrix, basis_matrix)
-        digits = table.party_digits
+        digit_maps = [np.arange(l) for l in table.dims]
     else:
         bad = [l for l in table.dims if not 0 <= broadcast_outcome < l]
         if bad:
@@ -516,11 +518,11 @@ def _limits_table(
                 f"outcome {broadcast_outcome} out of range for dimension {bad[0]}"
             )
         num = (np.abs(basis_matrix) ** 2 * np.real(np.diagonal(matrix))).astype(complex)
-        digits = (broadcast_outcome - table.party_digits) % np.array(table.dims)
-    probs, kept, line0 = _line0(num)
+        digit_maps = [(broadcast_outcome - np.arange(l)) % l for l in table.dims]
+    probs, _, line0 = _line0(num)
     per_label = line0.reshape((len(basis_matrix),) + table.dims)
-    per_digit = [
-        per_label.sum(axis=tuple(1 + p for p in range(table.n_parties) if p != party))
-        for party in range(table.n_parties)
-    ]
-    return _table(probs, kept, line0, per_digit, digits)
+    parties = tuple(
+        per_label.sum(axis=tuple(1 + q for q in range(table.n_parties) if q != p))[:, m]
+        for p, m in enumerate(digit_maps)
+    )
+    return WeakValueTable(line0, parties, probs)

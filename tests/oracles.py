@@ -19,11 +19,12 @@ replaced, the circuit sweep is the one-call-per-g loop
 the marginal-by-marginal loop ``correlation_oracle_diag`` replaced.
 """
 
+from collections import namedtuple
+
 import numpy as np
 
 from weakcorr import (
     ConveyanceRecord,
-    WeakValueTable,
     analytic_weak_value,
     bell_state,
     broadcast,
@@ -235,6 +236,10 @@ def broadcast_gates(rho, party, outcome, variant="aligned"):
 
 # -- per-element weak-value tables
 
+# A weak-value table written out per (line, postselection, column), the
+# form ``WeakValueTable.values`` builds; the builders below return it.
+DenseTable = namedtuple("DenseTable", "values probabilities skipped")
+
 
 def analytic_table_loop(state, basis_b, table, threshold=1e-14):
     """Analytic weak-value table built one (postselection, column) at a time.
@@ -269,7 +274,7 @@ def analytic_table_loop(state, basis_b, table, threshold=1e-14):
             ]
             for i in range(columns):
                 values[line, k, i] = per_digit[table.shift_digit(line, i)]
-    return WeakValueTable(values, probs, tuple(skipped))
+    return DenseTable(values, probs, tuple(skipped))
 
 
 def skip_broadcast_limits_loop(state, basis_b, table, threshold=1e-14):
@@ -301,7 +306,7 @@ def skip_broadcast_limits_loop(state, basis_b, table, threshold=1e-14):
             }
             for i in range(columns):
                 values[line, k, i] = lifted[table.shift_digit(line, i)]
-    return WeakValueTable(values, probs, tuple(skipped))
+    return DenseTable(values, probs, tuple(skipped))
 
 
 def copies_limits_loop(state, basis_b, table, broadcast_outcome=0, threshold=1e-14):
@@ -330,7 +335,7 @@ def copies_limits_loop(state, basis_b, table, broadcast_outcome=0, threshold=1e-
                 share = weights[copy_digit == wanted].sum() / probs[k]
                 cols = table.party_digits[:, party] == wanted
                 values[line, k, cols] = share
-    return WeakValueTable(values, probs, tuple(skipped))
+    return DenseTable(values, probs, tuple(skipped))
 
 
 # -- the correlation sum
@@ -389,7 +394,7 @@ def staged_circuit_table(
             skipped.append(k)
             continue
         values[:, k, :] = extract_weak_value(readings.delta_q, readings.delta_p, cfg)
-    return WeakValueTable(values, probs, tuple(skipped))
+    return DenseTable(values, probs, tuple(skipped))
 
 
 # -- matrix-element reconstruction

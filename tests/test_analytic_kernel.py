@@ -2,6 +2,7 @@
 row-by-row references, plus seeded property tests of the analytic
 correlation."""
 
+from dataclasses import fields
 from itertools import permutations
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from weakcorr import (
     computational_basis,
     convey,
     correlation,
+    correlation_sweep,
     device_table,
     hadamard_mub,
     random_density_matrix,
@@ -28,6 +30,7 @@ from weakcorr import (
     weak_value_limits,
 )
 from weakcorr.cli import load_basis, load_state
+from weakcorr.estimator import _limits_table, _party_product
 from weakcorr.qcore import DensityMatrix, digit_table
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -231,3 +234,95 @@ def test_builtin_basis_report_matches_basis_file(backend, kwargs, mode):
             assert abs(a.probability - b.probability) <= 1e-12, name
             assert a.skipped == b.skipped
         assert np.max(np.abs(known.table.values - svd.table.values)) <= 1e-12, name
+
+
+# -- the compact table: one (K, d) joint line and one (K, d_p) line per party
+
+# (backend, skip_broadcast) of the three paths.
+PATHS = [("analytic", False), ("circuit", False), ("circuit", True)]
+
+
+def table_arrays(table):
+    """Every array the table stores."""
+    for f in fields(table):
+        value = getattr(table, f.name)
+        yield from value if isinstance(value, tuple) else [value]
+
+
+def test_table_stores_each_weak_value_once():
+    n = 10
+    table = correlation(random_density_matrix((2,) * n, 0), "analytic").table
+    k = d = 2**n
+    assert table.joint.shape == (k, d)
+    assert [line.shape for line in table.parties] == [(k, 2)] * n
+    assert max(array.size for array in table_arrays(table)) <= k * d
+
+
+@pytest.mark.parametrize("backend, skip", PATHS)
+def test_table_arrays_are_read_only(backend, skip):
+    rep = correlation(random_density_matrix((2, 2, 2), 1), backend, skip_broadcast=skip)
+    for array in [*table_arrays(rep.table), rep.table.values]:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0
+
+
+def assert_product_is_dense_product(table):
+    dense = np.prod(table.values[1:], axis=0)
+    assert _party_product(table.parties).tobytes() == dense.tobytes()
+    return dense
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("backend, skip", PATHS)
+def test_party_product_is_bitwise_the_dense_product(n, backend, skip):
+    rho = random_density_matrix((2,) * n, 700 + n)
+    rep = correlation(rho, backend, "literal", PointerConfig(0.05), skip_broadcast=skip)
+    dense = assert_product_is_dense_product(rep.table)
+    terms = np.abs(rep.table.values[0] - dense).sum(axis=-1)
+    assert [t.term for t in rep.per_k] == terms.tolist()
+
+
+@pytest.mark.parametrize("skip, mu", [(True, 0), (False, 0), (False, 1)])
+def test_qudit_party_product_is_bitwise_the_dense_product(skip, mu):
+    # correlation() takes qubits only, so the table builder is called directly.
+    dims = (3, 2, 3)
+    rng = np.random.default_rng(5)
+    g = rng.standard_normal((18, 18)) + 1j * rng.standard_normal((18, 18))
+    basis = BasisSet(dims, np.linalg.qr(g)[0], [str(k) for k in range(18)])
+    rho = random_density_matrix(dims, 5)
+    table = _limits_table(rho.matrix, basis.matrix, device_table(dims), mu, skip)
+    assert [line.shape for line in table.parties] == [(18, 3), (18, 2), (18, 3)]
+    assert_product_is_dense_product(table)
+
+
+def dense_residual(table, limits):
+    """The sweep residual taken on the dense tables."""
+    kept = np.isin(np.arange(len(table.probabilities)), table.skipped + limits.skipped, invert=True)
+    diff = np.abs(table.values - limits.values)[:, kept]
+    return float(diff.max()) if kept.any() else 0.0
+
+
+def residual_cases():
+    for n in (2, 3, 4, 5):
+        yield pytest.param(random_density_matrix((2,) * n, 40 + n), None, id=f"n{n}")
+    # GHZ postselected on computational labels: six of eight rows are skipped.
+    yield pytest.param(GHZ3, computational_basis(GHZ3.dims), id="ghz3-skips")
+
+
+@pytest.mark.parametrize("rho, basis", residual_cases())
+@pytest.mark.parametrize("skip, mu", [(True, 0), (False, 0), (False, 1)])
+@pytest.mark.parametrize("mode", ["idealized", "literal"])
+def test_sweep_residual_is_bitwise_the_dense_max(rho, basis, skip, mu, mode):
+    n = len(rho.dims)
+    conveyed = convey(rho, (0,) * (n - 1), mode).state
+    limits = weak_value_limits(
+        conveyed, basis or hadamard_mub(n), device_table(rho.dims), mu, skip
+    )
+    cfgs = [PointerConfig(g) for g in (0.3, 0.1, 1e-2)]
+    kwargs = dict(postselection=basis, broadcast_outcome=mu, skip_broadcast=skip)
+    for rep in correlation_sweep(rho, mode, cfgs, **kwargs):
+        if basis is not None:
+            assert rep.skipped == limits.skipped == (1, 2, 3, 4, 5, 6)
+        got = rep.table.max_difference(limits)
+        assert repr(got) == repr(dense_residual(rep.table, limits))

@@ -547,6 +547,41 @@ def test_basis_file_with_integer_beyond_float_range_exits_2(tmp_path, capsys):
     assert err == "error: parse-failure: amplitude 21 holds an integer beyond the float range\n"
 
 
+# An integer literal longer than Python's int_max_str_digits (4300): json
+# raises a plain ValueError for it, not a JSONDecodeError.
+LONG_LITERAL = "1" + "0" * 5000
+
+
+def long_literal_exits_2(capsys, *argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: parse-failure: ") and "4300" in err
+
+
+def test_state_file_with_overlong_integer_exits_2(tmp_path, capsys):
+    state = tmp_path / "state.json"
+    state.write_text(
+        '{"dims": [2], "entries": [[%s, 0], [0, 0], [0, 0], [0, 0]]}' % LONG_LITERAL
+    )
+    long_literal_exits_2(capsys, "oracle", "--state", str(state))
+
+
+def test_config_file_with_overlong_integer_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"g": %s}' % LONG_LITERAL)
+    long_literal_exits_2(capsys, "run", "--state", GHZ, "--config", str(cfg))
+
+
+def test_basis_file_with_overlong_integer_exits_2(tmp_path, capsys):
+    basis = json.loads((FIXTURES / "basis_hadamard3.json").read_text())
+    basis["vectors"][2][5] = ["LONG", 0]
+    path = tmp_path / "basis.json"
+    path.write_text(json.dumps(basis).replace('"LONG"', LONG_LITERAL))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"postselection_basis": str(path)}))
+    long_literal_exits_2(capsys, "run", "--state", GHZ, "--config", str(cfg))
+
+
 def test_basis_file_with_nan_amplitude_exits_3(tmp_path, capsys):
     basis = json.loads((FIXTURES / "basis_hadamard3.json").read_text())
     basis["vectors"][2][5] = [float("nan"), 0.0]
