@@ -7,6 +7,14 @@ A basis is one checked matrix, one basis vector per row.
 The device table arranges the measured projectors in a matrix with one
 joint line plus one line per party; the single-party projector in column i
 is the factor picked out of the joint projector of the same column.
+
+The builtin bases and the device table depend on the party dimensions
+only, never on a state, so each is built once per dims and shared: every
+call with the same dims returns the same frozen object, whose arrays are
+read-only.  The builtin bases are orthonormal by construction and are
+built with the private ``BasisSet._trusted``, which skips the d x d Gram
+check; the public constructor, and through it ``cli.load_basis``, checks
+every basis that enters from outside.
 """
 
 from __future__ import annotations
@@ -24,6 +32,10 @@ from .errors import (
     ShapeMismatch,
 )
 from .qcore import PureState, STRUCT_TOL, _dims_tuple, digit_table
+
+# Entries each memoised constant keeps: the least recently used dims are
+# dropped beyond this.
+CACHED_DIMS = 4
 
 __all__ = [
     "BasisSet",
@@ -74,6 +86,23 @@ class BasisSet:
             raise InvariantViolation(f"orthonormality: max |gram - I| = {dev:.3e}")
         matrix.setflags(write=False)
 
+    @classmethod
+    def _trusted(
+        cls, dims: tuple[int, ...], matrix: np.ndarray, labels: tuple[str, ...]
+    ) -> "BasisSet":
+        """A basis without the checks, for the builtin bases only.
+
+        ``matrix`` must be a complex (d, d) array with orthonormal rows by
+        construction and ``labels`` a tuple of d strings; the matrix is
+        marked read-only, not copied.
+        """
+        out = object.__new__(cls)
+        object.__setattr__(out, "dims", dims)
+        object.__setattr__(out, "matrix", matrix)
+        object.__setattr__(out, "labels", labels)
+        matrix.setflags(write=False)
+        return out
+
     def __len__(self) -> int:
         return len(self.matrix)
 
@@ -100,17 +129,27 @@ def _read_only(arrays) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-def _labels(dims) -> list[str]:
+def _labels(dims) -> tuple[str, ...]:
     sep = "," if any(d > 10 for d in dims) else ""
-    return [sep.join(map(str, row)) for row in digit_table(dims).tolist()]
+    return tuple(sep.join(map(str, row)) for row in digit_table(dims).tolist())
 
 
 def computational_basis(dims) -> BasisSet:
-    """Standard basis, first party most significant, labels "000", "001", ..."""
-    dims = tuple(int(d) for d in dims)
-    return BasisSet(dims, np.eye(math.prod(dims)), _labels(dims))
+    """Standard basis, first party most significant, labels "000", "001", ...
+
+    Built once per dims (see :data:`CACHED_DIMS`); one entry holds the
+    16 d^2 byte identity matrix, 16 * 4^n bytes for n qubits.
+    """
+    return _computational_basis(tuple(int(d) for d in dims))
 
 
+@functools.lru_cache(maxsize=CACHED_DIMS)
+def _computational_basis(dims: tuple[int, ...]) -> BasisSet:
+    d = math.prod(_dims_tuple(dims))
+    return BasisSet._trusted(dims, np.eye(d, dtype=complex), _labels(dims))
+
+
+@functools.lru_cache(maxsize=CACHED_DIMS)
 def hadamard_mub(n_qubits: int) -> BasisSet:
     """Product basis of (|0> +- |1>)/sqrt(2) factors, one vector per sign word.
 
@@ -120,6 +159,9 @@ def hadamard_mub(n_qubits: int) -> BasisSet:
     the sign words in binary.  All vectors are stored normalized.  The
     factors are known, so the basis carries them: factor p of vector k is
     (1, (-1)^bit_p(k))/sqrt(2), and :func:`product_factors` never runs.
+
+    Built once per n (see :data:`CACHED_DIMS`); one entry holds the
+    16 * 4^n byte matrix and 32 n 2^n bytes of factors.
     """
     if n_qubits < 1:
         raise BadSize(f"need at least one qubit, got {n_qubits}")
@@ -128,12 +170,14 @@ def hadamard_mub(n_qubits: int) -> BasisSet:
     scale = 1.0 / math.sqrt(2**n)
     bits = digit_table(dims)
     signs = 1.0 - 2.0 * ((bits @ bits.T) % 2)
-    labels = ["".join("+-"[b] for b in row) for row in bits.tolist()]
-    basis = BasisSet(dims, signs * scale, labels)
+    labels = tuple("".join("+-"[b] for b in row) for row in bits.tolist())
+    basis = BasisSet._trusted(dims, (signs * scale).astype(complex), labels)
     factors = np.ones((n, len(bits), 2), dtype=complex)
     factors[:, :, 1] = 1.0 - 2.0 * bits.T
+    factors /= math.sqrt(2.0)
+    factors.setflags(write=False)
     # Seeds the cache of BasisSet.factors with one (K, 2) view per qubit.
-    vars(basis)["factors"] = _read_only(factors / math.sqrt(2.0))
+    vars(basis)["factors"] = tuple(factors)
     return basis
 
 
@@ -253,6 +297,14 @@ class DeviceTable:
 
 
 def device_table(dims) -> DeviceTable:
-    """Device table for the given party dimensions, columns in label order."""
-    dims = tuple(int(d) for d in dims)
-    return DeviceTable(dims, digit_table(dims), tuple(_labels(dims)))
+    """Device table for the given party dimensions, columns in label order.
+
+    Built once per dims (see :data:`CACHED_DIMS`); one entry holds the
+    8 d n byte digit table and d labels.
+    """
+    return _device_table(tuple(int(d) for d in dims))
+
+
+@functools.lru_cache(maxsize=CACHED_DIMS)
+def _device_table(dims: tuple[int, ...]) -> DeviceTable:
+    return DeviceTable(dims, digit_table(dims), _labels(dims))

@@ -11,7 +11,8 @@ Decomposition form::
 Config files are JSON objects with any of: backend, mode, g, sigma,
 outcomes (list of conveyance results plus the shared broadcast result, or
 the string "enumerate"), postselection_basis ("hadamard" or a basis file
-path), seed, skip_broadcast.  Command-line flags override config values.
+path, relative to the config file's directory unless absolute), seed,
+skip_broadcast.  Command-line flags override config values.
 
 Reports are deterministic: keys are emitted in fixed order and floats are
 printed with 12 significant digits in exponent notation.  Exit codes:
@@ -262,6 +263,13 @@ class RunConfig:
     postselection_basis: str = "hadamard"
     seed: int = 0
     skip_broadcast: bool = False
+    # Not a config key: where load_basis reads ``postselection_basis`` from.
+    # A relative basis file path is resolved against the config file's
+    # directory; reports echo ``postselection_basis`` as written.
+    basis_source: str = "hadamard"
+
+
+_CONFIG_KEYS = frozenset(f.name for f in fields(RunConfig)) - {"basis_source"}
 
 
 def _finite_number(merged: dict, name: str) -> float:
@@ -279,7 +287,7 @@ def load_config(path: str | None, args) -> RunConfig:
         doc = _read_json(path)
         if not isinstance(doc, dict):
             raise errors.ParseFailure("config file must contain a JSON object")
-    unknown = set(doc) - {f.name for f in fields(RunConfig)}
+    unknown = set(doc) - _CONFIG_KEYS
     if unknown:
         raise errors.ParseFailure(f"unknown config keys: {sorted(unknown)}")
     merged = dict(doc)
@@ -309,13 +317,16 @@ def load_config(path: str | None, args) -> RunConfig:
     basis = merged.get("postselection_basis", "hadamard")
     if not isinstance(basis, str):
         raise errors.ParseFailure("postselection_basis must be a string")
+    source = basis
+    if path is not None and basis != "hadamard":
+        source = os.path.join(os.path.dirname(path), basis)
     seed = merged.get("seed", 0)
     if type(seed) is not int:
         raise errors.ParseFailure("seed must be an integer")
     skip = merged.get("skip_broadcast", False)
     if not isinstance(skip, bool):
         raise errors.ParseFailure("skip_broadcast must be a boolean")
-    return RunConfig(backend, mode, g, sigma, outcomes, basis, seed, skip)
+    return RunConfig(backend, mode, g, sigma, outcomes, basis, seed, skip, source)
 
 
 def load_basis(name_or_path: str, dims) -> BasisSet:
@@ -399,20 +410,24 @@ def _run_block(report) -> dict:
     }
 
 
-def _run_csv(blocks) -> str:
+def _run_csv(reports) -> str:
+    """The CSV run report: one header line and one row per postselection per report.
+
+    Reads the reports' terms only, never their weak-value tables.
+    """
     lines = []
-    for block in blocks:
+    for report in reports:
         lines.append(
             "# outcomes="
-            + "".join(str(v) for v in block["outcomes"])
-            + f" broadcast_outcome={block['broadcast_outcome']}"
-            + f" correlation={_fmt_float(block['correlation'])}"
+            + "".join(str(v) for v in report.outcomes)
+            + f" broadcast_outcome={report.broadcast_outcome}"
+            + f" correlation={_fmt_float(report.C)}"
         )
         lines.append("k,label,probability,term,skipped")
-        for row in block["per_postselection"]:
+        for term in report.per_k:
             lines.append(
-                f"{row['k']},{row['label']},{_fmt_float(row['probability'])},"
-                f"{_fmt_float(row['term'])},{str(row['skipped']).lower()}"
+                f"{term.k + 1},{term.label},{_fmt_float(term.probability)},"
+                f"{_fmt_float(term.term)},{str(term.skipped).lower()}"
             )
     return "\n".join(lines) + "\n"
 
@@ -432,7 +447,7 @@ def _emit(text: str, out: str | None) -> None:
 def cmd_run(args) -> int:
     rho = load_state(args.state)
     rc = load_config(args.config, args)
-    basis = load_basis(rc.postselection_basis, rho.dims)
+    basis = load_basis(rc.basis_source, rho.dims)
     pcfg = PointerConfig(rc.g, rc.sigma)
     n = len(rho.dims)
     LOG.debug("run: dims=%s backend=%s mode=%s", rho.dims, rc.backend, rc.mode)
@@ -446,9 +461,9 @@ def cmd_run(args) -> int:
     else:
         combos = [_split_outcomes(rc.outcomes, n)]
 
-    blocks = []
-    for nu, mu in combos:
-        report = correlation(
+    # One report at a time, each dropped once its lines or block are built.
+    reports = (
+        correlation(
             rho,
             rc.backend,
             rc.mode,
@@ -458,11 +473,12 @@ def cmd_run(args) -> int:
             broadcast_outcome=mu,
             skip_broadcast=rc.skip_broadcast,
         )
-        blocks.append(_run_block(report))
-
+        for nu, mu in combos
+    )
     if args.format == "csv":
-        _emit(_run_csv(blocks), args.out)
+        _emit(_run_csv(reports), args.out)
         return 0
+    blocks = [_run_block(report) for report in reports]
     doc = {
         "command": "run",
         "state": args.state,
@@ -506,7 +522,7 @@ def cmd_sweep(args) -> int:
     if rc.outcomes == "enumerate":
         print("error: sweep requires explicit outcomes, not \"enumerate\"", file=sys.stderr)
         return 2
-    basis = load_basis(rc.postselection_basis, rho.dims)
+    basis = load_basis(rc.basis_source, rho.dims)
     n = len(rho.dims)
     nu, mu = _split_outcomes(rc.outcomes, n)
     table = device_table(rho.dims)

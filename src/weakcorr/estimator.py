@@ -166,7 +166,8 @@ def correlation_oracle_diag(rho: DensityMatrix) -> float:
     n = len(rho.dims)
     prod = np.ones(1)
     for party in range(n):
-        prod = np.kron(prod, cube.sum(axis=tuple(q for q in range(n) if q != party)))
+        m = cube.sum(axis=tuple(q for q in range(n) if q != party))
+        prod = np.multiply.outer(prod, m).ravel()
     return float(np.sum(np.abs(diag - prod)))
 
 
@@ -311,15 +312,14 @@ def _prepare(
     mode: str,
     postselection: BasisSet | None,
     outcomes: Sequence[int] | None,
-) -> tuple[BasisSet, DeviceTable, tuple[int, ...], DensityMatrix]:
-    """Argument checks, postselection basis, device table, conveyed state."""
+) -> tuple[BasisSet, tuple[int, ...], DensityMatrix]:
+    """Argument checks, postselection basis, conveyed state."""
     n = _require_qubits(rho)
     basis_b = postselection or hadamard_mub(n)
     if basis_b.dims != rho.dims:
         raise ShapeMismatch("postselection basis does not match the state dims")
-    table = device_table(rho.dims)
     outcomes = tuple(int(v) for v in (outcomes if outcomes is not None else [0] * (n - 1)))
-    return basis_b, table, outcomes, convey(rho, outcomes, mode).state
+    return basis_b, outcomes, convey(rho, outcomes, mode).state
 
 
 def _party_product(parties: Sequence[np.ndarray]) -> np.ndarray:
@@ -401,7 +401,7 @@ def correlation(
     if backend != "analytic":
         raise ShapeMismatch(f"unknown backend {backend!r}")
     cfg = cfg or PointerConfig()
-    basis_b, _, outcomes, state = _prepare(rho, mode, postselection, outcomes)
+    basis_b, outcomes, state = _prepare(rho, mode, postselection, outcomes)
     return _report(
         _analytic_table(state, basis_b),
         basis_b.labels,
@@ -436,7 +436,8 @@ def correlation_sweep(
     limit formula on rho * Lambda_g when the iterator reaches it, so one
     table is held at a time.
     """
-    basis_b, table, outcomes, state = _prepare(rho, mode, postselection, outcomes)
+    basis_b, outcomes, state = _prepare(rho, mode, postselection, outcomes)
+    table = device_table(rho.dims)
     basis_matrix = basis_b.matrix
     mu = int(broadcast_outcome)
     skip = bool(skip_broadcast)

@@ -14,7 +14,10 @@ positivity-preserving map of a density matrix (a partial trace here, a
 conveyance relabel or mask, a broadcast embedding) is handed a value that
 was checked already, so its output is built with the private
 ``DensityMatrix._trusted`` and skips the d x d eigensolve, which would
-only confirm what the map guarantees.  All values are immutable (arrays
+only confirm what the map guarantees.  The builtin bases of
+``weakcorr.bases`` follow the same rule: they are orthonormal by
+construction, so they are built once per dims with ``BasisSet._trusted``
+and skip the Gram check.  All values are immutable (arrays
 are marked read-only) and every function is pure, so instances can be
 shared freely between threads and processes.
 

@@ -15,8 +15,10 @@ The staged circuit readout chains the package's gate-level pipeline
 which the circuit backend computes in closed form.  The matrix-element
 reconstruction is the per-postselection sum the reconstruction identity
 replaced, the circuit sweep is the one-call-per-g loop
-``correlation_sweep`` replaced, and the diagonal oracle at the very end is
-the marginal-by-marginal loop ``correlation_oracle_diag`` replaced.
+``correlation_sweep`` replaced, and the two diagonal oracles at the very
+end are the marginal-by-marginal loop ``correlation_oracle_diag`` replaced
+and the Kronecker chain its outer product replaced, which it must match
+bit for bit.
 """
 
 from collections import namedtuple
@@ -440,4 +442,17 @@ def correlation_oracle_diag_loop(rho):
     prod = np.ones(1)
     for party in range(len(rho.dims)):
         prod = np.kron(prod, partial_trace(rho, [party]).diagonal())
+    return float(np.sum(np.abs(diag - prod)))
+
+
+def correlation_oracle_diag_kron(rho):
+    """The same sum with the marginal diagonals summed from the state's
+    diagonal and chained by ``np.kron``, the product the outer-product
+    accumulation of ``correlation_oracle_diag`` replaced."""
+    diag = rho.diagonal()
+    cube = diag.reshape(rho.dims)
+    n = len(rho.dims)
+    prod = np.ones(1)
+    for party in range(n):
+        prod = np.kron(prod, cube.sum(axis=tuple(q for q in range(n) if q != party)))
     return float(np.sum(np.abs(diag - prod)))

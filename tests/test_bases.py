@@ -202,3 +202,69 @@ def test_device_table_scope():
     assert t.scope(2) == (1,)
     with pytest.raises(ShapeMismatch):
         t.scope(4)
+
+
+# -- the builtin constants, built once per dims
+
+
+def test_builtin_constants_are_built_once_per_dims():
+    assert hadamard_mub(3) is hadamard_mub(3)
+    assert computational_basis([2, 3]) is computational_basis((2, 3))
+    assert device_table([2, 2]) is device_table((np.int64(2), 2))
+    assert hadamard_mub(3) is not hadamard_mub(2)
+    assert computational_basis((2, 2)) is not computational_basis((4,))
+
+
+def cached_arrays():
+    for n in (1, 3):
+        mub = hadamard_mub(n)
+        yield mub.matrix
+        yield from mub.factors
+        comp = computational_basis((2,) * n)
+        yield comp.matrix
+        yield from comp.factors
+        yield device_table((2,) * n).party_digits
+    qutrits = computational_basis((3, 2))
+    yield qutrits.matrix
+    yield from qutrits.factors
+    yield device_table((3, 2)).party_digits
+
+
+def test_every_cached_array_rejects_writes():
+    for array in cached_arrays():
+        assert not array.flags.writeable
+        if isinstance(array.base, np.ndarray):
+            assert not array.base.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[(0,) * array.ndim] = 0
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_builtin_bases_pass_the_public_check(n):
+    for basis in (hadamard_mub(n), computational_basis((2,) * n)):
+        checked = BasisSet(basis.dims, basis.matrix, basis.labels)
+        assert checked.dims == basis.dims and checked.labels == basis.labels
+        np.testing.assert_array_equal(checked.matrix, basis.matrix)
+        assert basis.matrix.dtype == complex
+
+
+def test_builtin_bases_skip_the_gram_check(monkeypatch):
+    def refuse(self):
+        raise AssertionError("BasisSet.__post_init__ ran for a builtin basis")
+
+    monkeypatch.setattr(BasisSet, "__post_init__", refuse)
+    bases.hadamard_mub.cache_clear()
+    bases._computational_basis.cache_clear()
+    for n in (1, 3, 5):
+        assert len(hadamard_mub(n)) == 2**n
+    for dims in ((2,), (2, 2, 2), (3, 2, 3)):
+        assert computational_basis(dims).dims == dims
+    with pytest.raises(AssertionError, match="builtin"):
+        BasisSet((2,), np.eye(2), ("0", "1"))
+
+
+def test_builtin_basis_dims_are_checked():
+    with pytest.raises(ShapeMismatch):
+        computational_basis(())
+    with pytest.raises(ShapeMismatch):
+        computational_basis((2, 0))

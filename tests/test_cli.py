@@ -135,6 +135,18 @@ def test_run_with_basis_file_matches_builtin(tmp_path, capsys):
     assert doc["correlation"] == pytest.approx(1.5, abs=1e-10)
 
 
+def test_basis_file_resolves_against_the_config_directory(monkeypatch, capsys):
+    # The config names "basis_hadamard3.json", the file beside it.
+    monkeypatch.chdir(FIXTURES.parents[1])
+    argv = ["run", "--state", "tests/fixtures/ghz3.json",
+            "--config", "tests/fixtures/config_basis_file.json"]
+    code, out, err = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0, err
+    assert out == (FIXTURES / "golden" / "run-ghz3-basis_file.csv").read_text()
+    doc = run_json(capsys, *argv)
+    assert doc["postselection_basis"] == "basis_hadamard3.json"
+
+
 def test_run_enumerate_outcomes(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"backend": "analytic", "outcomes": "enumerate"}))

@@ -7,6 +7,7 @@ import pytest
 
 from oracles import (
     bruteforce_correlation,
+    correlation_oracle_diag_kron,
     correlation_oracle_diag_loop,
     diag_correlation,
     mub_vectors,
@@ -45,6 +46,7 @@ from weakcorr.errors import (
     NullPostselection,
     UnbiasednessViolation,
 )
+from weakcorr import estimator
 from weakcorr.cli import load_state
 from weakcorr.qcore import DensityMatrix, PureState
 
@@ -222,6 +224,13 @@ def test_oracle_diag_matches_marginal_loop(dims):
         assert abs(correlation_oracle_diag(rho) - correlation_oracle_diag_loop(rho)) <= 1e-12
 
 
+@pytest.mark.parametrize("dims", [(2,) * n for n in range(2, 9)] + [(3, 2, 3)])
+def test_oracle_diag_is_bitwise_the_kron_chain(dims):
+    for seed in range(5):
+        rho = random_density_matrix(dims, seed)
+        assert correlation_oracle_diag(rho) == correlation_oracle_diag_kron(rho)
+
+
 # -- correlation, analytic backend
 
 
@@ -321,6 +330,17 @@ def test_correlation_revalidates_no_density_matrix(monkeypatch, backend):
     monkeypatch.setattr(DensityMatrix, "__post_init__", counted)
     correlation(rho, backend)
     assert len(checked) == 0
+
+
+def test_analytic_correlation_builds_no_device_table(monkeypatch):
+    def refuse(dims):
+        raise AssertionError("the analytic path built a device table")
+
+    monkeypatch.setattr(estimator, "device_table", refuse)
+    rho = random_density_matrix((2,) * 3, 0)
+    assert correlation(rho, "analytic").C == correlation(rho, "analytic", outcomes=(0, 0)).C
+    with pytest.raises(AssertionError, match="device table"):
+        correlation(rho, "circuit")
 
 
 def test_correlation_rejects_entangled_postselection_for_analytic():

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from weakcorr.cli import main
+from weakcorr.estimator import WeakValueTable
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = FIXTURES / "golden"
@@ -47,6 +48,20 @@ CASES = dict(_cases())
 
 @pytest.mark.parametrize("name", CASES)
 def test_report_matches_golden(name, monkeypatch, capsys):
+    monkeypatch.chdir(FIXTURES)
+    assert main(CASES[name]) == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "name", [name for name in CASES if name.startswith("run-") and name.endswith(".csv")]
+)
+def test_csv_run_reads_no_weak_value_table(name, monkeypatch, capsys):
+    # The CSV report prints the terms only; the dense table is the JSON block's.
+    def refuse(self):
+        raise AssertionError("the CSV run report read WeakValueTable.values")
+
+    monkeypatch.setattr(WeakValueTable, "values", property(refuse))
     monkeypatch.chdir(FIXTURES)
     assert main(CASES[name]) == 0
     assert capsys.readouterr().out.encode() == (GOLDEN / name).read_bytes()
