@@ -11,7 +11,9 @@ is the factor picked out of the joint projector of the same column.
 The builtin bases and the device table depend on the party dimensions
 only, never on a state, so each is built once per dims and shared: every
 call with the same dims returns the same frozen object, whose arrays are
-read-only.  The builtin bases are orthonormal by construction and are
+read-only.  Each keeps the entry of the last dims only, since every caller
+uses one dims per run; a basis entry (16 * 4^n bytes) stays resident until
+a call with other dims.  The builtin bases are orthonormal by construction and are
 built with the private ``BasisSet._trusted``, which skips the d x d Gram
 check; the public constructor, and through it ``cli.load_basis``, checks
 every basis that enters from outside.
@@ -32,10 +34,6 @@ from .errors import (
     ShapeMismatch,
 )
 from .qcore import PureState, STRUCT_TOL, _dims_tuple, digit_table
-
-# Entries each memoised constant keeps: the least recently used dims are
-# dropped beyond this.
-CACHED_DIMS = 4
 
 __all__ = [
     "BasisSet",
@@ -137,19 +135,19 @@ def _labels(dims) -> tuple[str, ...]:
 def computational_basis(dims) -> BasisSet:
     """Standard basis, first party most significant, labels "000", "001", ...
 
-    Built once per dims (see :data:`CACHED_DIMS`); one entry holds the
-    16 d^2 byte identity matrix, 16 * 4^n bytes for n qubits.
+    Kept for the last dims only; the entry holds the 16 d^2 byte identity
+    matrix, 16 * 4^n bytes for n qubits, until a call with other dims.
     """
     return _computational_basis(tuple(int(d) for d in dims))
 
 
-@functools.lru_cache(maxsize=CACHED_DIMS)
+@functools.lru_cache(maxsize=1)
 def _computational_basis(dims: tuple[int, ...]) -> BasisSet:
     d = math.prod(_dims_tuple(dims))
     return BasisSet._trusted(dims, np.eye(d, dtype=complex), _labels(dims))
 
 
-@functools.lru_cache(maxsize=CACHED_DIMS)
+@functools.lru_cache(maxsize=1)
 def hadamard_mub(n_qubits: int) -> BasisSet:
     """Product basis of (|0> +- |1>)/sqrt(2) factors, one vector per sign word.
 
@@ -160,8 +158,8 @@ def hadamard_mub(n_qubits: int) -> BasisSet:
     factors are known, so the basis carries them: factor p of vector k is
     (1, (-1)^bit_p(k))/sqrt(2), and :func:`product_factors` never runs.
 
-    Built once per n (see :data:`CACHED_DIMS`); one entry holds the
-    16 * 4^n byte matrix and 32 n 2^n bytes of factors.
+    Kept for the last n only; the entry holds the 16 * 4^n byte matrix and
+    32 n 2^n bytes of factors, until a call with another n.
     """
     if n_qubits < 1:
         raise BadSize(f"need at least one qubit, got {n_qubits}")
@@ -299,12 +297,12 @@ class DeviceTable:
 def device_table(dims) -> DeviceTable:
     """Device table for the given party dimensions, columns in label order.
 
-    Built once per dims (see :data:`CACHED_DIMS`); one entry holds the
-    8 d n byte digit table and d labels.
+    Kept for the last dims only; the entry holds the 8 d n byte digit table
+    and d labels.
     """
     return _device_table(tuple(int(d) for d in dims))
 
 
-@functools.lru_cache(maxsize=CACHED_DIMS)
+@functools.lru_cache(maxsize=1)
 def _device_table(dims: tuple[int, ...]) -> DeviceTable:
     return DeviceTable(dims, digit_table(dims), _labels(dims))

@@ -215,6 +215,18 @@ def test_builtin_constants_are_built_once_per_dims():
     assert computational_basis((2, 2)) is not computational_basis((4,))
 
 
+def test_builtin_constants_keep_the_last_dims_only():
+    cached = (bases.hadamard_mub, bases._computational_basis, bases._device_table)
+    for n in (2, 3):
+        hadamard_mub(n)
+        computational_basis((2,) * n)
+        device_table((2,) * n)
+    for function in cached:
+        assert function.cache_info().currsize == 1
+    assert hadamard_mub(3) is hadamard_mub(3)
+    assert hadamard_mub.cache_info().currsize == 1
+
+
 def cached_arrays():
     for n in (1, 3):
         mub = hadamard_mub(n)
