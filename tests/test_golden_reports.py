@@ -1,4 +1,4 @@
-"""Byte-for-byte pins of the ``run`` and ``sweep`` reports.
+"""Byte-for-byte pins of the ``run``, ``sweep`` and ``oracle`` reports.
 
 Each case runs ``main()`` from the fixtures directory with paths relative
 to it, so the report's "state" field (and the basis file a config names)
@@ -27,6 +27,7 @@ RUN_CONFIGS = ("analytic", "circuit", "direct", "basis_file")
 SWEEP_STATES = ("random3_seed7", "ghz3")
 SWEEP_CONFIGS = ("circuit", "direct")
 G_LIST = "0.1,0.05,0.025"
+ORACLE_STATES = ("random3_seed7",)
 
 
 def _cases():
@@ -41,6 +42,8 @@ def _cases():
             argv = ["sweep", "--state", f"{state}.json", "--config",
                     f"config_{config}.json", "--g-list", G_LIST]
             yield f"sweep-{state}-{config}.csv", argv
+    for state in ORACLE_STATES:
+        yield f"oracle-{state}.json", ["oracle", "--state", f"{state}.json"]
 
 
 CASES = dict(_cases())
