@@ -76,13 +76,14 @@ def _fmt_float(x: float) -> str:
     return f"{x:.11e}"
 
 
-def _pair(value) -> list[str]:
-    z = complex(value)
-    return [_fmt_float(z.real), _fmt_float(z.imag)]
+def _pair_lines(row: np.ndarray, pad: str) -> str:
+    """The entries of a complex row as "[re, im]" lines after ``pad``, in one pass.
 
-
-class _Raw(str):
-    """String emitted verbatim (pre-formatted numbers)."""
+    Each number is formatted as ``_fmt_float`` does; adding 0.0 turns -0.0
+    into 0.0.
+    """
+    parts = np.ascontiguousarray(row, dtype=complex).view(float) + 0.0
+    return ",\n".join([f"{pad}[%.11e, %.11e]"] * len(row)) % tuple(parts.tolist())
 
 
 def _render(value, indent: int = 0) -> str:
@@ -99,12 +100,17 @@ def _render(value, indent: int = 0) -> str:
         items = list(value)
         if not items:
             return "[]"
-        if all(not isinstance(v, (dict, list, tuple)) for v in items):
+        if all(not isinstance(v, (dict, list, tuple, np.ndarray)) for v in items):
             return "[" + ", ".join(_render(v).lstrip() for v in items) + "]"
         parts = [f"{pad}  {_render(v, indent + 1).lstrip()}" for v in items]
         return "[\n" + ",\n".join(parts) + f"\n{pad}]"
-    if isinstance(value, _Raw):
-        return str(value)
+    if isinstance(value, np.ndarray):  # complex entries, each a [re, im] pair
+        if not len(value):
+            return "[]"
+        if value.ndim == 1:
+            return "[\n" + _pair_lines(value, pad + "  ") + f"\n{pad}]"
+        parts = [f"{pad}  {_render(row, indent + 1)}" for row in value]
+        return "[\n" + ",\n".join(parts) + f"\n{pad}]"
     if isinstance(value, bool):
         return "true" if value else "false"
     if value is None:
@@ -120,10 +126,6 @@ def _render(value, indent: int = 0) -> str:
 
 def render_json(document: dict) -> str:
     return _render(document) + "\n"
-
-
-def _complex_pair(z) -> list[_Raw]:
-    return [_Raw(s) for s in _pair(z)]
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +399,7 @@ def _run_block(report) -> dict:
             {
                 "k": k + 1,
                 "line": line + 1,
-                "values": [_complex_pair(z) for z in values[line, k]],
+                "values": values[line, k],
             }
             for k in range(values.shape[1])
             if k not in skipped
@@ -500,6 +502,13 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    """``weakcorr sweep``: the circuit backend at each g of ``--g-list``.
+
+    One ``correlation_sweep`` reads every coupling (in stacked blocks
+    without copies, from one shared table with them); each row compares
+    its report with the oracle value and its table with the zero-coupling
+    limit (``weak_value_limits``).
+    """
     try:
         g_list = [float(v) for v in args.g_list.split(",") if v.strip()]
     except ValueError:
@@ -688,8 +697,8 @@ def cmd_oracle(args) -> int:
         "command": "oracle",
         "state": args.state,
         "n_parties": n,
-        "direct_elements": [[_complex_pair(z) for z in row] for row in direct],
-        "reconstructed_elements": [[_complex_pair(z) for z in row] for row in rebuilt],
+        "direct_elements": direct,
+        "reconstructed_elements": rebuilt,
         "max_reconstruction_residual": residual,
         "oracle_diag": correlation_oracle_diag(rho),
         "trace_distance_to_marginal_product": trace_distance(rho, marginals),

@@ -24,7 +24,12 @@ W_p are weak values of the device-table projectors.  Two backends give them:
 
 ``correlation_sweep`` reads one state at many coupling strengths, doing
 once what does not depend on g; the circuit backend of ``correlation`` is
-its one-g case.
+its one-g case.  The table builders and the combination step take a
+leading stack axis: without copies the sweep stacks its couplings in
+blocks of at most 2**16 damped elements (max(1, 2**16 // d**2) couplings),
+so the limit formula and C run once per block; with copies it builds one
+table, with no D and no Lambda, and shares it across every report.  The
+analytic backend and ``weak_value_limits`` pass a stack of one.
 
 The circuit backend's zero-coupling limit (``weak_value_limits``) is one
 formula for both device layouts: line 1 as above, on the dephased state
@@ -46,8 +51,9 @@ complex modulus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+import functools
+from dataclasses import dataclass, replace
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -69,6 +75,15 @@ from .pointer import PointerConfig
 from .qcore import DensityMatrix, PureState, as_operator, digit_table, partial_trace
 
 SKIP_THRESHOLD = 1e-14
+
+# The most damped-state elements (couplings x d^2) one block of a
+# no-copies sweep stacks.  Stacking pays where numpy's per-call cost
+# outweighs the arithmetic, at small d; at large d each stacked array is
+# as big as the block, so an unbounded stack only multiplies the peak
+# memory (an 8-coupling sweep at n = 10 went from 217 to 840 MiB and got
+# slower).  2**16 takes every coupling in one block up to n = 4, four per
+# block at n = 7 and one from n = 8 on.
+_BLOCK_ELEMENTS = 2**16
 
 __all__ = [
     "SKIP_THRESHOLD",
@@ -207,7 +222,8 @@ class WeakValueTable:
         """max |self - other| over every line, on the rows neither table skips."""
         kept = (self.probabilities >= SKIP_THRESHOLD) & (other.probabilities >= SKIP_THRESHOLD)
         pairs = zip((self.joint, *self.parties), (other.joint, *other.parties))
-        return max(float(np.abs(a - b)[kept].max(initial=0.0)) for a, b in pairs)
+        differences = np.concatenate([a - b for a, b in pairs], axis=-1)
+        return float(np.abs(differences[kept]).max(initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -223,7 +239,12 @@ class PostselectionTerm:
 
 @dataclass(frozen=True)
 class CorrelationReport:
-    """Correlation value with the evidence used to compute it."""
+    """Correlation value with the evidence used to compute it.
+
+    ``terms`` holds sum_i |W_joint[k, i] - prod_p W_p[k, x_p(i)]| for each
+    postselection k (zero on skipped rows) and ``labels`` the postselection
+    labels; ``per_k`` spells them out as one PostselectionTerm per k.
+    """
 
     C: float
     backend: str
@@ -234,14 +255,47 @@ class CorrelationReport:
     broadcast_outcome: int
     skip_broadcast: bool
     table: WeakValueTable
-    per_k: tuple[PostselectionTerm, ...]
+    terms: np.ndarray  # float, shape (postselections,)
+    labels: tuple[str, ...]
     oracle_diag: float
     max_completeness_residual: float
     min_postselection_probability: float
 
+    def __post_init__(self):
+        self.terms.setflags(write=False)
+
     @property
     def skipped(self) -> tuple[int, ...]:
         return self.table.skipped
+
+    @functools.cached_property
+    def per_k(self) -> tuple[PostselectionTerm, ...]:
+        """One PostselectionTerm per postselection, built on first access."""
+        probs = self.table.probabilities
+        return tuple(
+            map(
+                PostselectionTerm,
+                range(len(probs)),
+                self.labels,
+                probs.tolist(),
+                self.terms.tolist(),
+                (~(probs >= SKIP_THRESHOLD)).tolist(),
+            )
+        )
+
+
+class _Lines(NamedTuple):
+    """Weak-value lines of a stack of states; every array leads with the stack axis."""
+
+    probabilities: np.ndarray  # float, shape (stack, postselections)
+    joint: np.ndarray  # complex, shape (stack, postselections, columns)
+    parties: tuple[np.ndarray, ...]  # complex, party p's shape (stack, postselections, d_p)
+
+    def table(self, s: int) -> WeakValueTable:
+        """The table of the stack's state s."""
+        return WeakValueTable(
+            self.joint[s], tuple(line[s] for line in self.parties), self.probabilities[s]
+        )
 
 
 def _require_qubits(rho: DensityMatrix) -> int:
@@ -254,17 +308,16 @@ def _require_qubits(rho: DensityMatrix) -> int:
 
 def _normalise_rows(num: np.ndarray, kept: np.ndarray) -> np.ndarray:
     """Each kept row of ``num`` divided by its sum; the other rows zero."""
-    sums = np.real(num.sum(axis=1))[kept]
-    if sums.size and sums.min() <= 1e-14:
-        raise NullPostselection(f"postselection probability {sums.min():.3e}")
-    values = np.zeros_like(num)
-    values[kept] = num[kept] / sums[:, None]
-    return values
+    sums = np.real(num.sum(axis=-1))
+    low = sums[kept]
+    if low.size and low.min() <= 1e-14:
+        raise NullPostselection(f"postselection probability {low.min():.3e}")
+    return np.divide(num, sums[..., None], out=np.zeros_like(num), where=kept[..., None])
 
 
 def _weak_value_numerator(rho: np.ndarray, basis_matrix: np.ndarray) -> np.ndarray:
-    """conj(B) * (B rho^T): entry (k, i) is <b_k|i><i| rho |b_k>."""
-    return basis_matrix.conj() * (basis_matrix @ rho.T)
+    """conj(B) * (B rho^T): entry (k, i) is <b_k|i><i| rho |b_k>, for each stacked rho."""
+    return basis_matrix.conj() * (basis_matrix @ rho.mT)
 
 
 def _line0(num: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -273,19 +326,20 @@ def _line0(num: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     The probabilities are the row sums of the numerator; rows below
     SKIP_THRESHOLD are skipped and stay zero.
     """
-    probs = np.real(num.sum(axis=1))
+    probs = np.real(num.sum(axis=-1))
     kept = probs >= SKIP_THRESHOLD
     return probs, kept, _normalise_rows(num, kept)
 
 
-def _analytic_table(state: DensityMatrix, basis_b: BasisSet) -> WeakValueTable:
-    probs, kept, line0 = _line0(_weak_value_numerator(state.matrix, basis_b.matrix))
+def _analytic_lines(state: DensityMatrix, basis_b: BasisSet) -> _Lines:
+    """The analytic table of ``state``, as a stack of one."""
+    probs, kept, line0 = _line0(_weak_value_numerator(state.matrix[None], basis_b.matrix))
     # Party p's line: weak values of |v><v| on its marginal, postselected on F_p.
     parties = tuple(
-        _normalise_rows(_weak_value_numerator(partial_trace(state, [p]).matrix, f), kept)
+        _normalise_rows(_weak_value_numerator(partial_trace(state, [p]).matrix[None], f), kept)
         for p, f in enumerate(basis_b.factors)
     )
-    return WeakValueTable(line0, parties, probs)
+    return _Lines(probs, line0, parties)
 
 
 def _damping_exponent(table: DeviceTable) -> np.ndarray:
@@ -301,10 +355,11 @@ def _damping_exponent(table: DeviceTable) -> np.ndarray:
     return differing
 
 
-def _damping(exponent: np.ndarray, cfg: PointerConfig) -> np.ndarray:
-    """Lambda_g = exp(-g^2 / (8 sigma^2)) ** D, the pointer overlaps."""
-    g, sigma = cfg.g, cfg.sigma
-    return np.exp(-(g * g) / (8.0 * sigma * sigma)) ** exponent
+def _damping(exponent: np.ndarray, cfgs: Sequence[PointerConfig]) -> np.ndarray:
+    """Lambda_g = a_g ** D with a_g = exp(-g^2 / (8 sigma^2)), the pointer
+    overlaps, stacked along a leading axis with one entry per configuration."""
+    a = np.array([np.exp(-(c.g * c.g) / (8.0 * c.sigma * c.sigma)) for c in cfgs])
+    return a[:, None, None] ** exponent
 
 
 def _prepare(
@@ -323,46 +378,53 @@ def _prepare(
 
 
 def _party_product(parties: Sequence[np.ndarray]) -> np.ndarray:
-    """prod_p W_p[k, x_p(i)]: the party lines' outer product, first party most significant."""
+    """prod_p W_p[k, x_p(i)]: the party lines' outer product along the last
+    axis, first party most significant; leading axes are carried along."""
     product = parties[0]
     for line in parties[1:]:
-        product = (product[:, :, None] * line[:, None, :]).reshape(len(line), -1)
+        product = (product[..., :, None] * line[..., None, :]).reshape(line.shape[:-1] + (-1,))
     return product
 
 
-def _report(
-    wvt: WeakValueTable,
-    labels: Sequence[str],
+def _reports(
+    lines: _Lines,
+    labels: tuple[str, ...],
     diag_eff: np.ndarray,
     oracle_diag: float,
+    cfgs: Sequence[PointerConfig],
     **settings,
-) -> CorrelationReport:
-    """The combination step: C, its per-postselection terms and diagnostics."""
-    probs = wvt.probabilities
+) -> list[CorrelationReport]:
+    """The combination step on a stack: report s from row s of ``lines`` at ``cfgs[s]``.
+
+    C, the per-postselection terms and the diagnostics of every row are
+    computed once for the whole stack; each report holds its row's slices.
+    """
+    probs, joint = lines.probabilities, lines.joint
     kept = probs >= SKIP_THRESHOLD
     # Skipped rows of the table are zero, so their terms are zero too.
-    terms = np.abs(wvt.joint - _party_product(wvt.parties)).sum(axis=-1)
+    terms = np.abs(joint - _party_product(lines.parties)).sum(axis=-1)
     # A running total in row order, so C is bitwise the row-by-row sum.
-    total = np.cumsum(np.where(kept, probs * terms, 0.0))[-1]
-    per_k = map(
-        PostselectionTerm,
-        range(len(kept)),
-        labels,
-        probs.tolist(),
-        terms.tolist(),
-        (~kept).tolist(),
-    )
-    recombined = np.einsum("k,ki->i", probs, wvt.joint)
-    residual = float(np.max(np.abs(recombined - diag_eff)))
-    return CorrelationReport(
-        C=float(total),
-        table=wvt,
-        per_k=tuple(per_k),
-        oracle_diag=oracle_diag,
-        max_completeness_residual=residual,
-        min_postselection_probability=float(probs[kept].min()) if kept.any() else 0.0,
-        **settings,
-    )
+    totals = np.cumsum(np.where(kept, probs * terms, 0.0), axis=-1)[:, -1]
+    recombined = np.einsum("sk,ski->si", probs, joint)
+    residuals = np.abs(recombined - diag_eff).max(axis=-1)
+    least = np.where(kept.any(axis=-1), np.where(kept, probs, np.inf).min(axis=-1), 0.0)
+    return [
+        CorrelationReport(
+            C=total,
+            g=cfg.g,
+            sigma=cfg.sigma,
+            table=lines.table(s),
+            terms=terms[s],
+            labels=labels,
+            oracle_diag=oracle_diag,
+            max_completeness_residual=residual,
+            min_postselection_probability=low,
+            **settings,
+        )
+        for s, (cfg, total, residual, low) in enumerate(
+            zip(cfgs, totals.tolist(), residuals.tolist(), least.tolist(), strict=True)
+        )
+    ]
 
 
 def correlation(
@@ -402,19 +464,19 @@ def correlation(
         raise ShapeMismatch(f"unknown backend {backend!r}")
     cfg = cfg or PointerConfig()
     basis_b, outcomes, state = _prepare(rho, mode, postselection, outcomes)
-    return _report(
-        _analytic_table(state, basis_b),
+    (report,) = _reports(
+        _analytic_lines(state, basis_b),
         basis_b.labels,
         state.diagonal(),
         correlation_oracle_diag(rho),
+        [cfg],
         backend=backend,
         mode=mode,
-        g=cfg.g,
-        sigma=cfg.sigma,
         outcomes=outcomes,
         broadcast_outcome=int(broadcast_outcome),
         skip_broadcast=bool(skip_broadcast),
     )
+    return report
 
 
 def correlation_sweep(
@@ -431,37 +493,47 @@ def correlation_sweep(
 
     Report i equals ``correlation(rho, "circuit", mode, cfgs[i], ...)``.
     What does not depend on g is computed once, when this is called: the
-    argument checks, the conveyed state and its diagonal, the oracle value
-    and the damping exponent D.  Each report is built from Lambda_g and the
-    limit formula on rho * Lambda_g when the iterator reaches it, so one
-    table is held at a time.
+    argument checks, the conveyed state and its diagonal and the oracle
+    value.  The rest is computed when the iterator reaches it:
+
+    * without copies, the couplings are read in blocks of at most
+      max(1, 2**16 // d**2) couplings.  A block stacks Lambda_g = a_g ** D
+      along a leading coupling axis, with a_g = exp(-g^2 / (8 sigma^2)),
+      and runs the limit formula and the combination step once on the
+      stacked damped states rho * Lambda_g; its reports hold row slices of
+      the block's arrays, and one block is held at a time;
+    * with copies, only the diagonal is read and Lambda_g is 1 there, so
+      one table, built without D or Lambda, and one combination step serve
+      every report.
     """
     basis_b, outcomes, state = _prepare(rho, mode, postselection, outcomes)
     table = device_table(rho.dims)
-    basis_matrix = basis_b.matrix
+    cfgs = tuple(cfgs)
     mu = int(broadcast_outcome)
     skip = bool(skip_broadcast)
     diag_eff = state.diagonal()
     oracle_diag = correlation_oracle_diag(rho)
-    exponent = _damping_exponent(table)
+    settings = dict(
+        backend="circuit", mode=mode, outcomes=outcomes, broadcast_outcome=mu, skip_broadcast=skip
+    )
 
-    def report(cfg: PointerConfig) -> CorrelationReport:
-        damped = state.matrix * _damping(exponent, cfg)
-        return _report(
-            _limits_table(damped, basis_matrix, table, mu, skip),
-            basis_b.labels,
-            diag_eff,
-            oracle_diag,
-            backend="circuit",
-            mode=mode,
-            g=cfg.g,
-            sigma=cfg.sigma,
-            outcomes=outcomes,
-            broadcast_outcome=mu,
-            skip_broadcast=skip,
-        )
+    def reports(matrices: np.ndarray, block: Sequence[PointerConfig]) -> list[CorrelationReport]:
+        lines = _limits_lines(matrices, basis_b.matrix, table, mu, skip)
+        return _reports(lines, basis_b.labels, diag_eff, oracle_diag, block, **settings)
 
-    return map(report, cfgs)
+    def sweep() -> Iterator[CorrelationReport]:
+        if not skip:
+            if cfgs:
+                (shared,) = reports(state.matrix[None], cfgs[:1])
+                yield from (replace(shared, g=cfg.g, sigma=cfg.sigma) for cfg in cfgs)
+            return
+        exponent = _damping_exponent(table)
+        size = max(1, _BLOCK_ELEMENTS // exponent.size)
+        for start in range(0, len(cfgs), size):
+            block = cfgs[start : start + size]
+            yield from reports(state.matrix * _damping(exponent, block), block)
+
+    return sweep()
 
 
 def weak_value_limits(
@@ -495,22 +567,24 @@ def weak_value_limits(
     outside [0, d_p) for any party raises ImpossibleOutcome; without them
     the outcome is ignored.
     """
-    return _limits_table(
-        state.matrix, basis_b.matrix, table, broadcast_outcome, skip_broadcast
+    lines = _limits_lines(
+        state.matrix[None], basis_b.matrix, table, broadcast_outcome, skip_broadcast
     )
+    return lines.table(0)
 
 
-def _limits_table(
-    matrix: np.ndarray,
+def _limits_lines(
+    matrices: np.ndarray,
     basis_matrix: np.ndarray,
     table: DeviceTable,
     broadcast_outcome: int,
     skip_broadcast: bool,
-) -> WeakValueTable:
-    """The limit formula of ``weak_value_limits`` on the state matrix ``matrix``,
-    with the postselection vectors stacked as the rows of ``basis_matrix``."""
+) -> _Lines:
+    """The limit formula of ``weak_value_limits`` on each state matrix of the
+    stack ``matrices``, shape (stack, d, d), with the postselection vectors
+    stacked as the rows of ``basis_matrix``."""
     if skip_broadcast:
-        num = _weak_value_numerator(matrix, basis_matrix)
+        num = _weak_value_numerator(matrices, basis_matrix)
         digit_maps = [np.arange(l) for l in table.dims]
     else:
         bad = [l for l in table.dims if not 0 <= broadcast_outcome < l]
@@ -518,12 +592,13 @@ def _limits_table(
             raise ImpossibleOutcome(
                 f"outcome {broadcast_outcome} out of range for dimension {bad[0]}"
             )
-        num = (np.abs(basis_matrix) ** 2 * np.real(np.diagonal(matrix))).astype(complex)
+        diagonals = np.real(np.diagonal(matrices, axis1=-2, axis2=-1))
+        num = (np.abs(basis_matrix) ** 2 * diagonals[:, None, :]).astype(complex)
         digit_maps = [(broadcast_outcome - np.arange(l)) % l for l in table.dims]
     probs, _, line0 = _line0(num)
-    per_label = line0.reshape((len(basis_matrix),) + table.dims)
+    per_label = line0.reshape(line0.shape[:2] + table.dims)
     parties = tuple(
-        per_label.sum(axis=tuple(1 + q for q in range(table.n_parties) if q != p))[:, m]
+        per_label.sum(axis=tuple(2 + q for q in range(table.n_parties) if q != p))[..., m]
         for p, m in enumerate(digit_maps)
     )
-    return WeakValueTable(line0, parties, probs)
+    return _Lines(probs, line0, parties)

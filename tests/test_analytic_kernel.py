@@ -30,7 +30,12 @@ from weakcorr import (
     weak_value_limits,
 )
 from weakcorr.cli import load_basis, load_state
-from weakcorr.estimator import _limits_table, _party_product
+from weakcorr.estimator import (
+    SKIP_THRESHOLD,
+    PostselectionTerm,
+    _limits_lines,
+    _party_product,
+)
 from weakcorr.qcore import DensityMatrix, digit_table
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -283,6 +288,27 @@ def test_party_product_is_bitwise_the_dense_product(n, backend, skip):
     assert [t.term for t in rep.per_k] == terms.tolist()
 
 
+@pytest.mark.parametrize("backend, skip", PATHS)
+def test_per_k_is_built_on_first_access(backend, skip):
+    # GHZ postselected on computational labels: six of eight rows are skipped.
+    basis = computational_basis(GHZ3.dims)
+    for postselection in (None, basis):
+        rep = correlation(GHZ3, backend, postselection=postselection, skip_broadcast=skip)
+        table = rep.table
+        dense = np.prod(table.values[1:], axis=0)
+        terms = np.abs(table.values[0] - dense).sum(axis=-1)
+        probs = table.probabilities
+        eager = tuple(
+            PostselectionTerm(k, label, float(p), float(t), bool(p < SKIP_THRESHOLD))
+            for k, (label, p, t) in enumerate(zip(rep.labels, probs, terms))
+        )
+        assert "per_k" not in vars(rep)
+        assert repr(rep.per_k) == repr(eager)
+        assert rep.per_k is rep.per_k
+        assert rep.terms.tobytes() == terms.tobytes() and not rep.terms.flags.writeable
+    assert [t.skipped for t in rep.per_k] == [False] + [True] * 6 + [False]
+
+
 @pytest.mark.parametrize("skip, mu", [(True, 0), (False, 0), (False, 1)])
 def test_qudit_party_product_is_bitwise_the_dense_product(skip, mu):
     # correlation() takes qubits only, so the table builder is called directly.
@@ -291,7 +317,7 @@ def test_qudit_party_product_is_bitwise_the_dense_product(skip, mu):
     g = rng.standard_normal((18, 18)) + 1j * rng.standard_normal((18, 18))
     basis = BasisSet(dims, np.linalg.qr(g)[0], [str(k) for k in range(18)])
     rho = random_density_matrix(dims, 5)
-    table = _limits_table(rho.matrix, basis.matrix, device_table(dims), mu, skip)
+    table = _limits_lines(rho.matrix[None], basis.matrix, device_table(dims), mu, skip).table(0)
     assert [line.shape for line in table.parties] == [(18, 3), (18, 2), (18, 3)]
     assert_product_is_dense_product(table)
 

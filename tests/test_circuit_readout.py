@@ -4,6 +4,7 @@ tests of the circuit correlation in both device layouts and a correctness
 check at n = 10."""
 
 import json
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -28,7 +29,7 @@ from weakcorr import (
     random_density_matrix,
 )
 from weakcorr.cli import load_state, main
-from weakcorr.estimator import _damping, _damping_exponent, _limits_table
+from weakcorr.estimator import _damping, _damping_exponent, _limits_lines
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GHZ3 = load_state(str(FIXTURES / "ghz3.json"))
@@ -102,8 +103,8 @@ def test_qudit_circuit_table_matches_staged_readout(dims, seed):
     for g in G_VALUES:
         cfg = PointerConfig(g)
         for skip, mu in layouts(dims):
-            damped = rho.matrix * _damping(exponent, cfg)
-            got = _limits_table(damped, basis.matrix, table, mu, skip)
+            damped = rho.matrix * _damping(exponent, [cfg])
+            got = _limits_lines(damped, basis.matrix, table, mu, skip).table(0)
             assert_matches_staged(got, staged_circuit_table(rho, basis, table, cfg, mu, skip))
 
 
@@ -122,14 +123,16 @@ def sweep_cases():
 
 
 def assert_same_report(got, want):
-    """Bitwise equal: the table arrays byte for byte, every other field by
-    repr, which spells each float exactly."""
+    """Bitwise equal: the arrays byte for byte, every other field and the
+    per-k terms by repr, which spells each float exactly."""
     for a, b in [
         (got.table.values, want.table.values),
         (got.table.probabilities, want.table.probabilities),
+        (got.terms, want.terms),
     ]:
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
     assert got.skipped == want.skipped
+    assert repr(got.per_k) == repr(want.per_k)
     assert repr(replace(got, table=None)) == repr(replace(want, table=None))
 
 
@@ -145,6 +148,52 @@ def test_sweep_is_bitwise_the_per_g_loop(rho, mode, basis):
             assert_same_report(a, b)
         if basis is not None:
             assert got[0].skipped == (1, 2, 3, 4, 5, 6)
+
+
+@pytest.mark.parametrize("mode", ["idealized", "literal"])
+def test_sweep_blocks_are_bitwise_single_g_calls(mode):
+    # n = 7 stacks four couplings per block: ten couplings make three blocks.
+    rho = random_density_matrix((2,) * 7, 17)
+    cfgs = [PointerConfig(g) for g in np.geomspace(0.5, 1e-3, 10)]
+    for skip in (True, False):
+        got = list(correlation_sweep(rho, mode, cfgs, skip_broadcast=skip))
+        assert len(got) == len(cfgs)
+        for report, cfg in zip(got, cfgs):
+            assert_same_report(report, correlation(rho, "circuit", mode, cfg, skip_broadcast=skip))
+
+
+def test_copies_sweep_shares_one_table(monkeypatch):
+    # With copies only the diagonal is read, where Lambda_g is 1: no D is built.
+    def refuse(table):
+        raise AssertionError("the copies layout built the damping exponent")
+
+    monkeypatch.setattr(estimator, "_damping_exponent", refuse)
+    rho = random_density_matrix((2,) * 4, 4)
+    cfgs = [PointerConfig(g) for g in (0.3, 0.1, 0.03, 0.01)]
+    reports = list(correlation_sweep(rho, "literal", cfgs))
+    assert [r.g for r in reports] == [cfg.g for cfg in cfgs]
+    assert all(r.table is reports[0].table for r in reports)
+    with pytest.raises(AssertionError, match="damping exponent"):
+        next(correlation_sweep(rho, "literal", cfgs, skip_broadcast=True))
+
+
+def sweep_peak_bytes(rho, cfgs):
+    """tracemalloc peak of a no-copies sweep read lazily, one C at a time."""
+    tracemalloc.start()
+    try:
+        for report in correlation_sweep(rho, "idealized", cfgs, skip_broadcast=True):
+            report.C
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_no_copies_sweep_memory_does_not_grow_with_the_couplings():
+    # At n = 8 a block holds one coupling, so eight cost no more than one.
+    rho = random_density_matrix((2,) * 8, 8)
+    cfgs = [PointerConfig(g) for g in (0.2, 0.1, 0.05, 0.02, 0.01, 0.005, 0.002, 0.001)]
+    one = sweep_peak_bytes(rho, cfgs[:1])
+    assert sweep_peak_bytes(rho, cfgs) <= 1.5 * one
 
 
 @pytest.mark.parametrize("skip", [False, True])

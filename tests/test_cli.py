@@ -10,7 +10,15 @@ import numpy as np
 import pytest
 
 import weakcorr
-from weakcorr.cli import MAX_DIM, build_parser, dump_state, load_state, main
+from weakcorr.cli import (
+    MAX_DIM,
+    _fmt_float,
+    build_parser,
+    dump_state,
+    load_state,
+    main,
+    render_json,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GHZ = str(FIXTURES / "ghz3.json")
@@ -199,6 +207,36 @@ def test_run_weak_value_table_in_report(capsys):
 
 
 # -- error handling and exit codes
+
+
+def test_complex_arrays_render_as_pair_lists():
+    # Each row is formatted in one pass; -0.0 prints as 0, as _fmt_float does.
+    rows = np.array([[-0.0 - 0.0j, 1.5e-300 - 2j], [np.nan + 1j * np.inf, 1 / 3 - 0.0j]])
+    got = render_json({"matrix": rows, "row": rows[1], "empty": rows[:0]})
+    assert got == (
+        "{\n"
+        '  "matrix": [\n'
+        "    [\n"
+        "      [0.00000000000e+00, 0.00000000000e+00],\n"
+        "      [1.50000000000e-300, -2.00000000000e+00]\n"
+        "    ],\n"
+        "    [\n"
+        "      [nan, inf],\n"
+        "      [3.33333333333e-01, 0.00000000000e+00]\n"
+        "    ]\n"
+        "  ],\n"
+        '  "row": [\n'
+        "    [nan, inf],\n"
+        "    [3.33333333333e-01, 0.00000000000e+00]\n"
+        "  ],\n"
+        '  "empty": []\n'
+        "}\n"
+    )
+    assert [_fmt_float(x) for x in (-0.0, 1.5e-300, np.nan)] == [
+        "0.00000000000e+00",
+        "1.50000000000e-300",
+        "nan",
+    ]
 
 
 def test_malformed_json_exits_2_with_position(tmp_path, capsys):
