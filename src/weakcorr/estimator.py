@@ -317,7 +317,7 @@ def _normalise_rows(num: np.ndarray, kept: np.ndarray) -> np.ndarray:
 
 def _weak_value_numerator(rho: np.ndarray, basis_matrix: np.ndarray) -> np.ndarray:
     """conj(B) * (B rho^T): entry (k, i) is <b_k|i><i| rho |b_k>, for each stacked rho."""
-    return basis_matrix.conj() * (basis_matrix @ rho.mT)
+    return basis_matrix.conj() * (basis_matrix @ rho.swapaxes(-1, -2))
 
 
 def _line0(num: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
