@@ -51,7 +51,7 @@ from .estimator import (
 )
 from .conveyance import convey
 from .pointer import PointerConfig
-from .qcore import DensityMatrix, PureState, partial_trace, tensor_product, trace_distance
+from .qcore import DensityMatrix, PureState, partial_trace, trace_distance
 
 LOG = logging.getLogger("weakcorr")
 
@@ -676,9 +676,11 @@ def cmd_oracle(args) -> int:
     direct = rho.matrix
     rebuilt = reconstruct_matrix(rho, computational_basis(rho.dims), hadamard_mub(n))
     residual = float(np.max(np.abs(rebuilt - direct)))
-    marginals = partial_trace(rho, [0])
+    product = partial_trace(rho, [0]).matrix
     for party in range(1, n):
-        marginals = tensor_product(marginals, partial_trace(rho, [party]))
+        product = np.kron(product, partial_trace(rho, [party]).matrix)
+    # A tensor product of the checked state's marginals is a density matrix.
+    marginals = DensityMatrix._trusted(rho.dims, product)
 
     if args.format == "csv":
         lines = ["i,j,direct_re,direct_im,reconstructed_re,reconstructed_im,abs_residual"]

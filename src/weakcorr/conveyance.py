@@ -22,12 +22,16 @@ fixes a label, so the wired circuit maps basis state |x> to one basis state
 output is an index map of the input matrix.  Literal conveyance is that
 relabel times a mask (discarding the originals keeps only matrix elements
 whose conveyed labels agree), and broadcast embeds the matrix next to the
-computed copy labels.  :func:`strong_couple_and_measure` remains the gate-
-level building block the tests check both maps against.
+computed copy labels.  The conveyance index map depends on the dims, the
+outcomes and the mode only, so it is built once for the last such key;
+when it is the identity the input matrix is used as it is.
+:func:`strong_couple_and_measure` remains the gate-level building block the
+tests check both maps against.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -163,23 +167,44 @@ def convey(
         if not 0 <= v < l:
             raise ImpossibleOutcome(f"outcome {v} out of range for dimension {l}")
 
-    radix = np.array(rho.dims[:-1])
-    nu = np.array(outcomes)
-    digits = digit_table(rho.dims)
-    if mode == "idealized":
-        digits[:, :-1] = (digits[:, :-1] + nu) % radix
-        matrix = rho.matrix
-    else:
-        digits[:, :-1] = (nu - digits[:, :-1]) % radix
+    matrix = rho.matrix
+    if mode == "literal":
         # The receiver's particle is the fastest digit, so i // dims[-1]
         # holds the conveyed labels of basis index i.
         block = np.arange(rho.dim) // rho.dims[-1]
-        matrix = np.where(block[:, None] == block[None, :], rho.matrix, 0.0)
-    perm = np.ravel_multi_index(tuple(digits.T), rho.dims)
+        matrix = np.where(block[:, None] == block[None, :], matrix, 0.0)
+    inverse = _conveyance_map(rho.dims, outcomes, mode)
+    if inverse is not None:
+        matrix = matrix[np.ix_(inverse, inverse)]
     # A relabel, or a relabel of the pinching onto equal conveyed labels:
     # both keep the checked input's trace and positivity.
-    state = DensityMatrix._trusted(rho.dims, _relabel(matrix, perm))
+    state = DensityMatrix._trusted(rho.dims, matrix)
     return ConveyanceRecord(state, outcomes, 1.0 / math.prod(rho.dims[:-1]))
+
+
+@functools.lru_cache(maxsize=1)
+def _conveyance_map(
+    dims: tuple[int, ...], outcomes: tuple[int, ...], mode: str
+) -> np.ndarray | None:
+    """The inverse basis permutation of the conveyance relabel, read-only;
+    None for the identity (every outcome 0 in idealized mode, and literal
+    qubits with outcomes 0).
+
+    Built once per (dims, outcomes, mode) and kept for the last key only:
+    a run conveys with one key, and the entry is one index per basis state.
+    """
+    radix = np.array(dims[:-1])
+    nu = np.array(outcomes)
+    digits = digit_table(dims)
+    if mode == "idealized":
+        digits[:, :-1] = (digits[:, :-1] + nu) % radix
+    else:
+        digits[:, :-1] = (nu - digits[:, :-1]) % radix
+    inverse = np.argsort(np.ravel_multi_index(tuple(digits.T), dims))
+    if (inverse == np.arange(inverse.size)).all():
+        return None
+    inverse.setflags(write=False)
+    return inverse
 
 
 def broadcast(

@@ -16,8 +16,11 @@ W_p are weak values of the device-table projectors.  Two backends give them:
   m_p and the stacked single-party factors F_p of the postselection
   vectors (``BasisSet.factors``: carried by the builtin basis, factored
   once per basis read from a file): conj(F_p) * (F_p m_p^T), divided by
-  its row sums, gives the weak value of each digit.  The table keeps
-  that (K, d_p) line as it is; a column reads it at its digit x_p.
+  its row sums, gives the weak value of each digit.  Every party's line
+  is computed at once: one gather reads all n marginals (its index table
+  is built once per n), and one numerator and one row normalisation run
+  on the (n, K, 2) stack.  The table keeps each (K, d_p) line as it is;
+  a column reads it at its digit x_p.
 * ``"circuit"`` returns what the pointers read at the configured coupling
   strength, in closed form: the readout is the zero-coupling limit below
   on the damped state rho * Lambda_g (see ``weakcorr.pointer``).
@@ -72,7 +75,7 @@ from .errors import (
     UnbiasednessViolation,
 )
 from .pointer import PointerConfig
-from .qcore import DensityMatrix, PureState, as_operator, digit_table, partial_trace
+from .qcore import DensityMatrix, PureState, as_operator, digit_table
 
 SKIP_THRESHOLD = 1e-14
 
@@ -306,10 +309,18 @@ def _require_qubits(rho: DensityMatrix) -> int:
     return len(rho.dims)
 
 
-def _normalise_rows(num: np.ndarray, kept: np.ndarray) -> np.ndarray:
-    """Each kept row of ``num`` divided by its sum; the other rows zero."""
-    sums = np.real(num.sum(axis=-1))
-    low = sums[kept]
+def _normalise_rows(
+    num: np.ndarray, kept: np.ndarray, sums: np.ndarray | None = None
+) -> np.ndarray:
+    """Each kept row of ``num`` divided by its sum; the other rows zero.
+
+    ``kept`` masks the trailing row axes of ``num``; the leading axes (a
+    stack of parties) share it.  ``sums`` are the real row sums, when the
+    caller has them already.
+    """
+    if sums is None:
+        sums = np.real(num.sum(axis=-1))
+    low = sums[..., kept]
     if low.size and low.min() <= 1e-14:
         raise NullPostselection(f"postselection probability {low.min():.3e}")
     return np.divide(num, sums[..., None], out=np.zeros_like(num), where=kept[..., None])
@@ -328,18 +339,44 @@ def _line0(num: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     probs = np.real(num.sum(axis=-1))
     kept = probs >= SKIP_THRESHOLD
-    return probs, kept, _normalise_rows(num, kept)
+    return probs, kept, _normalise_rows(num, kept, probs)
+
+
+@functools.lru_cache(maxsize=1)
+def _marginal_rows(n: int) -> np.ndarray:
+    """rows[r, p, x]: the basis index of n qubits whose qubit p is x and whose
+    other qubits, first most significant, spell r; shape (2**(n-1), n, 2).
+
+    Built once per n and kept for the last n only, like ``device_table``.
+    """
+    shift = (n - 1 - np.arange(n))[:, None]  # place value of qubit p
+    r = np.arange(2 ** (n - 1))[:, None, None]
+    rows = ((r >> shift) << (shift + 1)) | (np.arange(2) << shift) | (r & ((1 << shift) - 1))
+    rows.setflags(write=False)
+    return rows
+
+
+def _marginals(matrix: np.ndarray, n: int) -> np.ndarray:
+    """Every single-qubit marginal of an n-qubit state matrix, shape (n, 2, 2).
+
+    One gather picks, for each party, the 2 x 2 block of each setting r of
+    the other qubits; summing over the leading r axis adds those blocks one
+    at a time in r order, as ``partial_trace``'s einsum does, so each
+    marginal is bitwise ``partial_trace(state, [p])``.
+    """
+    rows = _marginal_rows(n)
+    return matrix[rows[..., :, None], rows[..., None, :]].sum(axis=0)
 
 
 def _analytic_lines(state: DensityMatrix, basis_b: BasisSet) -> _Lines:
     """The analytic table of ``state``, as a stack of one."""
     probs, kept, line0 = _line0(_weak_value_numerator(state.matrix[None], basis_b.matrix))
-    # Party p's line: weak values of |v><v| on its marginal, postselected on F_p.
-    parties = tuple(
-        _normalise_rows(_weak_value_numerator(partial_trace(state, [p]).matrix[None], f), kept)
-        for p, f in enumerate(basis_b.factors)
-    )
-    return _Lines(probs, line0, parties)
+    # Party p's line: weak values of |v><v| on its marginal, postselected on
+    # F_p; every party at once, stacked along a leading party axis.
+    marginals = _marginals(state.matrix, len(state.dims))
+    num = _weak_value_numerator(marginals, np.stack(basis_b.factors))
+    parties = _normalise_rows(num, kept[0])
+    return _Lines(probs, line0, tuple(line[None] for line in parties))
 
 
 def _damping_exponent(table: DeviceTable) -> np.ndarray:

@@ -15,12 +15,16 @@ The staged circuit readout chains the package's gate-level pipeline
 which the circuit backend computes in closed form.  The matrix-element
 reconstruction is the per-postselection sum the reconstruction identity
 replaced, the circuit sweep is the one-call-per-g loop
-``correlation_sweep`` replaced, and the two diagonal oracles at the very
-end are the marginal-by-marginal loop ``correlation_oracle_diag`` replaced
-and the Kronecker chain its outer product replaced, which it must match
-bit for bit.
+``correlation_sweep`` replaced, and the two diagonal oracles are the
+marginal-by-marginal loop ``correlation_oracle_diag`` replaced and the
+Kronecker chain its outer product replaced, which it must match bit for
+bit.  The final section holds the per-call paths two caches replaced,
+which the package must also match bit for bit: the analytic party lines
+read one marginal at a time through the package's partial trace, and
+the conveyance relabel that rebuilds its index map on every call.
 """
 
+import math
 from collections import namedtuple
 
 import numpy as np
@@ -42,6 +46,8 @@ from weakcorr import (
     tensor_product,
 )
 from weakcorr.errors import NullPostselection, UnbiasednessViolation
+from weakcorr.estimator import _Lines, _line0, _normalise_rows, _weak_value_numerator
+from weakcorr.qcore import DensityMatrix, digit_table
 
 SQ2 = np.sqrt(2.0)
 
@@ -456,3 +462,36 @@ def correlation_oracle_diag_kron(rho):
     for party in range(n):
         prod = np.kron(prod, cube.sum(axis=tuple(q for q in range(n) if q != party)))
     return float(np.sum(np.abs(diag - prod)))
+
+
+# -- the per-call paths of the cached maps
+
+
+def analytic_lines_per_party(state, basis_b):
+    """The analytic lines with one ``partial_trace``, one numerator and one
+    row normalisation per party, the loop the stacked gather replaced."""
+    probs, kept, line0 = _line0(_weak_value_numerator(state.matrix[None], basis_b.matrix))
+    parties = tuple(
+        _normalise_rows(_weak_value_numerator(partial_trace(state, [p]).matrix[None], f), kept)
+        for p, f in enumerate(basis_b.factors)
+    )
+    return _Lines(probs, line0, parties)
+
+
+def convey_per_call(rho, outcomes, mode):
+    """The conveyed state, its digit table, permutation and inverse built
+    on every call, the path the cached inverse permutation replaced."""
+    radix = np.array(rho.dims[:-1])
+    nu = np.array(outcomes)
+    digits = digit_table(rho.dims)
+    if mode == "idealized":
+        digits[:, :-1] = (digits[:, :-1] + nu) % radix
+        matrix = rho.matrix
+    else:
+        digits[:, :-1] = (nu - digits[:, :-1]) % radix
+        block = np.arange(rho.dim) // rho.dims[-1]
+        matrix = np.where(block[:, None] == block[None, :], rho.matrix, 0.0)
+    perm = np.ravel_multi_index(tuple(digits.T), rho.dims)
+    inverse = np.argsort(perm)
+    state = DensityMatrix(rho.dims, matrix[np.ix_(inverse, inverse)])
+    return ConveyanceRecord(state, tuple(outcomes), 1.0 / math.prod(rho.dims[:-1]))

@@ -2,6 +2,7 @@
 row-by-row references, plus seeded property tests of the analytic
 correlation."""
 
+import functools
 from dataclasses import fields
 from itertools import permutations
 from pathlib import Path
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    analytic_lines_per_party,
     analytic_table_loop,
     copies_limits_loop,
     correlation_sum_loop,
@@ -25,15 +27,19 @@ from weakcorr import (
     correlation_sweep,
     device_table,
     hadamard_mub,
+    partial_trace,
     random_density_matrix,
     tensor_product,
     weak_value_limits,
 )
+from weakcorr import estimator
 from weakcorr.cli import load_basis, load_state
 from weakcorr.estimator import (
     SKIP_THRESHOLD,
     PostselectionTerm,
     _limits_lines,
+    _marginal_rows,
+    _marginals,
     _party_product,
 )
 from weakcorr.qcore import DensityMatrix, digit_table
@@ -352,3 +358,69 @@ def test_sweep_residual_is_bitwise_the_dense_max(rho, basis, skip, mu, mode):
             assert rep.skipped == limits.skipped == (1, 2, 3, 4, 5, 6)
         got = rep.table.max_difference(limits)
         assert repr(got) == repr(dense_residual(rep.table, limits))
+
+
+# -- the stacked party lines against the per-party path they replaced
+
+
+@functools.cache
+def stacked_case(n, basis):
+    """A seeded n-qubit state and its postselection basis ("builtin" or
+    "product"), built once per module run."""
+    rho = random_density_matrix((2,) * n, 900 + n)
+    return rho, hadamard_mub(n) if basis == "builtin" else random_product_basis(n, 90 + n)
+
+
+def outcome_cases(n):
+    """Zero conveyance outcomes, and alternating nonzero ones."""
+    return [(0,) * (n - 1), tuple((p + 1) % 2 for p in range(n - 1))]
+
+
+@pytest.mark.parametrize("mode", ["idealized", "literal"])
+@pytest.mark.parametrize("n", range(2, 11))
+def test_gathered_marginals_are_bitwise_partial_trace(n, mode):
+    rho, _ = stacked_case(n, "builtin")
+    for outcomes in outcome_cases(n):
+        state = convey(rho, outcomes, mode).state
+        marginals = _marginals(state.matrix, n)
+        assert marginals.shape == (n, 2, 2)
+        for p in range(n):
+            assert marginals[p].tobytes() == partial_trace(state, [p]).matrix.tobytes()
+
+
+def test_marginal_rows_keep_one_read_only_entry():
+    for n in (3, 4):
+        rows = _marginal_rows(n)
+    assert _marginal_rows.cache_info().currsize == 1
+    assert _marginal_rows(4) is rows
+    assert rows.shape == (8, 4, 2) and not rows.flags.writeable
+    # Each party's rows list every basis index once.
+    for p in range(4):
+        assert sorted(rows[:, p].ravel().tolist()) == list(range(16))
+
+
+def assert_bitwise_report(got, want):
+    arrays = [
+        (got.terms, want.terms),
+        (got.table.probabilities, want.table.probabilities),
+        (got.table.joint, want.table.joint),
+        *zip(got.table.parties, want.table.parties, strict=True),
+    ]
+    for a, b in arrays:
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    # repr spells each float exactly.
+    for name in ("C", "oracle_diag", "max_completeness_residual", "min_postselection_probability"):
+        assert repr(getattr(got, name)) == repr(getattr(want, name)), name
+    assert got.outcomes == want.outcomes and got.labels == want.labels
+
+
+@pytest.mark.parametrize("basis", ["builtin", "product"])
+@pytest.mark.parametrize("n", range(2, 11))
+def test_stacked_party_lines_are_bitwise_the_per_party_path(n, basis, monkeypatch):
+    rho, basis_b = stacked_case(n, basis)
+    cases = [(mode, outcomes) for mode in ("idealized", "literal") for outcomes in outcome_cases(n)]
+    got = [correlation(rho, "analytic", m, postselection=basis_b, outcomes=o) for m, o in cases]
+    monkeypatch.setattr(estimator, "_analytic_lines", analytic_lines_per_party)
+    want = [correlation(rho, "analytic", m, postselection=basis_b, outcomes=o) for m, o in cases]
+    for a, b in zip(got, want, strict=True):
+        assert_bitwise_report(a, b)

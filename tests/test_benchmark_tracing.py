@@ -28,6 +28,7 @@ UNCALLED = {
     "estimator.postselection_probability",
     "pointer.couple_all",
     "pointer.postselect_and_read",
+    "qcore.partial_trace",
     "qcore.tensor_product",
 }
 
