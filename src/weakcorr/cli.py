@@ -43,6 +43,7 @@ from .bases import (
     is_mutually_unbiased,
 )
 from .estimator import (
+    _marginals,
     correlation,
     correlation_oracle_diag,
     correlation_sweep,
@@ -51,7 +52,7 @@ from .estimator import (
 )
 from .conveyance import convey
 from .pointer import PointerConfig
-from .qcore import DensityMatrix, PureState, partial_trace, trace_distance
+from .qcore import DensityMatrix, PureState, trace_distance
 
 LOG = logging.getLogger("weakcorr")
 
@@ -676,9 +677,7 @@ def cmd_oracle(args) -> int:
     direct = rho.matrix
     rebuilt = reconstruct_matrix(rho, computational_basis(rho.dims), hadamard_mub(n))
     residual = float(np.max(np.abs(rebuilt - direct)))
-    product = partial_trace(rho, [0]).matrix
-    for party in range(1, n):
-        product = np.kron(product, partial_trace(rho, [party]).matrix)
+    product = functools.reduce(np.kron, _marginals(rho.matrix, n))
     # A tensor product of the checked state's marginals is a density matrix.
     marginals = DensityMatrix._trusted(rho.dims, product)
 

@@ -22,16 +22,15 @@ fixes a label, so the wired circuit maps basis state |x> to one basis state
 output is an index map of the input matrix.  Literal conveyance is that
 relabel times a mask (discarding the originals keeps only matrix elements
 whose conveyed labels agree), and broadcast embeds the matrix next to the
-computed copy labels.  The conveyance index map depends on the dims, the
-outcomes and the mode only, so it is built once for the last such key;
-when it is the identity the input matrix is used as it is.
+computed copy labels.  When the conveyance relabel is the identity
+(every outcome 0, in idealized mode or on qubits) no index map is built
+and the input matrix is used as it is.
 :func:`strong_couple_and_measure` remains the gate-level building block the
 tests check both maps against.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -173,38 +172,21 @@ def convey(
         # holds the conveyed labels of basis index i.
         block = np.arange(rho.dim) // rho.dims[-1]
         matrix = np.where(block[:, None] == block[None, :], matrix, 0.0)
-    inverse = _conveyance_map(rho.dims, outcomes, mode)
-    if inverse is not None:
-        matrix = matrix[np.ix_(inverse, inverse)]
+    # x -> (x + nu) mod l and x -> (nu - x) mod l fix every label only for
+    # nu = 0, the second only on qubits.
+    if any(outcomes) or (mode == "literal" and any(l != 2 for l in rho.dims[:-1])):
+        radix = np.array(rho.dims[:-1])
+        nu = np.array(outcomes)
+        digits = digit_table(rho.dims)
+        if mode == "idealized":
+            digits[:, :-1] = (digits[:, :-1] + nu) % radix
+        else:
+            digits[:, :-1] = (nu - digits[:, :-1]) % radix
+        matrix = _relabel(matrix, np.ravel_multi_index(tuple(digits.T), rho.dims))
     # A relabel, or a relabel of the pinching onto equal conveyed labels:
     # both keep the checked input's trace and positivity.
     state = DensityMatrix._trusted(rho.dims, matrix)
     return ConveyanceRecord(state, outcomes, 1.0 / math.prod(rho.dims[:-1]))
-
-
-@functools.lru_cache(maxsize=1)
-def _conveyance_map(
-    dims: tuple[int, ...], outcomes: tuple[int, ...], mode: str
-) -> np.ndarray | None:
-    """The inverse basis permutation of the conveyance relabel, read-only;
-    None for the identity (every outcome 0 in idealized mode, and literal
-    qubits with outcomes 0).
-
-    Built once per (dims, outcomes, mode) and kept for the last key only:
-    a run conveys with one key, and the entry is one index per basis state.
-    """
-    radix = np.array(dims[:-1])
-    nu = np.array(outcomes)
-    digits = digit_table(dims)
-    if mode == "idealized":
-        digits[:, :-1] = (digits[:, :-1] + nu) % radix
-    else:
-        digits[:, :-1] = (nu - digits[:, :-1]) % radix
-    inverse = np.argsort(np.ravel_multi_index(tuple(digits.T), dims))
-    if (inverse == np.arange(inverse.size)).all():
-        return None
-    inverse.setflags(write=False)
-    return inverse
 
 
 def broadcast(

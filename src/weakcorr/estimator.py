@@ -309,17 +309,13 @@ def _require_qubits(rho: DensityMatrix) -> int:
     return len(rho.dims)
 
 
-def _normalise_rows(
-    num: np.ndarray, kept: np.ndarray, sums: np.ndarray | None = None
-) -> np.ndarray:
+def _normalise_rows(num: np.ndarray, kept: np.ndarray) -> np.ndarray:
     """Each kept row of ``num`` divided by its sum; the other rows zero.
 
     ``kept`` masks the trailing row axes of ``num``; the leading axes (a
-    stack of parties) share it.  ``sums`` are the real row sums, when the
-    caller has them already.
+    stack of parties) share it.
     """
-    if sums is None:
-        sums = np.real(num.sum(axis=-1))
+    sums = np.real(num.sum(axis=-1))
     low = sums[..., kept]
     if low.size and low.min() <= 1e-14:
         raise NullPostselection(f"postselection probability {low.min():.3e}")
@@ -339,7 +335,7 @@ def _line0(num: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     probs = np.real(num.sum(axis=-1))
     kept = probs >= SKIP_THRESHOLD
-    return probs, kept, _normalise_rows(num, kept, probs)
+    return probs, kept, _normalise_rows(num, kept)
 
 
 @functools.lru_cache(maxsize=1)

@@ -18,10 +18,10 @@ replaced, the circuit sweep is the one-call-per-g loop
 ``correlation_sweep`` replaced, and the two diagonal oracles are the
 marginal-by-marginal loop ``correlation_oracle_diag`` replaced and the
 Kronecker chain its outer product replaced, which it must match bit for
-bit.  The final section holds the per-call paths two caches replaced,
-which the package must also match bit for bit: the analytic party lines
-read one marginal at a time through the package's partial trace, and
-the conveyance relabel that rebuilds its index map on every call.
+bit.  The final section holds two paths the package must also match bit
+for bit: the analytic party lines read one marginal at a time through
+the package's partial trace, and the conveyance that relabels on every
+call, the identity relabel included.
 """
 
 import math
@@ -464,7 +464,7 @@ def correlation_oracle_diag_kron(rho):
     return float(np.sum(np.abs(diag - prod)))
 
 
-# -- the per-call paths of the cached maps
+# -- the per-party and always-relabelling paths
 
 
 def analytic_lines_per_party(state, basis_b):
@@ -478,9 +478,9 @@ def analytic_lines_per_party(state, basis_b):
     return _Lines(probs, line0, parties)
 
 
-def convey_per_call(rho, outcomes, mode):
-    """The conveyed state, its digit table, permutation and inverse built
-    on every call, the path the cached inverse permutation replaced."""
+def convey_relabel_always(rho, outcomes, mode):
+    """The conveyed state, relabelled on every call, the identity relabel
+    included: the path the skipped identity relabel replaced."""
     radix = np.array(rho.dims[:-1])
     nu = np.array(outcomes)
     digits = digit_table(rho.dims)

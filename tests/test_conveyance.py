@@ -9,7 +9,7 @@ from oracles import (
     broadcast_gates,
     convey_literal_bruteforce,
     convey_literal_gates,
-    convey_per_call,
+    convey_relabel_always,
     kron_chain,
 )
 
@@ -25,7 +25,6 @@ from weakcorr import (
     strong_couple_and_measure,
     tensor_product,
 )
-from weakcorr.conveyance import _conveyance_map
 from weakcorr.errors import BadDimension, BadSubsystem, ImpossibleOutcome, ShapeMismatch
 from weakcorr.qcore import DensityMatrix, PureState
 
@@ -272,39 +271,14 @@ def test_broadcast_output_passes_full_validation(variant, dims):
             assert_valid_output(broadcast(rho, party, outcome, variant).state)
 
 
-# -- the cached conveyance map
-
-
-def test_conveyance_map_keeps_one_read_only_entry():
-    rho = random_density_matrix((2, 2, 2), 2)
-    for outcomes in ((1, 0), (0, 1)):
-        convey(rho, outcomes, "literal")
-    assert _conveyance_map.cache_info().currsize == 1
-    inverse = _conveyance_map((2, 2, 2), (0, 1), "literal")
-    assert _conveyance_map((2, 2, 2), (0, 1), "literal") is inverse
-    assert not inverse.flags.writeable
-    with pytest.raises(ValueError, match="read-only"):
-        inverse[0] = 0
-
-
-@pytest.mark.parametrize("mode", ["literal", "idealized"])
-def test_conveyance_map_holds_no_square_array(mode):
-    dims = (2, 3, 2, 2)
-    convey(random_density_matrix(dims, 4), (1, 2, 1), mode)
-    inverse = _conveyance_map(dims, (1, 2, 1), mode)
-    assert _conveyance_map.cache_info().currsize == 1
-    assert inverse.shape == (24,)
-    assert sorted(inverse.tolist()) == list(range(24))
+# -- the identity relabel
 
 
 def test_idealized_zero_outcomes_copy_nothing():
     rho = random_density_matrix((2, 3, 2), 6)
     rec = convey(rho, (0, 0), "idealized")
     assert rec.state.matrix is rho.matrix
-    assert _conveyance_map((2, 3, 2), (0, 0), "idealized") is None
     assert_valid_output(rec.state)
-    # Literal qubits with outcomes 0 keep every label too: only the mask copies.
-    assert _conveyance_map((2, 2, 2), (0, 0), "literal") is None
 
 
 def shift_gates(rho, outcomes):
@@ -315,12 +289,12 @@ def shift_gates(rho, outcomes):
 
 
 @pytest.mark.parametrize("dims", GATE_DIMS, ids=str)
-def test_cached_conveyance_is_bitwise_the_per_call_map(dims):
+def test_convey_is_bitwise_the_always_relabelling_path(dims):
     rho = random_density_matrix(dims, 8)
     for nu in itertools.product(*(range(l) for l in dims[:-1])):
         for mode in ("literal", "idealized"):
             got = convey(rho, nu, mode)
-            want = convey_per_call(rho, nu, mode)
+            want = convey_relabel_always(rho, nu, mode)
             assert got.state.matrix.tobytes() == want.state.matrix.tobytes()
             assert got.probability == want.probability
         # Idealized with nonzero outcomes is a relabel: bitwise the gates.
