@@ -44,13 +44,14 @@ from .bases import (
 )
 from .estimator import (
     _marginals,
+    _sweep,
     correlation,
     correlation_oracle_diag,
-    correlation_sweep,
     reconstruct_matrix,
-    weak_value_limits,
 )
-from .conveyance import convey
+# Not called here (the sweep conveys inside the estimator); kept as a module
+# attribute for code that wraps cli.convey to count conveyances.
+from .conveyance import convey  # noqa: F401
 from .pointer import PointerConfig
 from .qcore import DensityMatrix, PureState, trace_distance
 
@@ -505,10 +506,12 @@ def cmd_run(args) -> int:
 def cmd_sweep(args) -> int:
     """``weakcorr sweep``: the circuit backend at each g of ``--g-list``.
 
-    One ``correlation_sweep`` reads every coupling (in stacked blocks
-    without copies, from one shared table with them); each row compares
-    its report with the oracle value and its table with the zero-coupling
-    limit (``weak_value_limits``).
+    One pass reads every coupling, as ``correlation_sweep`` does (in
+    stacked blocks without copies, from one shared table with them); each
+    row compares its report with the oracle value and its table with the
+    zero-coupling limit.  Without copies the limit is the first row of the
+    coupling stack, and each block's residuals come from one masked max;
+    with copies the shared table is the limit, so the residual is 0.
     """
     try:
         g_list = [float(v) for v in args.g_list.split(",") if v.strip()]
@@ -535,13 +538,11 @@ def cmd_sweep(args) -> int:
     basis = load_basis(rc.basis_source, rho.dims)
     n = len(rho.dims)
     nu, mu = _split_outcomes(rc.outcomes, n)
-    table = device_table(rho.dims)
-    conveyed = convey(rho, nu, rc.mode)
-    limits = weak_value_limits(conveyed.state, basis, table, mu, rc.skip_broadcast)
-    reports = correlation_sweep(
+    reports = _sweep(
         rho,
         rc.mode,
         [PointerConfig(g, rc.sigma) for g in g_list],
+        residuals=True,
         postselection=basis,
         outcomes=nu,
         broadcast_outcome=mu,
@@ -550,10 +551,9 @@ def cmd_sweep(args) -> int:
 
     rows = []
     prev_err = None
-    for report in reports:
+    for report, residual in reports:
         oracle = report.oracle_diag
         err = abs(report.C - oracle)
-        residual = report.table.max_difference(limits)
         trend = "na" if prev_err is None else ("yes" if err <= prev_err else "no")
         rows.append((report.g, report.C, err, residual, trend))
         prev_err = err

@@ -221,13 +221,6 @@ class WeakValueTable:
         dense.setflags(write=False)
         return dense
 
-    def max_difference(self, other: WeakValueTable) -> float:
-        """max |self - other| over every line, on the rows neither table skips."""
-        kept = (self.probabilities >= SKIP_THRESHOLD) & (other.probabilities >= SKIP_THRESHOLD)
-        pairs = zip((self.joint, *self.parties), (other.joint, *other.parties))
-        differences = np.concatenate([a - b for a, b in pairs], axis=-1)
-        return float(np.abs(differences[kept]).max(initial=0.0))
-
 
 @dataclass(frozen=True)
 class PostselectionTerm:
@@ -299,6 +292,22 @@ class _Lines(NamedTuple):
         return WeakValueTable(
             self.joint[s], tuple(line[s] for line in self.parties), self.probabilities[s]
         )
+
+    def rows(self, start: int, stop: int | None) -> _Lines:
+        """The stack's states start to stop, as views."""
+        rows = slice(start, stop)
+        parties = tuple(line[rows] for line in self.parties)
+        return _Lines(self.probabilities[rows], self.joint[rows], parties)
+
+
+def _residuals(lines: _Lines, limit: _Lines) -> np.ndarray:
+    """max |W - W_0| of each state of the stack against the one-state
+    ``limit``, over line 1 and every party line, on the rows neither skips;
+    0.0 where every row is skipped."""
+    kept = (lines.probabilities >= SKIP_THRESHOLD) & (limit.probabilities >= SKIP_THRESHOLD)
+    pairs = zip((lines.joint, *lines.parties), (limit.joint, *limit.parties))
+    differences = np.concatenate([a - b for a, b in pairs], axis=-1)
+    return np.abs(differences).max(axis=(-2, -1), initial=0.0, where=kept[..., None])
 
 
 def _require_qubits(rho: DensityMatrix) -> int:
@@ -388,10 +397,16 @@ def _damping_exponent(table: DeviceTable) -> np.ndarray:
     return differing
 
 
-def _damping(exponent: np.ndarray, cfgs: Sequence[PointerConfig]) -> np.ndarray:
+def _damping(exponent: np.ndarray, cfgs: Sequence[PointerConfig | None]) -> np.ndarray:
     """Lambda_g = a_g ** D with a_g = exp(-g^2 / (8 sigma^2)), the pointer
-    overlaps, stacked along a leading axis with one entry per configuration."""
-    a = np.array([np.exp(-(c.g * c.g) / (8.0 * c.sigma * c.sigma)) for c in cfgs])
+    overlaps, stacked along a leading axis with one entry per configuration.
+
+    A configuration of None is the zero-coupling limit: a = 1.0, so its
+    Lambda is exactly 1.
+    """
+    a = np.array(
+        [1.0 if c is None else np.exp(-(c.g * c.g) / (8.0 * c.sigma * c.sigma)) for c in cfgs]
+    )
     return a[:, None, None] ** exponent
 
 
@@ -538,6 +553,44 @@ def correlation_sweep(
     * with copies, only the diagonal is read and Lambda_g is 1 there, so
       one table, built without D or Lambda, and one combination step serve
       every report.
+
+    ``weakcorr sweep`` reads the same reports together with each table's
+    distance from the zero-coupling limit, from the same blocks.
+    """
+    sweep = _sweep(
+        rho,
+        mode,
+        cfgs,
+        residuals=False,
+        postselection=postselection,
+        outcomes=outcomes,
+        broadcast_outcome=broadcast_outcome,
+        skip_broadcast=skip_broadcast,
+    )
+    return (report for report, _ in sweep)
+
+
+def _sweep(
+    rho: DensityMatrix,
+    mode: str,
+    cfgs: Sequence[PointerConfig],
+    *,
+    residuals: bool,
+    postselection: BasisSet | None = None,
+    outcomes: Sequence[int] | None = None,
+    broadcast_outcome: int = 0,
+    skip_broadcast: bool = False,
+) -> Iterator[tuple[CorrelationReport, float | None]]:
+    """``correlation_sweep``'s reports, each paired with its residual.
+
+    With ``residuals`` the residual of a report is max |W_g - W_0| over
+    line 1 and every party line, on the rows neither table skips, W_0 being
+    the zero-coupling limit (``weak_value_limits`` of the conveyed state);
+    otherwise it is None.  Without copies the limit is one more row of the
+    coupling stack, read first with damping base a = 1, so Lambda = 1 and
+    rho * Lambda is rho bit for bit; it counts toward the block size, and
+    each block's residuals come from one masked max against it.  With
+    copies the shared table is the limit, so every residual is 0.0.
     """
     basis_b, outcomes, state = _prepare(rho, mode, postselection, outcomes)
     table = device_table(rho.dims)
@@ -550,21 +603,33 @@ def correlation_sweep(
         backend="circuit", mode=mode, outcomes=outcomes, broadcast_outcome=mu, skip_broadcast=skip
     )
 
-    def reports(matrices: np.ndarray, block: Sequence[PointerConfig]) -> list[CorrelationReport]:
-        lines = _limits_lines(matrices, basis_b.matrix, table, mu, skip)
+    def lines_of(matrices: np.ndarray) -> _Lines:
+        return _limits_lines(matrices, basis_b.matrix, table, mu, skip)
+
+    def reports(lines: _Lines, block: Sequence[PointerConfig]) -> list[CorrelationReport]:
         return _reports(lines, basis_b.labels, diag_eff, oracle_diag, block, **settings)
 
-    def sweep() -> Iterator[CorrelationReport]:
+    def sweep() -> Iterator[tuple[CorrelationReport, float | None]]:
         if not skip:
             if cfgs:
-                (shared,) = reports(state.matrix[None], cfgs[:1])
-                yield from (replace(shared, g=cfg.g, sigma=cfg.sigma) for cfg in cfgs)
+                (shared,) = reports(lines_of(state.matrix[None]), cfgs[:1])
+                residual = 0.0 if residuals else None
+                yield from ((replace(shared, g=c.g, sigma=c.sigma), residual) for c in cfgs)
             return
         exponent = _damping_exponent(table)
         size = max(1, _BLOCK_ELEMENTS // exponent.size)
-        for start in range(0, len(cfgs), size):
-            block = cfgs[start : start + size]
-            yield from reports(state.matrix * _damping(exponent, block), block)
+        # None stands for the zero-coupling limit, the first row read.
+        rows = ((None,) if residuals else ()) + cfgs
+        limit = None
+        for start in range(0, len(rows), size):
+            block = rows[start : start + size]
+            lines = lines_of(state.matrix * _damping(exponent, block))
+            if block[0] is None:
+                limit, lines, block = lines.rows(0, 1), lines.rows(1, None), block[1:]
+                if not block:  # from n = 8 on the limit has a block to itself
+                    continue
+            distances = _residuals(lines, limit).tolist() if residuals else [None] * len(block)
+            yield from zip(reports(lines, block), distances, strict=True)
 
     return sweep()
 

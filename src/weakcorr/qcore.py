@@ -152,9 +152,18 @@ class DensityMatrix:
         tr = complex(np.trace(m))
         if abs(tr - 1.0) > STRUCT_TOL:
             raise InvariantViolation(f"unit trace: trace = {tr!r}")
-        lo = float(np.linalg.eigvalsh(m)[0])
-        if lo < -SPECTRAL_TOL:
-            raise InvariantViolation(f"positivity: smallest eigenvalue = {lo:.3e}")
+        # m + SPECTRAL_TOL * I has a Cholesky factor when the smallest
+        # eigenvalue of m is above -SPECTRAL_TOL (Cholesky is backward
+        # stable, its error about d * eps * |m|); it costs a third of the
+        # eigensolve, which runs only to decide and word a failure.
+        shifted = m.copy()
+        shifted.flat[:: d + 1] += SPECTRAL_TOL
+        try:
+            np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
+            lo = float(np.linalg.eigvalsh(m)[0])
+            if lo < -SPECTRAL_TOL:
+                raise InvariantViolation(f"positivity: smallest eigenvalue = {lo:.3e}") from None
         m.setflags(write=False)
 
     @classmethod

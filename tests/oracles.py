@@ -18,10 +18,12 @@ replaced, the circuit sweep is the one-call-per-g loop
 ``correlation_sweep`` replaced, and the two diagonal oracles are the
 marginal-by-marginal loop ``correlation_oracle_diag`` replaced and the
 Kronecker chain its outer product replaced, which it must match bit for
-bit.  The final section holds two paths the package must also match bit
+bit.  The next section holds two paths the package must also match bit
 for bit: the analytic party lines read one marginal at a time through
 the package's partial trace, and the conveyance that relabels on every
-call, the identity relabel included.
+call, the identity relabel included.  The last is the sweep residual
+taken one table pair at a time, which the sweep's one masked max per
+block of couplings must match bit for bit.
 """
 
 import math
@@ -46,7 +48,13 @@ from weakcorr import (
     tensor_product,
 )
 from weakcorr.errors import NullPostselection, UnbiasednessViolation
-from weakcorr.estimator import _Lines, _line0, _normalise_rows, _weak_value_numerator
+from weakcorr.estimator import (
+    SKIP_THRESHOLD,
+    _Lines,
+    _line0,
+    _normalise_rows,
+    _weak_value_numerator,
+)
 from weakcorr.qcore import DensityMatrix, digit_table
 
 SQ2 = np.sqrt(2.0)
@@ -495,3 +503,16 @@ def convey_relabel_always(rho, outcomes, mode):
     inverse = np.argsort(perm)
     state = DensityMatrix(rho.dims, matrix[np.ix_(inverse, inverse)])
     return ConveyanceRecord(state, tuple(outcomes), 1.0 / math.prod(rho.dims[:-1]))
+
+
+# -- the sweep residual
+
+
+def max_difference(table, limits):
+    """max |table - limits| over every line, on the rows neither table skips:
+    one sweep row's residual against the zero-coupling limit, taken on its
+    own."""
+    kept = (table.probabilities >= SKIP_THRESHOLD) & (limits.probabilities >= SKIP_THRESHOLD)
+    pairs = zip((table.joint, *table.parties), (limits.joint, *limits.parties))
+    differences = np.concatenate([a - b for a, b in pairs], axis=-1)
+    return float(np.abs(differences[kept]).max(initial=0.0))

@@ -15,6 +15,7 @@ from oracles import (
     analytic_table_loop,
     copies_limits_loop,
     correlation_sum_loop,
+    max_difference,
     skip_broadcast_limits_loop,
 )
 
@@ -356,7 +357,7 @@ def test_sweep_residual_is_bitwise_the_dense_max(rho, basis, skip, mu, mode):
     for rep in correlation_sweep(rho, mode, cfgs, **kwargs):
         if basis is not None:
             assert rep.skipped == limits.skipped == (1, 2, 3, 4, 5, 6)
-        got = rep.table.max_difference(limits)
+        got = max_difference(rep.table, limits)
         assert repr(got) == repr(dense_residual(rep.table, limits))
 
 
@@ -424,3 +425,78 @@ def test_stacked_party_lines_are_bitwise_the_per_party_path(n, basis, monkeypatc
     want = [correlation(rho, "analytic", m, postselection=basis_b, outcomes=o) for m, o in cases]
     for a, b in zip(got, want, strict=True):
         assert_bitwise_report(a, b)
+
+
+# -- the sweep's residuals against the one-pair reference
+
+SWEEP_G = (0.2, 0.1, 0.05, 0.02, 0.01, 0.005, 0.002, 0.001)
+
+
+def spy_stacks(monkeypatch):
+    """Record the stack size of every ``_limits_lines`` call."""
+    stacks = []
+    original = estimator._limits_lines
+
+    def spy(matrices, *args):
+        stacks.append(matrices.shape[0])
+        return original(matrices, *args)
+
+    monkeypatch.setattr(estimator, "_limits_lines", spy)
+    return stacks
+
+
+@functools.cache
+def residual_state(n):
+    return random_density_matrix((2,) * n, 500 + n)
+
+
+@pytest.mark.parametrize("outcome", [0, 1])
+@pytest.mark.parametrize("mode", ["idealized", "literal"])
+@pytest.mark.parametrize("skip", [True, False])
+@pytest.mark.parametrize("n", range(2, 9))
+def test_sweep_residuals_are_bitwise_the_reference(n, skip, mode, outcome, monkeypatch):
+    rho = residual_state(n)
+    outcomes = (outcome,) * (n - 1)
+    cfgs = [PointerConfig(g) for g in SWEEP_G]
+    kwargs = dict(outcomes=outcomes, broadcast_outcome=outcome, skip_broadcast=skip)
+    stacks = spy_stacks(monkeypatch)
+    got = list(estimator._sweep(rho, mode, cfgs, residuals=True, **kwargs))
+    # Without copies the limit row leads the stack and counts toward the
+    # block size: all nine rows at n <= 4, four per block at n = 7 (the
+    # limit and three couplings first) and one from n = 8 on, where the
+    # first block is the limit alone and yields no report.
+    size = max(1, 2**16 // 4**n)
+    nine = [len(range(start, min(start + size, 9))) for start in range(0, 9, size)]
+    assert stacks == (nine if skip else [1])
+    monkeypatch.undo()
+    state = convey(rho, outcomes, mode).state
+    limits = weak_value_limits(state, hadamard_mub(n), device_table(rho.dims), outcome, skip)
+    want = list(correlation_sweep(rho, mode, cfgs, **kwargs))
+    assert len(got) == len(want) == len(cfgs)
+    for (report, residual), plain in zip(got, want):
+        assert_bitwise_report(report, plain)
+        assert type(residual) is float
+        assert repr(residual) == repr(max_difference(report.table, limits))
+        if not skip:
+            assert residual == 0.0
+
+
+def test_plain_sweep_reads_no_limit_row(monkeypatch):
+    rho = residual_state(4)
+    cfgs = [PointerConfig(g) for g in SWEEP_G]
+    stacks = spy_stacks(monkeypatch)
+    pairs = list(estimator._sweep(rho, "idealized", cfgs, residuals=False, skip_broadcast=True))
+    assert [residual for _, residual in pairs] == [None] * len(cfgs)
+    reports = list(correlation_sweep(rho, "idealized", cfgs, skip_broadcast=True))
+    assert stacks == [8, 8]
+    for (a, _), b in zip(pairs, reports, strict=True):
+        assert_bitwise_report(a, b)
+
+
+@pytest.mark.parametrize("mode", ["idealized", "literal"])
+def test_single_g_circuit_correlation_stacks_one_row(mode, monkeypatch):
+    # correlation() reads its own coupling only: no zero-coupling limit row.
+    stacks = spy_stacks(monkeypatch)
+    for n in (3, 8):
+        correlation(residual_state(n), "circuit", mode, PointerConfig(0.1), skip_broadcast=True)
+    assert stacks == [1, 1]

@@ -26,6 +26,7 @@ UNCALLED = {
     "conveyance.strong_couple_and_measure",
     "estimator.analytic_weak_value",
     "estimator.postselection_probability",
+    "estimator.weak_value_limits",
     "pointer.couple_all",
     "pointer.postselect_and_read",
     "qcore.partial_trace",

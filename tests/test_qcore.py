@@ -49,6 +49,40 @@ def test_density_matrix_rejects_bad_trace_and_negative():
         DensityMatrix((2,), neg)
 
 
+def with_smallest_eigenvalue(lowest, d, seed):
+    """A Hermitian unit-trace matrix of dimension d whose smallest eigenvalue
+    is ``lowest``, in a random eigenbasis."""
+    rng = np.random.default_rng(seed)
+    unitary = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+    spectrum = np.concatenate([[lowest], rng.uniform(0.5, 1.0, d - 1)])
+    spectrum[1:] *= (1.0 - lowest) / spectrum[1:].sum()
+    m = (unitary * spectrum) @ unitary.conj().T
+    return (m + m.conj().T) / 2
+
+
+@pytest.mark.parametrize("d", [2, 16, 64])
+def test_positivity_boundary_sits_at_the_spectral_tolerance(d):
+    for seed in range(3):
+        rejected = with_smallest_eigenvalue(-2e-10, d, seed)
+        with pytest.raises(InvariantViolation, match="positivity: smallest eigenvalue = -2"):
+            DensityMatrix((d,), rejected)
+        DensityMatrix((d,), with_smallest_eigenvalue(-0.5e-10, d, seed))
+
+
+def test_positive_states_are_accepted_without_an_eigensolve(monkeypatch):
+    # The Cholesky factor accepts; the eigensolve only decides a failure.
+    def refuse(m):
+        raise AssertionError("eigvalsh ran on a positive state")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    for n in (1, 3, 5):
+        DensityMatrix((2,) * n, random_density_matrix((2,) * n, n).matrix)
+    DensityMatrix((2, 2), ket2dm(ghz(2)).matrix)
+    DensityMatrix((16,), with_smallest_eigenvalue(-0.5e-10, 16, 0))
+    with pytest.raises(AssertionError, match="eigvalsh ran"):
+        DensityMatrix((16,), with_smallest_eigenvalue(-2e-10, 16, 0))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
 def test_density_matrix_rejects_non_finite(bad):
     m = np.diag([0.5, 0.5]).astype(complex)
