@@ -33,6 +33,11 @@ blocks of at most 2**16 damped elements (max(1, 2**16 // d**2) couplings),
 so the limit formula and C run once per block; with copies it builds one
 table, with no D and no Lambda, and shares it across every report.  The
 analytic backend and ``weak_value_limits`` pass a stack of one.
+``weakcorr sweep`` also reports each table's distance from the
+zero-coupling limit: without copies the limit is read as the first row of
+the coupling stack (damping base a = 1, so rho * Lambda is rho bit for
+bit), counted toward the block size, and each block's distances come from
+one masked max; with copies the shared table is the limit.
 
 The circuit backend's zero-coupling limit (``weak_value_limits``) is one
 formula for both device layouts: line 1 as above, on the dephased state
@@ -554,8 +559,9 @@ def correlation_sweep(
       one table, built without D or Lambda, and one combination step serve
       every report.
 
-    ``weakcorr sweep`` reads the same reports together with each table's
-    distance from the zero-coupling limit, from the same blocks.
+    ``weakcorr sweep`` reads the same reports, each with its table's
+    distance from the zero-coupling limit, from blocks that hold the limit
+    as one more row.
     """
     sweep = _sweep(
         rho,
@@ -664,6 +670,10 @@ def weak_value_limits(
     with an O(g^2) bias without them.  With copies, a broadcast outcome
     outside [0, d_p) for any party raises ImpossibleOutcome; without them
     the outcome is ignored.
+
+    ``weakcorr sweep`` does not call this: it reads the same table as the
+    first row of its coupling stack, or with copies as the table every
+    coupling shares (see ``correlation_sweep``).
     """
     lines = _limits_lines(
         state.matrix[None], basis_b.matrix, table, broadcast_outcome, skip_broadcast

@@ -481,6 +481,22 @@ def test_sweep_residuals_are_bitwise_the_reference(n, skip, mode, outcome, monke
             assert residual == 0.0
 
 
+@pytest.mark.parametrize("skip", [True, False])
+def test_sweep_residuals_leave_out_skipped_rows(skip):
+    # GHZ postselected on computational labels: six of eight rows are skipped.
+    basis = computational_basis(GHZ3.dims)
+    cfgs = [PointerConfig(g) for g in SWEEP_G]
+    state = convey(GHZ3, (0, 0), "idealized").state
+    limits = weak_value_limits(state, basis, device_table(GHZ3.dims), 0, skip)
+    pairs = estimator._sweep(
+        GHZ3, "idealized", cfgs, residuals=True, postselection=basis, skip_broadcast=skip
+    )
+    for report, residual in pairs:
+        assert report.skipped == limits.skipped == (1, 2, 3, 4, 5, 6)
+        assert repr(residual) == repr(max_difference(report.table, limits))
+        assert repr(residual) == repr(dense_residual(report.table, limits))
+
+
 def test_plain_sweep_reads_no_limit_row(monkeypatch):
     rho = residual_state(4)
     cfgs = [PointerConfig(g) for g in SWEEP_G]
