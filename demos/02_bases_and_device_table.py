@@ -23,10 +23,12 @@ print("lines hold the factors picked out of the joint projector column")
 print("by column, so tensoring lines 2..4 rebuilds line 1:")
 t = device_table([2] * n)
 col = 2  # third column
-parts = t.projector(1, col)
-for line in range(2, t.n_lines):
-    parts = np.kron(parts, t.projector(line, col))
-print("column 3 rebuild error:", np.max(np.abs(parts - t.projector(0, col))))
+print("column 3 party digits:", t.party_digits[col])
+parts = np.ones((1, 1))
+for digit, d in zip(t.party_digits[col], t.dims):
+    parts = np.kron(parts, np.diag(np.eye(d)[digit]))
+joint = np.diag(np.eye(t.n_columns)[col])
+print("column 3 rebuild error:", np.max(np.abs(parts - joint)))
 
 print()
 print(render_tables(n))

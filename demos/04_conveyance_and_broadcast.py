@@ -5,12 +5,29 @@ import itertools
 
 import numpy as np
 
-from weakcorr import bell_state, broadcast, convey, ghz, ket2dm, partial_trace, random_density_matrix
+from weakcorr import (
+    bell_state,
+    broadcast,
+    convey,
+    ghz,
+    ket2dm,
+    partial_trace,
+    random_density_matrix,
+    strong_couple_and_measure,
+    tensor_product,
+)
 from weakcorr.qcore import PureState
 
-print("Ancilla pairs:")
-print("  aligned:", bell_state(2).state.amplitudes.real)
-print("  flipped:", bell_state(2, "flip").state.amplitudes.real)
+print("Ancilla pair (every conveyance and copy uses this one):")
+print("  aligned:", bell_state(2).amplitudes.real)
+
+print("\nOne strong coupling, the gate every conveyance and copy is built from:")
+print("shift the pair's first member by the particle, then measure that member.")
+print("0.6|0> + 0.8|1> leaves 0.6|00> + 0.8|11> on (particle, second member):")
+psi = PureState((2,), [0.6, 0.8])
+rec = strong_couple_and_measure(tensor_product(ket2dm(psi), ket2dm(bell_state(2))), 0, 1, 0)
+print("  outcome probability:", rec.probability)
+print("  output diagonal:    ", rec.state.diagonal())
 
 rho = ket2dm(ghz(3))
 

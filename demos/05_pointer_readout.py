@@ -34,8 +34,10 @@ print("weak values approach the analytic ones as g shrinks, with a bias")
 print("that falls off quadratically:")
 rho = random_density_matrix((2, 2, 2), seed=42)
 b = mub.vectors[0]
-expect = analytic_weak_value(rho, table.projector(0, 0), b)
-print("  analytic W(|000><000|) =", expect)
+col = 0  # the joint device of column 1 projects onto its party digits
+label = "".join(map(str, table.party_digits[col]))
+expect = analytic_weak_value(rho, np.diag(np.eye(table.n_columns)[col]), b)
+print(f"  analytic W(|{label}><{label}|) =", expect)
 prev = None
 for g in (2e-1, 1e-1, 5e-2, 2.5e-2):
     cfg = PointerConfig(g)

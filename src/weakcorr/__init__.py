@@ -19,7 +19,6 @@ from .bases import (
     party_factors,
 )
 from .conveyance import (
-    AncillaPair,
     ConveyanceRecord,
     bell_state,
     broadcast,
@@ -73,7 +72,6 @@ __all__ = [
     "hadamard_mub",
     "is_mutually_unbiased",
     "party_factors",
-    "AncillaPair",
     "ConveyanceRecord",
     "bell_state",
     "broadcast",

@@ -232,10 +232,10 @@ def party_factors(state: PureState) -> tuple[PureState, ...]:
 class DeviceTable:
     """Matrix layout of the weakly measured projectors.
 
-    Line 0 holds the joint rank-1 projector of each column; line j >= 1
-    holds the projector of party j-1 onto the digit that column assigns to
-    it.  The tensor product of lines 1..n reconstructs line 0 column by
-    column.
+    Line 0 holds the joint rank-1 projector |i><i| of each column i; line
+    j >= 1 holds the projector of party j-1 onto the digit that column
+    assigns to it, ``party_digits[i, j-1]``.  The tensor product of lines
+    1..n reconstructs line 0 column by column.
     """
 
     dims: tuple[int, ...]
@@ -263,35 +263,6 @@ class DeviceTable:
     @property
     def n_columns(self) -> int:
         return self.party_digits.shape[0]
-
-    def scope(self, line: int) -> tuple[int, ...]:
-        """Subsystem indices the projector of ``line`` acts on."""
-        if line == 0:
-            return tuple(range(self.n_parties))
-        if 1 <= line < self.n_lines:
-            return (line - 1,)
-        raise ShapeMismatch(f"line {line} out of range for {self.n_lines} lines")
-
-    def projector(self, line: int, column: int) -> np.ndarray:
-        """Dense projector matrix on the subsystems of ``scope(line)``."""
-        if not 0 <= column < self.n_columns:
-            raise ShapeMismatch(f"column {column} out of range")
-        if line == 0:
-            d = self.n_columns
-            out = np.zeros((d, d), dtype=complex)
-            out[column, column] = 1.0
-            return out
-        party = self.scope(line)[0]
-        d = self.dims[party]
-        digit = int(self.party_digits[column, party])
-        out = np.zeros((d, d), dtype=complex)
-        out[digit, digit] = 1.0
-        return out
-
-    def shift_digit(self, line: int, column: int) -> int:
-        """Digit selected by a single-party line in the given column."""
-        party = self.scope(line)[0]
-        return int(self.party_digits[column, party])
 
 
 def device_table(dims) -> DeviceTable:

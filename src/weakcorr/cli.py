@@ -49,9 +49,6 @@ from .estimator import (
     correlation_oracle_diag,
     reconstruct_matrix,
 )
-# Not called here (the sweep conveys inside the estimator); kept as a module
-# attribute for code that wraps cli.convey to count conveyances.
-from .conveyance import convey  # noqa: F401
 from .pointer import PointerConfig
 from .qcore import DensityMatrix, PureState, trace_distance
 

@@ -38,26 +38,15 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BadDimension, BadSubsystem, ImpossibleOutcome, ShapeMismatch
-from .qcore import DensityMatrix, PureState, digit_table
-
-OUTCOME_TOL = 1e-14
+from .qcore import SKIP_THRESHOLD, DensityMatrix, PureState, digit_table
 
 __all__ = [
-    "AncillaPair",
     "ConveyanceRecord",
     "bell_state",
     "strong_couple_and_measure",
     "convey",
     "broadcast",
 ]
-
-
-@dataclass(frozen=True)
-class AncillaPair:
-    """Maximally entangled pair of equal-dimension particles."""
-
-    dim: int
-    state: PureState
 
 
 @dataclass(frozen=True)
@@ -69,18 +58,14 @@ class ConveyanceRecord:
     probability: float
 
 
-def bell_state(dim: int, variant: str = "aligned") -> AncillaPair:
-    """(1/sqrt(l)) sum_m |m>|m+offset> with offset 0 ("aligned") or 1 ("flip")."""
+def bell_state(dim: int) -> PureState:
+    """The aligned ancilla pair (1/sqrt(l)) sum_m |m>|m>."""
     l = int(dim)
     if l < 2:
         raise BadDimension(f"ancilla dimension must be >= 2, got {l}")
-    if variant not in ("aligned", "flip"):
-        raise BadDimension(f"unknown ancilla variant {variant!r}")
-    offset = 1 if variant == "flip" else 0
     amp = np.zeros(l * l, dtype=complex)
-    for m in range(l):
-        amp[m * l + (m + offset) % l] = 1.0 / math.sqrt(l)
-    return AncillaPair(l, PureState((l, l), amp))
+    amp[:: l + 1] = 1.0 / math.sqrt(l)
+    return PureState((l, l), amp)
 
 
 def _relabel(matrix: np.ndarray, perm: np.ndarray) -> np.ndarray:
@@ -122,7 +107,7 @@ def strong_couple_and_measure(
     sel = np.flatnonzero(digit_table(joint.dims)[:, target] == int(outcome))
     block = coupled[np.ix_(sel, sel)]
     prob = float(np.real(np.trace(block)))
-    if prob < OUTCOME_TOL:
+    if prob < SKIP_THRESHOLD:
         raise ImpossibleOutcome(
             f"outcome {outcome} on subsystem {target} has probability {prob:.3e}"
         )
@@ -189,21 +174,17 @@ def convey(
     return ConveyanceRecord(state, outcomes, 1.0 / math.prod(rho.dims[:-1]))
 
 
-def broadcast(
-    rho: DensityMatrix, party: int, outcome: int, variant: str = "aligned"
-) -> ConveyanceRecord:
+def broadcast(rho: DensityMatrix, party: int, outcome: int) -> ConveyanceRecord:
     """Equip ``party`` with a computational-basis-correlated copy.
 
-    The circuit attaches an entangled pair sum_m |m>|m + offset> (offset 0
-    for ``"aligned"``, 1 for ``"flip"``), controlled-shifts the party onto
-    the second pair member, measures that member with result ``outcome``
-    and removes it.  The surviving member, appended as the last subsystem,
-    is left with label (outcome - offset - x) mod l when the party has
-    label x, so the result is computed as the embedding
-    rho_ij |i, c(i)><j, c(j)| with probability 1/l.  For outcome 0 of the
-    aligned pair the (party, copy) pair carries
-    sum_{ii'} rho_{ii'} |i><i'| (x) |i><i'|, so the copy's marginal is the
-    computational-basis dephasing of the party.
+    The circuit attaches an aligned pair sum_m |m>|m>, controlled-shifts
+    the party onto the second pair member, measures that member with
+    result ``outcome`` and removes it.  The surviving member, appended as
+    the last subsystem, is left with label (outcome - x) mod l when the
+    party has label x, so the result is computed as the embedding
+    rho_ij |i, c(i)><j, c(j)| with probability 1/l.  For outcome 0 the
+    (party, copy) pair carries sum_{ii'} rho_{ii'} |i><i'| (x) |i><i'|, so
+    the copy's marginal is the computational-basis dephasing of the party.
     """
     n = len(rho.dims)
     if not 0 <= party < n:
@@ -212,12 +193,9 @@ def broadcast(
     outcome = int(outcome)
     if l < 2:
         raise BadDimension(f"ancilla dimension must be >= 2, got {l}")
-    if variant not in ("aligned", "flip"):
-        raise BadDimension(f"unknown ancilla variant {variant!r}")
     if not 0 <= outcome < l:
         raise ImpossibleOutcome(f"outcome {outcome} out of range for dimension {l}")
-    offset = 1 if variant == "flip" else 0
-    copy = (outcome - offset - digit_table(rho.dims)[:, party]) % l
+    copy = (outcome - digit_table(rho.dims)[:, party]) % l
     rows = np.arange(rho.dim) * l + copy
     matrix = np.zeros((rho.dim * l, rho.dim * l), dtype=complex)
     matrix[np.ix_(rows, rows)] = rho.matrix

@@ -51,10 +51,11 @@ tomography identity rho_ij = sum_k (beta_kj / beta_ki) P_k W_ki becomes
 (N / beta)^T @ beta for the numerator N in the a frame, one O(d^3)
 expression for the whole matrix.
 
-Postselections with probability below 1e-14 contribute zero by convention
-(the P_k prefactor annihilates the undefined weak value) and are reported
-as skipped.  Weak values are generally complex; the bracket above uses the
-complex modulus.
+A postselection with probability P_k < SKIP_THRESHOLD (1e-14, defined in
+``weakcorr.qcore``) contributes zero by convention (the P_k prefactor
+annihilates the undefined weak value) and is reported as skipped; at
+P_k = SKIP_THRESHOLD it is computed.  Weak values are generally complex;
+the bracket above uses the complex modulus.
 """
 
 from __future__ import annotations
@@ -80,9 +81,7 @@ from .errors import (
     UnbiasednessViolation,
 )
 from .pointer import PointerConfig
-from .qcore import DensityMatrix, PureState, as_operator, digit_table
-
-SKIP_THRESHOLD = 1e-14
+from .qcore import SKIP_THRESHOLD, DensityMatrix, PureState, as_operator, digit_table
 
 # The most damped-state elements (couplings x d^2) one block of a
 # no-copies sweep stacks.  Stacking pays where numpy's per-call cost
@@ -133,7 +132,7 @@ def analytic_weak_value(rho: DensityMatrix, projector, b: PureState) -> complex:
     """tr(|b><b| A rho) / tr(|b><b| rho) for a mixed pre-state."""
     a = as_operator(projector, rho.dim)
     prob = postselection_probability(rho, b)
-    if prob <= 1e-14:
+    if prob < SKIP_THRESHOLD:
         raise NullPostselection(f"postselection probability {prob:.3e}")
     num = complex(b.amplitudes.conj() @ a @ rho.matrix @ b.amplitudes)
     return num / prob
@@ -187,11 +186,8 @@ def correlation_oracle_diag(rho: DensityMatrix) -> float:
     diag = rho.diagonal()
     cube = diag.reshape(rho.dims)
     n = len(rho.dims)
-    prod = np.ones(1)
-    for party in range(n):
-        m = cube.sum(axis=tuple(q for q in range(n) if q != party))
-        prod = np.multiply.outer(prod, m).ravel()
-    return float(np.sum(np.abs(diag - prod)))
+    marginals = [cube.sum(axis=tuple(q for q in range(n) if q != p)) for p in range(n)]
+    return float(np.sum(np.abs(diag - _party_product(marginals))))
 
 
 @dataclass(frozen=True)
@@ -331,7 +327,7 @@ def _normalise_rows(num: np.ndarray, kept: np.ndarray) -> np.ndarray:
     """
     sums = np.real(num.sum(axis=-1))
     low = sums[..., kept]
-    if low.size and low.min() <= 1e-14:
+    if low.size and low.min() < SKIP_THRESHOLD:
         raise NullPostselection(f"postselection probability {low.min():.3e}")
     return np.divide(num, sums[..., None], out=np.zeros_like(num), where=kept[..., None])
 

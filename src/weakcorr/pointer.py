@@ -52,9 +52,7 @@ import numpy as np
 
 from .bases import DeviceTable
 from .errors import InvariantViolation, LayoutMismatch, NullPostselection, ShapeMismatch
-from .qcore import DensityMatrix, PureState, digit_table
-
-POSTSELECTION_TOL = 1e-14
+from .qcore import SKIP_THRESHOLD, DensityMatrix, PureState, digit_table
 
 __all__ = [
     "PointerConfig",
@@ -107,17 +105,6 @@ class BranchState:
     @property
     def line1_dim(self) -> int:
         return int(np.prod(self.dims[: self.n_parties]))
-
-    def branches(self):
-        """The matrix elements as (ket_label, bra_label, weight) triples."""
-        return list(zip(self.kets.tolist(), self.bras.tolist(), self.weights.tolist()))
-
-    def assemble(self) -> DensityMatrix:
-        """Reconstruct the pre-coupling state from the stored branches."""
-        d = int(np.prod(self.dims))
-        m = np.zeros((d, d), dtype=complex)
-        m[self.kets, self.bras] = self.weights
-        return DensityMatrix(self.dims, m)
 
 
 @dataclass(frozen=True)
@@ -203,7 +190,7 @@ def postselect_and_read(
     base = factor * damp
 
     prob = float(np.real(np.sum(base)))
-    if prob < POSTSELECTION_TOL:
+    if prob < SKIP_THRESHOLD:
         raise NullPostselection(f"postselection probability {prob:.3e}")
 
     num_q = np.tensordot(base, 0.5 * g * (s_ket + s_bra), axes=(0, 0))

@@ -23,7 +23,9 @@ shared freely between threads and processes.
 
 Structural invariants (norm, trace, Hermiticity) are enforced at 1e-12;
 spectral checks use 1e-10 because double-precision eigensolvers lose about
-two digits.
+two digits.  A postselection or a strong-measurement outcome is null
+exactly when its probability P satisfies P < SKIP_THRESHOLD; every
+probability check of the package uses that one rule.
 """
 
 from __future__ import annotations
@@ -38,10 +40,12 @@ from .errors import BadSubsystem, InvariantViolation, ShapeMismatch
 
 STRUCT_TOL = 1e-12
 SPECTRAL_TOL = 1e-10
+SKIP_THRESHOLD = 1e-14
 
 __all__ = [
     "STRUCT_TOL",
     "SPECTRAL_TOL",
+    "SKIP_THRESHOLD",
     "PureState",
     "DensityMatrix",
     "as_operator",

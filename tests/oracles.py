@@ -214,6 +214,30 @@ def random_rho(d, seed):
     return m / np.trace(m)
 
 
+def projector(table, line, column):
+    """The dense projector of device (line, column) of a ``DeviceTable``:
+    |column><column| on line 0, and on line p + 1 party p's projector onto
+    the digit ``party_digits[column, p]``."""
+    if line == 0:
+        d = table.n_columns
+        index = column
+    else:
+        d = table.dims[line - 1]
+        index = table.party_digits[column, line - 1]
+    out = np.zeros((d, d), dtype=complex)
+    out[index, index] = 1.0
+    return out
+
+
+def assemble(bs):
+    """The pre-coupling state a ``BranchState`` stores as its nonzero
+    matrix elements ``weights`` at (``kets``, ``bras``)."""
+    d = math.prod(bs.dims)
+    m = np.zeros((d, d), dtype=complex)
+    m[bs.kets, bs.bras] = bs.weights
+    return DensityMatrix(bs.dims, m)
+
+
 # -- gate-level conveyance and broadcast
 
 
@@ -229,8 +253,7 @@ def convey_literal_gates(rho, outcomes):
     work = rho
     prob = 1.0
     for party, nu in enumerate(outcomes):
-        pair = bell_state(rho.dims[party])
-        work = tensor_product(work, ket2dm(pair.state))
+        work = tensor_product(work, ket2dm(bell_state(rho.dims[party])))
         rec = strong_couple_and_measure(
             work, control=party, target=len(work.dims) - 2, outcome=nu
         )
@@ -241,10 +264,9 @@ def convey_literal_gates(rho, outcomes):
     return ConveyanceRecord(partial_trace(work, keep), tuple(outcomes), prob)
 
 
-def broadcast_gates(rho, party, outcome, variant="aligned"):
+def broadcast_gates(rho, party, outcome):
     """Copy fan-out run gate by gate: pair, controlled shift, measurement."""
-    pair = bell_state(rho.dims[party], variant)
-    work = tensor_product(rho, ket2dm(pair.state))
+    work = tensor_product(rho, ket2dm(bell_state(rho.dims[party])))
     return strong_couple_and_measure(
         work, control=party, target=len(work.dims) - 1, outcome=outcome
     )
@@ -277,7 +299,7 @@ def analytic_table_loop(state, basis_b, table, threshold=1e-14):
             skipped.append(k)
             continue
         for i in range(columns):
-            values[0, k, i] = analytic_weak_value(state, table.projector(0, i), b)
+            values[0, k, i] = analytic_weak_value(state, projector(table, 0, i), b)
         for line in range(1, table.n_lines):
             party = line - 1
             per_digit = [
@@ -289,7 +311,7 @@ def analytic_table_loop(state, basis_b, table, threshold=1e-14):
                 for digit in range(table.dims[party])
             ]
             for i in range(columns):
-                values[line, k, i] = per_digit[table.shift_digit(line, i)]
+                values[line, k, i] = per_digit[table.party_digits[i, party]]
     return DenseTable(values, probs, tuple(skipped))
 
 
@@ -311,7 +333,7 @@ def skip_broadcast_limits_loop(state, basis_b, table, threshold=1e-14):
             skipped.append(k)
             continue
         for i in range(columns):
-            values[0, k, i] = analytic_weak_value(state, table.projector(0, i), b)
+            values[0, k, i] = analytic_weak_value(state, projector(table, 0, i), b)
         for line in range(1, table.n_lines):
             party = line - 1
             lifted = {
@@ -321,7 +343,7 @@ def skip_broadcast_limits_loop(state, basis_b, table, threshold=1e-14):
                 for digit in (0, 1)
             }
             for i in range(columns):
-                values[line, k, i] = lifted[table.shift_digit(line, i)]
+                values[line, k, i] = lifted[table.party_digits[i, party]]
     return DenseTable(values, probs, tuple(skipped))
 
 

@@ -23,6 +23,7 @@ from oracles import (
     convey_literal_bruteforce,
     diag_correlation,
     eq_weak_value,
+    projector,
     skip_broadcast_correlation,
 )
 
@@ -121,7 +122,7 @@ def test_criterion_04_completeness_identity():
             for k, b in enumerate(mub.vectors):
                 if probs[k] < 1e-14:
                     continue
-                acc += probs[k] * analytic_weak_value(rho, table.projector(0, i), b)
+                acc += probs[k] * analytic_weak_value(rho, projector(table, 0, i), b)
             worst = max(worst, abs(acc - rho.matrix[i, i]))
     _criterion(
         4,
@@ -226,11 +227,11 @@ def test_criterion_08_pointer_calibration():
         readings = postselect_and_read(bs, mub.vectors[k], cfg)
         w = extract_weak_value(readings.delta_q, readings.delta_p, cfg)
         for i in range(8):
-            expect = eq_weak_value(rho.matrix, table3.projector(0, i), mub.matrix[k])
+            expect = eq_weak_value(rho.matrix, projector(table3, 0, i), mub.matrix[k])
             worst = max(worst, abs(w[0, i] - expect))
         for line in (1, 2, 3):
             for i in (0, 7):
-                digit = table3.shift_digit(line, i)
+                digit = table3.party_digits[i, line - 1]
                 ops = [np.diag(eye[digit]) if p == line - 1 else eye for p in range(3)]
                 full = np.kron(np.kron(ops[0], ops[1]), ops[2])
                 expect = eq_weak_value(rho.matrix, full, mub.matrix[k])

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import mub_vectors
+from oracles import mub_vectors, projector
 
 from weakcorr import (
     bases,
@@ -175,33 +175,25 @@ def test_device_table_three_qubits():
     # column 3 (1-based): joint |010><010|, parties (0, 1, 0)
     np.testing.assert_array_equal(t.party_digits[2], [0, 1, 0])
     assert t.labels[2] == "010"
-    np.testing.assert_array_equal(np.diag(t.projector(0, 2)).real, np.eye(8)[2])
-    np.testing.assert_array_equal(np.diag(t.projector(1, 2)).real, [1, 0])
-    np.testing.assert_array_equal(np.diag(t.projector(2, 2)).real, [0, 1])
-    np.testing.assert_array_equal(np.diag(t.projector(3, 2)).real, [1, 0])
+    np.testing.assert_array_equal(np.diag(projector(t, 0, 2)).real, np.eye(8)[2])
+    np.testing.assert_array_equal(np.diag(projector(t, 1, 2)).real, [1, 0])
+    np.testing.assert_array_equal(np.diag(projector(t, 2, 2)).real, [0, 1])
+    np.testing.assert_array_equal(np.diag(projector(t, 3, 2)).real, [1, 0])
     # column 8: all ones
     np.testing.assert_array_equal(t.party_digits[7], [1, 1, 1])
-    np.testing.assert_array_equal(np.diag(t.projector(0, 7)).real, np.eye(8)[7])
+    np.testing.assert_array_equal(np.diag(projector(t, 0, 7)).real, np.eye(8)[7])
     for line in (1, 2, 3):
-        np.testing.assert_array_equal(np.diag(t.projector(line, 7)).real, [0, 1])
+        np.testing.assert_array_equal(np.diag(projector(t, line, 7)).real, [0, 1])
 
 
 @pytest.mark.parametrize("dims", [[2], [2, 2], [2, 2, 2], [2, 3], [3, 2, 2]])
 def test_device_table_reconstruction_invariant(dims):
     t = device_table(dims)
     for col in range(t.n_columns):
-        parts = t.projector(1, col)
+        parts = projector(t, 1, col)
         for line in range(2, t.n_lines):
-            parts = np.kron(parts, t.projector(line, col))
-        np.testing.assert_allclose(parts, t.projector(0, col), atol=1e-15)
-
-
-def test_device_table_scope():
-    t = device_table([2, 2, 2])
-    assert t.scope(0) == (0, 1, 2)
-    assert t.scope(2) == (1,)
-    with pytest.raises(ShapeMismatch):
-        t.scope(4)
+            parts = np.kron(parts, projector(t, line, col))
+        np.testing.assert_allclose(parts, projector(t, 0, col), atol=1e-15)
 
 
 # -- the builtin constants, built once per dims

@@ -36,19 +36,14 @@ SQ2 = np.sqrt(2.0)
 
 def test_bell_state_qubits():
     pair = bell_state(2)
-    np.testing.assert_allclose(pair.state.amplitudes, np.array([1, 0, 0, 1]) / SQ2)
+    assert pair.dims == (2, 2)
+    np.testing.assert_allclose(pair.amplitudes, np.array([1, 0, 0, 1]) / SQ2)
 
 
 def test_bell_state_qutrits():
-    pair = bell_state(3)
-    amp = pair.state.amplitudes
+    amp = bell_state(3).amplitudes
     assert np.count_nonzero(amp) == 3
     np.testing.assert_allclose(amp[[0, 4, 8]], np.full(3, 1 / np.sqrt(3)))
-
-
-def test_bell_state_flip_variant():
-    pair = bell_state(2, "flip")
-    np.testing.assert_allclose(pair.state.amplitudes, np.array([0, 1, 1, 0]) / SQ2)
 
 
 def test_bell_state_rejects_small_dimension():
@@ -62,7 +57,7 @@ def test_bell_state_rejects_small_dimension():
 def test_strong_couple_conveys_superposition():
     alpha, beta = 0.6, 0.8
     psi = PureState((2,), [alpha, beta])
-    joint = tensor_product(ket2dm(psi), ket2dm(bell_state(2).state))
+    joint = tensor_product(ket2dm(psi), ket2dm(bell_state(2)))
     rec = strong_couple_and_measure(joint, control=0, target=1, outcome=0)
     assert rec.probability == pytest.approx(0.5, abs=1e-12)
     expect = np.array([alpha, 0, 0, beta], dtype=complex)
@@ -70,7 +65,7 @@ def test_strong_couple_conveys_superposition():
 
 
 def test_strong_couple_classical_control():
-    joint = tensor_product(ket2dm(ket("0")), ket2dm(bell_state(2).state))
+    joint = tensor_product(ket2dm(ket("0")), ket2dm(bell_state(2)))
     rec = strong_couple_and_measure(joint, control=0, target=1, outcome=0)
     assert rec.probability == pytest.approx(0.5, abs=1e-12)
     np.testing.assert_allclose(rec.state.matrix, ket2dm(ket("00")).matrix, atol=1e-12)
@@ -174,12 +169,8 @@ def test_closed_form_stages_match_gate_level_circuit(dims, seed):
     for nu in itertools.product(*(range(l) for l in dims[:-1])):
         _assert_same_record(convey(rho, nu, "literal"), convey_literal_gates(rho, nu))
     for party, l in enumerate(dims):
-        for variant in ("aligned", "flip"):
-            for mu in range(l):
-                _assert_same_record(
-                    broadcast(rho, party, mu, variant),
-                    broadcast_gates(rho, party, mu, variant),
-                )
+        for mu in range(l):
+            _assert_same_record(broadcast(rho, party, mu), broadcast_gates(rho, party, mu))
 
 
 # -- broadcast
@@ -262,13 +253,12 @@ def test_convey_output_passes_full_validation(mode, dims, outcomes):
         assert_valid_output(convey(random_density_matrix(dims, seed), outcomes, mode).state)
 
 
-@pytest.mark.parametrize("variant", ["aligned", "flip"])
 @pytest.mark.parametrize("dims", [(2, 2, 2), (3, 2, 3)])
-def test_broadcast_output_passes_full_validation(variant, dims):
+def test_broadcast_output_passes_full_validation(dims):
     rho = random_density_matrix(dims, 5)
     for party, l in enumerate(dims):
         for outcome in range(l):
-            assert_valid_output(broadcast(rho, party, outcome, variant).state)
+            assert_valid_output(broadcast(rho, party, outcome).state)
 
 
 # -- the identity relabel
