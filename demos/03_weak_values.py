@@ -10,7 +10,7 @@ from weakcorr import (
     hadamard_mub,
     ket2dm,
     random_density_matrix,
-    reconstruct_element,
+    reconstruct_matrix,
     weak_value_pure,
 )
 from weakcorr.qcore import PureState
@@ -40,13 +40,9 @@ print("  W(|010><010|) =", analytic_weak_value(rho, a010, mub.vectors[0]))
 print("\nSumming P_k (beta_kj / beta_ki) W_ki over the unbiased basis")
 print("reconstructs every matrix element:")
 comp = computational_basis((2, 2, 2))
-print("  <000|rho|111> reconstructed =", reconstruct_element(0, 7, rho, comp, mub))
+print("  <000|rho|111> reconstructed =", reconstruct_matrix(rho, comp, mub)[0, 7])
 
 rho_r = random_density_matrix((2, 2), seed=7)
 comp2, mub2 = computational_basis((2, 2)), hadamard_mub(2)
-worst = max(
-    abs(reconstruct_element(i, j, rho_r, comp2, mub2) - rho_r.matrix[i, j])
-    for i in range(4)
-    for j in range(4)
-)
+worst = np.max(np.abs(reconstruct_matrix(rho_r, comp2, mub2) - rho_r.matrix))
 print("  max residual on a random two-qubit state:", worst)

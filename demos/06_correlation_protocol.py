@@ -53,9 +53,10 @@ print("the same correlation, 1.5.  Product states give zero either way.")
 print()
 print("Per-postselection breakdown for GHZ (analytic backend):")
 rep = correlation(states["GHZ"], "analytic", "idealized")
-for term in rep.per_k:
-    tag = "skipped (zero overlap)" if term.skipped else f"P={term.probability:.4f} term={term.term:.4f}"
-    print(f"  k={term.k + 1} [{term.label}]  {tag}")
+rows = zip(rep.labels, rep.table.probabilities, rep.terms)
+for k, (label, probability, term) in enumerate(rows):
+    tag = "skipped (zero overlap)" if k in rep.skipped else f"P={probability:.4f} term={term:.4f}"
+    print(f"  k={k + 1} [{label}]  {tag}")
 
 print()
 print("Nonzero conveyance outcomes only relabel digits; with a consistently")

@@ -33,7 +33,6 @@ from .estimator import (
     correlation_oracle_diag,
     correlation_sweep,
     postselection_probability,
-    reconstruct_element,
     reconstruct_matrix,
     weak_value_limits,
     weak_value_pure,
@@ -84,7 +83,6 @@ __all__ = [
     "correlation_oracle_diag",
     "correlation_sweep",
     "postselection_probability",
-    "reconstruct_element",
     "reconstruct_matrix",
     "weak_value_limits",
     "weak_value_pure",

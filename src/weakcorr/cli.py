@@ -11,8 +11,12 @@ Decomposition form::
 Config files are JSON objects with any of: backend, mode, g, sigma,
 outcomes (list of conveyance results plus the shared broadcast result, or
 the string "enumerate"), postselection_basis ("hadamard" or a basis file
-path, relative to the config file's directory unless absolute), seed,
-skip_broadcast.  Command-line flags override config values.
+path, relative to the config file's directory unless absolute),
+skip_broadcast.  Each key is checked once, by ``load_config``; ``run`` reads
+them all, ``sweep`` all but backend and g (it runs the circuit backend at
+each g of ``--g-list``).  The flags --backend, --mode, --g and --sigma
+override the config values of the same name; ``sweep`` has no --backend or
+--g flag.
 
 Reports are deterministic: keys are emitted in fixed order and floats are
 printed with 12 significant digits in exponent notation.  Exit codes:
@@ -61,7 +65,7 @@ FORMAT_CHOICES = ("json", "csv")
 # size is allocated; 2**12 leaves room above ten qubits.
 MAX_DIM = 2**12
 
-__all__ = ["main", "load_state", "dump_state", "load_basis", "render_tables"]
+__all__ = ["main", "load_state", "load_basis", "render_tables"]
 
 
 # ---------------------------------------------------------------------------
@@ -245,24 +249,13 @@ def load_state(path: str) -> DensityMatrix:
     raise errors.ParseFailure('state file needs either "entries" or "terms"')
 
 
-def dump_state(rho: DensityMatrix) -> str:
-    """Canonical dense serialization (full-precision floats)."""
-    entries = ",\n    ".join(
-        f"[{float(z.real)!r}, {float(z.imag)!r}]" for z in rho.matrix.reshape(-1)
-    )
-    dims = ", ".join(str(d) for d in rho.dims)
-    return f'{{\n  "dims": [{dims}],\n  "entries": [\n    {entries}\n  ]\n}}\n'
-
-
 @dataclass(frozen=True)
 class RunConfig:
     backend: str = "analytic"
     mode: str = "idealized"
-    g: float = 1e-3
-    sigma: float = 1.0 / math.sqrt(2.0)
+    pointer: PointerConfig = PointerConfig()  # the config keys g and sigma
     outcomes: tuple[int, ...] | str = ()
     postselection_basis: str = "hadamard"
-    seed: int = 0
     skip_broadcast: bool = False
     # Not a config key: where load_basis reads ``postselection_basis`` from.
     # A relative basis file path is resolved against the config file's
@@ -270,12 +263,14 @@ class RunConfig:
     basis_source: str = "hadamard"
 
 
-_CONFIG_KEYS = frozenset(f.name for f in fields(RunConfig)) - {"basis_source"}
+_CONFIG_KEYS = frozenset(
+    f.name for f in (*fields(RunConfig), *fields(PointerConfig))
+) - {"pointer", "basis_source"}
 
 
 def _finite_number(merged: dict, name: str) -> float:
     """Config or flag value ``name`` as a float; JSON booleans are not numbers."""
-    value = merged.get(name, getattr(RunConfig, name))
+    value = merged.get(name, getattr(PointerConfig, name))
     # Compared exactly, so NaN, infinities and integers beyond the float range fail.
     if type(value) not in _NUMBERS or not abs(value) <= sys.float_info.max:
         raise errors.ParseFailure(f"{name} must be a finite number")
@@ -292,42 +287,35 @@ def load_config(path: str | None, args) -> RunConfig:
     if unknown:
         raise errors.ParseFailure(f"unknown config keys: {sorted(unknown)}")
     merged = dict(doc)
-    for flag in ("backend", "mode", "g", "sigma", "seed"):
-        value = getattr(args, flag, None)
+    for flag in ("backend", "mode", "g", "sigma"):
+        value = getattr(args, flag, None)  # sweep has no --backend or --g
         if value is not None:
             merged[flag] = value
 
-    backend = merged.get("backend", "analytic")
-    mode = merged.get("mode", "idealized")
+    backend = merged.get("backend", RunConfig.backend)
+    mode = merged.get("mode", RunConfig.mode)
     if backend not in ("analytic", "circuit"):
         raise errors.ParseFailure(f'backend must be "analytic" or "circuit", got {backend!r}')
     if mode not in ("literal", "idealized"):
         raise errors.ParseFailure(f'mode must be "literal" or "idealized", got {mode!r}')
-    g, sigma = (_finite_number(merged, name) for name in ("g", "sigma"))
-    if g <= 0 or sigma <= 0:
-        raise errors.InvariantViolation(
-            f"g and sigma must be positive, got g={g!r}, sigma={sigma!r}"
-        )
-    outcomes = merged.get("outcomes", ())
+    pointer = PointerConfig(*(_finite_number(merged, name) for name in ("g", "sigma")))
+    outcomes = merged.get("outcomes", RunConfig.outcomes)
     if outcomes != "enumerate":
         if not isinstance(outcomes, (list, tuple)) or not all(
             type(v) is int for v in outcomes
         ):
             raise errors.ParseFailure('outcomes must be a list of integers or "enumerate"')
         outcomes = tuple(outcomes)
-    basis = merged.get("postselection_basis", "hadamard")
+    basis = merged.get("postselection_basis", RunConfig.postselection_basis)
     if not isinstance(basis, str):
         raise errors.ParseFailure("postselection_basis must be a string")
     source = basis
     if path is not None and basis != "hadamard":
         source = os.path.join(os.path.dirname(path), basis)
-    seed = merged.get("seed", 0)
-    if type(seed) is not int:
-        raise errors.ParseFailure("seed must be an integer")
-    skip = merged.get("skip_broadcast", False)
+    skip = merged.get("skip_broadcast", RunConfig.skip_broadcast)
     if not isinstance(skip, bool):
         raise errors.ParseFailure("skip_broadcast must be a boolean")
-    return RunConfig(backend, mode, g, sigma, outcomes, basis, seed, skip, source)
+    return RunConfig(backend, mode, pointer, outcomes, basis, skip, source)
 
 
 def load_basis(name_or_path: str, dims) -> BasisSet:
@@ -376,24 +364,40 @@ def _split_outcomes(outcomes, n: int) -> tuple[tuple[int, ...], int]:
     )
 
 
+# The fields of a run report's row per postselection and of a sweep report's
+# row per coupling: JSON keys and CSV header alike.
+_TERM_COLUMNS = ("k", "label", "probability", "term", "skipped")
+_SWEEP_COLUMNS = (
+    "g",
+    "correlation_circuit",
+    "abs_error_vs_oracle_diag",
+    "max_weak_value_residual",
+    "error_nonincreasing",
+)
+
+
+def _term_rows(report) -> list[tuple]:
+    """One (k, label, probability, term, skipped) row per postselection, k from 1."""
+    skipped = set(report.skipped)
+    rows = zip(report.labels, report.table.probabilities.tolist(), report.terms.tolist())
+    return [(k + 1, label, p, t, k in skipped) for k, (label, p, t) in enumerate(rows)]
+
+
+def _csv_row(row) -> str:
+    """A report row as one CSV line: floats as _fmt_float, booleans in lower case."""
+    cells = [str(v).lower() if isinstance(v, bool) else v for v in row]
+    return ",".join(_fmt_float(v) if isinstance(v, float) else str(v) for v in cells)
+
+
 def _run_block(report) -> dict:
-    values, skipped = report.table.values, report.table.skipped
+    values, skipped = report.table.values, report.skipped
     return {
         "outcomes": list(report.outcomes),
         "broadcast_outcome": report.broadcast_outcome,
         "correlation": report.C,
         "oracle_diag": report.oracle_diag,
-        "skipped_k": [term.k + 1 for term in report.per_k if term.skipped],
-        "per_postselection": [
-            {
-                "k": term.k + 1,
-                "label": term.label,
-                "probability": term.probability,
-                "term": term.term,
-                "skipped": term.skipped,
-            }
-            for term in report.per_k
-        ],
+        "skipped_k": [k + 1 for k in skipped],
+        "per_postselection": [dict(zip(_TERM_COLUMNS, row)) for row in _term_rows(report)],
         "weak_values": [
             {
                 "k": k + 1,
@@ -414,7 +418,7 @@ def _run_block(report) -> dict:
 def _run_csv(reports) -> str:
     """The CSV run report: one header line and one row per postselection per report.
 
-    Reads the reports' terms only, never their weak-value tables.
+    Reads the reports' terms and probabilities only, never their weak-value tables.
     """
     lines = []
     for report in reports:
@@ -424,12 +428,8 @@ def _run_csv(reports) -> str:
             + f" broadcast_outcome={report.broadcast_outcome}"
             + f" correlation={_fmt_float(report.C)}"
         )
-        lines.append("k,label,probability,term,skipped")
-        for term in report.per_k:
-            lines.append(
-                f"{term.k + 1},{term.label},{_fmt_float(term.probability)},"
-                f"{_fmt_float(term.term)},{str(term.skipped).lower()}"
-            )
+        lines.append(",".join(_TERM_COLUMNS))
+        lines.extend(map(_csv_row, _term_rows(report)))
     return "\n".join(lines) + "\n"
 
 
@@ -449,7 +449,6 @@ def cmd_run(args) -> int:
     rho = load_state(args.state)
     rc = load_config(args.config, args)
     basis = load_basis(rc.basis_source, rho.dims)
-    pcfg = PointerConfig(rc.g, rc.sigma)
     n = len(rho.dims)
     LOG.debug("run: dims=%s backend=%s mode=%s", rho.dims, rc.backend, rc.mode)
 
@@ -468,7 +467,7 @@ def cmd_run(args) -> int:
             rho,
             rc.backend,
             rc.mode,
-            pcfg,
+            rc.pointer,
             postselection=basis,
             outcomes=nu,
             broadcast_outcome=mu,
@@ -486,11 +485,10 @@ def cmd_run(args) -> int:
         "n_parties": n,
         "backend": rc.backend,
         "mode": rc.mode,
-        "g": rc.g,
-        "sigma": rc.sigma,
+        "g": rc.pointer.g,
+        "sigma": rc.pointer.sigma,
         "skip_broadcast": rc.skip_broadcast,
         "postselection_basis": rc.postselection_basis,
-        "seed": rc.seed,
     }
     if len(blocks) == 1:
         doc.update(blocks[0])
@@ -513,32 +511,25 @@ def cmd_sweep(args) -> int:
     try:
         g_list = [float(v) for v in args.g_list.split(",") if v.strip()]
     except ValueError:
-        print("error: --g-list must be a comma-separated list of numbers", file=sys.stderr)
-        return 2
+        raise errors.ParseFailure("--g-list must be a comma-separated list of numbers") from None
     if not g_list:
-        print("error: --g-list must not be empty", file=sys.stderr)
-        return 2
+        raise errors.ParseFailure("--g-list must not be empty")
     if not all(map(math.isfinite, g_list)):
-        print("error: --g-list values must be finite", file=sys.stderr)
-        return 2
-    if any(g <= 0 for g in g_list) or any(
-        a <= b for a, b in zip(g_list, g_list[1:])
-    ):
-        print("error: --g-list must be positive and strictly descending", file=sys.stderr)
-        return 2
+        raise errors.ParseFailure("--g-list values must be finite")
+    if any(g <= 0 for g in g_list) or any(a <= b for a, b in zip(g_list, g_list[1:])):
+        raise errors.ParseFailure("--g-list must be positive and strictly descending")
 
     rho = load_state(args.state)
     rc = load_config(args.config, args)
     if rc.outcomes == "enumerate":
-        print("error: sweep requires explicit outcomes, not \"enumerate\"", file=sys.stderr)
-        return 2
+        raise errors.ParseFailure('sweep requires explicit outcomes, not "enumerate"')
     basis = load_basis(rc.basis_source, rho.dims)
     n = len(rho.dims)
     nu, mu = _split_outcomes(rc.outcomes, n)
     reports = _sweep(
         rho,
         rc.mode,
-        [PointerConfig(g, rc.sigma) for g in g_list],
+        [PointerConfig(g, rc.pointer.sigma) for g in g_list],
         residuals=True,
         postselection=basis,
         outcomes=nu,
@@ -555,33 +546,17 @@ def cmd_sweep(args) -> int:
         rows.append((report.g, report.C, err, residual, trend))
         prev_err = err
 
-    if getattr(args, "format", "csv") == "json":
+    if args.format == "json":
         doc = {
             "command": "sweep",
             "state": args.state,
             "mode": rc.mode,
             "oracle_diag": oracle,
-            "rows": [
-                {
-                    "g": g,
-                    "correlation_circuit": c,
-                    "abs_error_vs_oracle_diag": err,
-                    "max_weak_value_residual": residual,
-                    "error_nonincreasing": trend,
-                }
-                for g, c, err, residual, trend in rows
-            ],
+            "rows": [dict(zip(_SWEEP_COLUMNS, row)) for row in rows],
         }
         _emit(render_json(doc), args.out)
         return 0
-    lines = [f"# oracle_diag={_fmt_float(oracle)}"]
-    lines.append(
-        "g,correlation_circuit,abs_error_vs_oracle_diag,max_weak_value_residual,error_nonincreasing"
-    )
-    for g, c, err, residual, trend in rows:
-        lines.append(
-            f"{_fmt_float(g)},{_fmt_float(c)},{_fmt_float(err)},{_fmt_float(residual)},{trend}"
-        )
+    lines = [f"# oracle_diag={_fmt_float(oracle)}", ",".join(_SWEEP_COLUMNS), *map(_csv_row, rows)]
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -652,15 +627,12 @@ def render_tables(n: int, fmt: str = "text") -> str:
 
 def cmd_tables(args) -> int:
     if args.n_qubits < 1:
-        print("error: n_qubits must be >= 1", file=sys.stderr)
-        return 2
+        raise errors.ParseFailure("n_qubits must be >= 1")
     if args.n_qubits > math.log2(MAX_DIM):
-        print(
-            f"error: n_qubits = {args.n_qubits} spans more than the limit "
-            f"MAX_DIM = {MAX_DIM} basis states",
-            file=sys.stderr,
+        raise errors.ParseFailure(
+            f"n_qubits = {args.n_qubits} spans more than the limit "
+            f"MAX_DIM = {MAX_DIM} basis states"
         )
-        return 2
     _emit(render_tables(args.n_qubits, args.format), args.out)
     return 0
 
@@ -673,24 +645,29 @@ def cmd_oracle(args) -> int:
     d = rho.dim
     direct = rho.matrix
     rebuilt = reconstruct_matrix(rho, computational_basis(rho.dims), hadamard_mub(n))
-    residual = float(np.max(np.abs(rebuilt - direct)))
+    error = np.abs(rebuilt - direct)
+    residual = float(np.max(error))
+
+    if args.format == "csv":
+        # One row per element, one %-format per matrix row.  %d prints the
+        # float indices as integers; adding 0.0 turns -0.0 into 0.0, as
+        # _fmt_float does.
+        i, j = np.indices((d, d)) + 1.0
+        table = np.stack(
+            [i, j, direct.real, direct.imag, rebuilt.real, rebuilt.imag, error],
+            axis=-1,
+        ) + 0.0
+        block = "\n".join([",".join(["%d"] * 2 + ["%.11e"] * 5)] * d)
+        lines = [
+            "i,j,direct_re,direct_im,reconstructed_re,reconstructed_im,abs_residual",
+            *(block % tuple(row.ravel().tolist()) for row in table),
+            f"# max_reconstruction_residual={_fmt_float(residual)}",
+        ]
+        _emit("\n".join(lines) + "\n", args.out)
+        return 0
     product = functools.reduce(np.kron, _marginals(rho.matrix, n))
     # A tensor product of the checked state's marginals is a density matrix.
     marginals = DensityMatrix._trusted(rho.dims, product)
-
-    if args.format == "csv":
-        lines = ["i,j,direct_re,direct_im,reconstructed_re,reconstructed_im,abs_residual"]
-        for i in range(d):
-            for j in range(d):
-                dv, rv = direct[i, j], rebuilt[i, j]
-                lines.append(
-                    f"{i + 1},{j + 1},{_fmt_float(dv.real)},{_fmt_float(dv.imag)},"
-                    f"{_fmt_float(rv.real)},{_fmt_float(rv.imag)},"
-                    f"{_fmt_float(abs(rv - dv))}"
-                )
-        lines.append(f"# max_reconstruction_residual={_fmt_float(residual)}")
-        _emit("\n".join(lines) + "\n", args.out)
-        return 0
     doc = {
         "command": "oracle",
         "state": args.state,
@@ -717,25 +694,25 @@ def build_parser() -> argparse.ArgumentParser:
         description="Correlation measurement of an unknown state via weak coupling.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # Options must be spelled out: an abbreviation would let sweep read
+    # --g as --g-list.
+    add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    def common(p, state=True, config=True):
-        if state:
-            p.add_argument("--state", required=True, help="state file (JSON)")
-        if config:
-            p.add_argument("--config", help="config file (JSON)")
-            p.add_argument("--backend", choices=("analytic", "circuit"))
-            p.add_argument("--mode", choices=("literal", "idealized"))
-            p.add_argument("--g", type=float)
-            p.add_argument("--sigma", type=float)
-            p.add_argument("--seed", type=int)
+    def common(p):
+        p.add_argument("--state", required=True, help="state file (JSON)")
+        p.add_argument("--config", help="config file (JSON)")
+        p.add_argument("--mode", choices=("literal", "idealized"))
+        p.add_argument("--sigma", type=float)
         p.add_argument("--out", help="write the report here instead of stdout")
 
-    p_run = sub.add_parser("run", help="run the protocol and report the correlation")
+    p_run = add_parser("run", help="run the protocol and report the correlation")
     common(p_run)
+    p_run.add_argument("--backend", choices=("analytic", "circuit"))
+    p_run.add_argument("--g", type=float)
     p_run.add_argument("--format", choices=FORMAT_CHOICES, default="json")
     p_run.set_defaults(func=cmd_run)
 
-    p_sweep = sub.add_parser("sweep", help="circuit-backend sweep over coupling strengths")
+    p_sweep = add_parser("sweep", help="circuit-backend sweep over coupling strengths")
     common(p_sweep)
     p_sweep.add_argument(
         "--g-list", required=True, help="comma-separated descending coupling strengths"
@@ -743,13 +720,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--format", choices=FORMAT_CHOICES, default="csv")
     p_sweep.set_defaults(func=cmd_sweep)
 
-    p_tables = sub.add_parser("tables", help="print the device table and postselection basis")
+    p_tables = add_parser("tables", help="print the device table and postselection basis")
     p_tables.add_argument("n_qubits", type=int)
     p_tables.add_argument("--format", choices=("text", "csv"), default="text")
     p_tables.add_argument("--out")
     p_tables.set_defaults(func=cmd_tables)
 
-    p_oracle = sub.add_parser("oracle", help="matrix-element reconstruction cross-check")
+    p_oracle = add_parser("oracle", help="matrix-element reconstruction cross-check")
     p_oracle.add_argument("--state", required=True)
     p_oracle.add_argument("--format", choices=FORMAT_CHOICES, default="json")
     p_oracle.add_argument("--out")
@@ -758,8 +735,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _setup_logging() -> None:
-    level = os.environ.get("WEAKCORR_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING))
+    """Set the level WEAKCORR_LOG names; WARNING for anything not a level name."""
+    level = logging.getLevelName(os.environ.get("WEAKCORR_LOG", "WARNING").upper())
+    logging.basicConfig(level=level if isinstance(level, int) else logging.WARNING)
 
 
 def main(argv=None) -> int:
@@ -774,10 +752,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except errors.ParseFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (errors.ParseFailure, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except errors.ProtocolError as exc:

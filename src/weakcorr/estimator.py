@@ -100,7 +100,6 @@ __all__ = [
     "analytic_weak_value",
     "postselection_probability",
     "reconstruct_matrix",
-    "reconstruct_element",
     "correlation",
     "correlation_sweep",
     "correlation_oracle_diag",
@@ -164,17 +163,6 @@ def reconstruct_matrix(
     return (num / beta).T @ beta
 
 
-def reconstruct_element(
-    i: int, j: int, rho: DensityMatrix, basis_a: BasisSet, basis_b: BasisSet
-) -> complex:
-    """<a_i| rho |a_j> recovered from postselected weak values.
-
-    Element (i, j) of :func:`reconstruct_matrix`, which checks every
-    overlap beta_kx = <b_k|a_x>, not only those of column i.
-    """
-    return complex(reconstruct_matrix(rho, basis_a, basis_b)[i, j])
-
-
 def correlation_oracle_diag(rho: DensityMatrix) -> float:
     """sum_i |rho_ii - prod_parties (marginal diagonal)_i|.
 
@@ -224,23 +212,13 @@ class WeakValueTable:
 
 
 @dataclass(frozen=True)
-class PostselectionTerm:
-    """One postselection's contribution to the correlation sum."""
-
-    k: int
-    label: str
-    probability: float
-    term: float
-    skipped: bool
-
-
-@dataclass(frozen=True)
 class CorrelationReport:
     """Correlation value with the evidence used to compute it.
 
     ``terms`` holds sum_i |W_joint[k, i] - prod_p W_p[k, x_p(i)]| for each
-    postselection k (zero on skipped rows) and ``labels`` the postselection
-    labels; ``per_k`` spells them out as one PostselectionTerm per k.
+    postselection k (zero on skipped rows), ``labels`` the postselection
+    labels and ``table.probabilities`` the postselection probabilities; the
+    rows in ``skipped`` are those below SKIP_THRESHOLD.
     """
 
     C: float
@@ -264,21 +242,6 @@ class CorrelationReport:
     @property
     def skipped(self) -> tuple[int, ...]:
         return self.table.skipped
-
-    @functools.cached_property
-    def per_k(self) -> tuple[PostselectionTerm, ...]:
-        """One PostselectionTerm per postselection, built on first access."""
-        probs = self.table.probabilities
-        return tuple(
-            map(
-                PostselectionTerm,
-                range(len(probs)),
-                self.labels,
-                probs.tolist(),
-                self.terms.tolist(),
-                (~(probs >= SKIP_THRESHOLD)).tolist(),
-            )
-        )
 
 
 class _Lines(NamedTuple):

@@ -72,10 +72,9 @@ class PointerConfig:
     sigma: float = 1.0 / math.sqrt(2.0)
 
     def __post_init__(self):
-        if not (0.0 < self.g < math.inf):
-            raise InvariantViolation(f"coupling strength must lie in (0, inf), got {self.g}")
-        if not (0.0 < self.sigma < math.inf):
-            raise InvariantViolation(f"pointer spread must lie in (0, inf), got {self.sigma}")
+        for name, value in (("g", self.g), ("sigma", self.sigma)):
+            if not (0.0 < value < math.inf):
+                raise InvariantViolation(f"{name} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,10 @@ for bit: the analytic party lines read one marginal at a time through
 the package's partial trace, and the conveyance that relabels on every
 call, the identity relabel included.  The last is the sweep residual
 taken one table pair at a time, which the sweep's one masked max per
-block of couplings must match bit for bit.
+block of couplings must match bit for bit.  ``dump_state`` writes the
+dense state files the command-line tests read, and ``oracle_csv_rows_loop``
+is the per-element loop that ``weakcorr oracle --format csv`` replaced
+with one format per matrix row; the bytes must match.
 """
 
 import math
@@ -47,6 +50,7 @@ from weakcorr import (
     strong_couple_and_measure,
     tensor_product,
 )
+from weakcorr.cli import _fmt_float
 from weakcorr.errors import NullPostselection, UnbiasednessViolation
 from weakcorr.estimator import (
     SKIP_THRESHOLD,
@@ -538,3 +542,30 @@ def max_difference(table, limits):
     pairs = zip((table.joint, *table.parties), (limits.joint, *limits.parties))
     differences = np.concatenate([a - b for a, b in pairs], axis=-1)
     return float(np.abs(differences[kept]).max(initial=0.0))
+
+
+# -- state files
+
+
+def dump_state(rho):
+    """A dense state file for ``rho``, with floats at full precision."""
+    entries = ",\n    ".join(
+        f"[{float(z.real)!r}, {float(z.imag)!r}]" for z in rho.matrix.reshape(-1)
+    )
+    dims = ", ".join(str(d) for d in rho.dims)
+    return f'{{\n  "dims": [{dims}],\n  "entries": [\n    {entries}\n  ]\n}}\n'
+
+
+def oracle_csv_rows_loop(direct, rebuilt):
+    """The element rows of ``weakcorr oracle --format csv``, one per (i, j)."""
+    d = len(direct)
+    lines = []
+    for i in range(d):
+        for j in range(d):
+            dv, rv = direct[i, j], rebuilt[i, j]
+            lines.append(
+                f"{i + 1},{j + 1},{_fmt_float(dv.real)},{_fmt_float(dv.imag)},"
+                f"{_fmt_float(rv.real)},{_fmt_float(rv.imag)},"
+                f"{_fmt_float(abs(rv - dv))}"
+            )
+    return lines

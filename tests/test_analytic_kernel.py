@@ -36,8 +36,6 @@ from weakcorr import (
 from weakcorr import estimator
 from weakcorr.cli import load_basis, load_state
 from weakcorr.estimator import (
-    SKIP_THRESHOLD,
-    PostselectionTerm,
     _limits_lines,
     _marginal_rows,
     _marginals,
@@ -158,8 +156,7 @@ def test_copies_limits_skip_like_qubit_loop(mu):
 
 def assert_same_sum(rep):
     total, terms = correlation_sum_loop(rep.table)
-    assert [t.term for t in rep.per_k] == terms
-    assert [t.skipped for t in rep.per_k] == [k in rep.skipped for k in range(len(terms))]
+    assert rep.terms.tolist() == terms
     assert rep.C == total
 
 
@@ -241,10 +238,9 @@ def test_builtin_basis_report_matches_basis_file(backend, kwargs, mode):
         svd = correlation(rho, backend, mode, postselection=file_basis, **kwargs)
         assert abs(known.C - svd.C) <= 1e-12, name
         assert known.oracle_diag == svd.oracle_diag
-        for a, b in zip(known.per_k, svd.per_k, strict=True):
-            assert abs(a.term - b.term) <= 1e-12, name
-            assert abs(a.probability - b.probability) <= 1e-12, name
-            assert a.skipped == b.skipped
+        assert np.max(np.abs(known.terms - svd.terms)) <= 1e-12, name
+        assert np.max(np.abs(known.table.probabilities - svd.table.probabilities)) <= 1e-12
+        assert known.skipped == svd.skipped
         assert np.max(np.abs(known.table.values - svd.table.values)) <= 1e-12, name
 
 
@@ -273,7 +269,7 @@ def test_table_stores_each_weak_value_once():
 @pytest.mark.parametrize("backend, skip", PATHS)
 def test_table_arrays_are_read_only(backend, skip):
     rep = correlation(random_density_matrix((2, 2, 2), 1), backend, skip_broadcast=skip)
-    for array in [*table_arrays(rep.table), rep.table.values]:
+    for array in [*table_arrays(rep.table), rep.table.values, rep.terms]:
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0] = 0
@@ -292,28 +288,7 @@ def test_party_product_is_bitwise_the_dense_product(n, backend, skip):
     rep = correlation(rho, backend, "literal", PointerConfig(0.05), skip_broadcast=skip)
     dense = assert_product_is_dense_product(rep.table)
     terms = np.abs(rep.table.values[0] - dense).sum(axis=-1)
-    assert [t.term for t in rep.per_k] == terms.tolist()
-
-
-@pytest.mark.parametrize("backend, skip", PATHS)
-def test_per_k_is_built_on_first_access(backend, skip):
-    # GHZ postselected on computational labels: six of eight rows are skipped.
-    basis = computational_basis(GHZ3.dims)
-    for postselection in (None, basis):
-        rep = correlation(GHZ3, backend, postselection=postselection, skip_broadcast=skip)
-        table = rep.table
-        dense = np.prod(table.values[1:], axis=0)
-        terms = np.abs(table.values[0] - dense).sum(axis=-1)
-        probs = table.probabilities
-        eager = tuple(
-            PostselectionTerm(k, label, float(p), float(t), bool(p < SKIP_THRESHOLD))
-            for k, (label, p, t) in enumerate(zip(rep.labels, probs, terms))
-        )
-        assert "per_k" not in vars(rep)
-        assert repr(rep.per_k) == repr(eager)
-        assert rep.per_k is rep.per_k
-        assert rep.terms.tobytes() == terms.tobytes() and not rep.terms.flags.writeable
-    assert [t.skipped for t in rep.per_k] == [False] + [True] * 6 + [False]
+    assert rep.terms.tobytes() == terms.tobytes()
 
 
 @pytest.mark.parametrize("skip, mu", [(True, 0), (False, 0), (False, 1)])

@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line front end."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -9,12 +10,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import dump_state, oracle_csv_rows_loop
+
 import weakcorr
 from weakcorr.cli import (
     MAX_DIM,
     _fmt_float,
     build_parser,
-    dump_state,
     load_state,
     main,
     render_json,
@@ -27,12 +29,25 @@ PRODUCT = str(FIXTURES / "product3.json")
 RANDOM7 = str(FIXTURES / "random3_seed7.json")
 CFG_ANALYTIC = str(FIXTURES / "config_analytic.json")
 CFG_CIRCUIT = str(FIXTURES / "config_circuit.json")
+CFG_DIRECT = str(FIXTURES / "config_direct.json")
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_child(*argv, **env):
+    """``python -m weakcorr`` in a child process that imports this package copy."""
+    src = str(Path(weakcorr.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "weakcorr", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path, **env},
+    )
 
 
 def run_json(capsys, *argv):
@@ -186,6 +201,113 @@ def test_log_level_env_var(monkeypatch, capsys):
     monkeypatch.setenv("WEAKCORR_LOG", "DEBUG")
     code, out, _ = run_cli(capsys, "tables", "1")
     assert code == 0 and "device operator table" in out
+
+
+@pytest.mark.parametrize("name", ["basic_format", "nonsense"])
+def test_log_names_that_are_not_levels_fall_back_to_warning(name):
+    # A child process, so logging.basicConfig runs on a root logger with no
+    # handler; logging.BASIC_FORMAT is a format string, not a level.
+    proc = run_child("tables", "1", WEAKCORR_LOG=name)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert "device operator table" in proc.stdout
+
+
+# -- every option of run and sweep changes what the command writes
+
+FLAG_BASES = {
+    "run": ["run", "--state", RANDOM7, "--config", CFG_DIRECT, "--format", "csv"],
+    "sweep": ["sweep", "--state", RANDOM7, "--config", CFG_DIRECT, "--g-list", "0.1,0.05"],
+}
+# One valid value per option, other than the base run's; --out has none, as
+# it only moves the report to a file.
+FLAG_CASES = {
+    "run": {
+        "--state": GHZ,
+        "--config": CFG_CIRCUIT,
+        "--backend": "analytic",
+        "--mode": "idealized",
+        "--g": "0.5",
+        "--sigma": "0.3",
+        "--format": "json",
+        "--out": None,
+    },
+    "sweep": {
+        "--state": GHZ,
+        "--config": CFG_CIRCUIT,
+        "--mode": "idealized",
+        "--sigma": "0.3",
+        "--g-list": "0.2,0.1",
+        "--format": "json",
+        "--out": None,
+    },
+}
+
+
+def options(command):
+    """The long option strings of a subcommand, --help aside."""
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    actions = sub.choices[command]._actions
+    return {s for a in actions for s in a.option_strings if s.startswith("--")} - {"--help"}
+
+
+@pytest.mark.parametrize("command", FLAG_CASES)
+def test_every_option_has_a_case(command):
+    assert options(command) == set(FLAG_CASES[command])
+
+
+@pytest.mark.parametrize(
+    "command, flag", [(c, flag) for c, cases in FLAG_CASES.items() for flag in cases]
+)
+def test_every_option_changes_the_report(tmp_path, capsys, command, flag):
+    base = FLAG_BASES[command]
+    code, want, err = run_cli(capsys, *base)
+    assert code == 0, err
+    if flag == "--out":
+        path = tmp_path / "report"
+        assert run_cli(capsys, *base, "--out", str(path)) == (0, "", "")
+        assert path.read_text() == want
+        return
+    argv = list(base)
+    value = FLAG_CASES[command][flag]
+    if flag in argv:
+        argv[argv.index(flag) + 1] = value
+    else:
+        argv += [flag, value]
+    code, got, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    assert got != want
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [("run", "--seed"), ("sweep", "--seed"), ("sweep", "--backend"), ("sweep", "--g")],
+)
+def test_removed_options_are_usage_errors(capsys, command, flag):
+    value = "analytic" if flag == "--backend" else "1"
+    code, out, err = run_cli(capsys, *FLAG_BASES[command], flag, value)
+    assert (code, out) == (2, "")
+    assert f"unrecognized arguments: {flag} {value}" in err
+
+
+def test_sweep_checks_but_ignores_config_backend_and_g(tmp_path, capsys):
+    # config_direct.json with another backend and g: the sweep reads neither.
+    config = {**json.loads(Path(CFG_DIRECT).read_text()), "backend": "analytic", "g": 0.5}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    argv = ["sweep", "--state", RANDOM7, "--config", str(cfg), "--g-list", "0.1,0.05"]
+    assert run_cli(capsys, *argv) == run_cli(capsys, *FLAG_BASES["sweep"])
+    cfg.write_text(json.dumps({**config, "g": -1.0}))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "") and "g must be positive" in err
+
+
+@pytest.mark.parametrize("command", FLAG_BASES)
+def test_config_seed_is_an_unknown_key(tmp_path, capsys, command):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"seed": 0}')
+    argv = [*FLAG_BASES[command], "--config", str(cfg)]
+    message = "error: parse-failure: unknown config keys: ['seed']\n"
+    assert run_cli(capsys, *argv) == (2, "", message)
 
 
 def test_run_csv_format(capsys):
@@ -450,13 +572,19 @@ def test_oracle_csv(capsys):
 
 
 def test_oracle_csv_seven_qubits(tmp_path, capsys):
+    rho = weakcorr.random_density_matrix((2,) * 7, 0)
     state = tmp_path / "random7.json"
-    state.write_text(dump_state(weakcorr.random_density_matrix((2,) * 7, 0)))
+    state.write_text(dump_state(rho))
     code, out, err = run_cli(capsys, "oracle", "--state", str(state), "--format", "csv")
     assert code == 0, err
     lines = out.splitlines()
     assert lines[0].startswith("i,j,direct_re")
     assert len(lines) == 1 + 128**2 + 1
+    # Row for row, the per-element loop the one format per matrix row replaced.
+    loaded = load_state(str(state))
+    bases = weakcorr.computational_basis(rho.dims), weakcorr.hadamard_mub(7)
+    rebuilt = weakcorr.reconstruct_matrix(loaded, *bases)
+    assert lines[1:-1] == oracle_csv_rows_loop(loaded.matrix, rebuilt)
     assert lines[-1].startswith("# max_reconstruction_residual=")
     assert float(lines[-1].split("=")[1]) < 1e-10
 
@@ -522,7 +650,6 @@ BOOLEAN_CASES = {
         {"outcomes": [True, False]},
         'outcomes must be a list of integers or "enumerate"',
     ),
-    "seed": (None, {"seed": True}, "seed must be an integer"),
     "g": (None, {"g": True}, "g must be a finite number"),
 }
 
@@ -671,36 +798,18 @@ def test_state_round_trip_is_idempotent():
 
 
 def test_console_entry_point_runs():
-    # The child process imports the same package copy as this one.
-    src = str(Path(weakcorr.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "weakcorr", "tables", "1"],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
+    proc = run_child("tables", "1")
     assert proc.returncode == 0
     assert "device operator table" in proc.stdout
 
 
 def test_main_is_unaffected_by_earlier_calls_in_one_process(capsys):
     # The parser is built once per process and reused by every main() call.
-    src = str(Path(weakcorr.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     commands = [
         ["run", "--state", RANDOM7, "--config", CFG_CIRCUIT],
         ["sweep", "--state", RANDOM7, "--g-list", "0.1,0.01"],
     ]
-    fresh = [
-        subprocess.run(
-            [sys.executable, "-m", "weakcorr", *argv],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": path},
-        ).stdout
-        for argv in commands
-    ]
+    fresh = [run_child(*argv).stdout for argv in commands]
     code, out, err = run_cli(capsys, "run", "--no-such-flag")
     assert (code, out) == (2, "") and "usage:" in err
     for argv, want in zip(commands, fresh):

@@ -34,7 +34,6 @@ from weakcorr import (
     postselect_and_read,
     postselection_probability,
     random_density_matrix,
-    reconstruct_element,
     reconstruct_matrix,
     tensor_product,
     weak_value_limits,
@@ -115,15 +114,15 @@ def test_reconstruct_diagonal_is_completeness_sum():
     rho = random_density_matrix((2, 2), 3)
     comp = computational_basis((2, 2))
     mub = hadamard_mub(2)
+    got = reconstruct_matrix(rho, comp, mub)
     for i in range(4):
-        got = reconstruct_element(i, i, rho, comp, mub)
-        assert got == pytest.approx(rho.matrix[i, i], abs=1e-12)
+        assert got[i, i] == pytest.approx(rho.matrix[i, i], abs=1e-12)
 
 
 def test_reconstruct_ghz_far_corner():
     comp = computational_basis((2, 2, 2))
     mub = hadamard_mub(3)
-    assert reconstruct_element(0, 7, GHZ, comp, mub) == pytest.approx(0.5, abs=1e-12)
+    assert reconstruct_matrix(GHZ, comp, mub)[0, 7] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_reconstruct_random_states_round_trip():
@@ -131,10 +130,10 @@ def test_reconstruct_random_states_round_trip():
     mub = hadamard_mub(2)
     for seed in range(20):
         rho = random_density_matrix((2, 2), seed)
+        got = reconstruct_matrix(rho, comp, mub)
         for i in range(4):
             for j in range(4):
-                got = reconstruct_element(i, j, rho, comp, mub)
-                assert abs(got - rho.matrix[i, j]) < 1e-10
+                assert abs(got[i, j] - rho.matrix[i, j]) < 1e-10
 
 
 def test_reconstruct_rejects_biased_bases():
@@ -142,12 +141,7 @@ def test_reconstruct_rejects_biased_bases():
     rho = random_density_matrix((2, 2), 0)
     # The first zero overlap, column by column, is the one named.
     with pytest.raises(UnbiasednessViolation, match=r"<b_1\|a_0> = 0"):
-        reconstruct_element(0, 1, rho, comp, comp)
-    with pytest.raises(UnbiasednessViolation, match=r"<b_1\|a_0> = 0"):
         reconstruct_matrix(rho, comp, comp)
-    # A zero overlap outside column i is rejected too.
-    with pytest.raises(UnbiasednessViolation, match=r"<b_1\|a_0> = 0"):
-        reconstruct_element(2, 3, rho, comp, comp)
 
 
 def basis_of_rows(dims, rows):
@@ -194,14 +188,6 @@ def test_reconstruct_matrix_matches_element_loop(pair, n):
         assert np.max(np.abs(got - a.conj() @ rho.matrix @ a.T)) <= 1e-12
 
 
-def test_reconstruct_element_is_the_matrix_entry():
-    basis_a, basis_b = basis_pair("rotated", 3)
-    rho = random_density_matrix((2, 2, 2), 4)
-    full = reconstruct_matrix(rho, basis_a, basis_b)
-    for i, j in [(0, 0), (0, 7), (5, 2), (7, 7)]:
-        assert reconstruct_element(i, j, rho, basis_a, basis_b) == full[i, j]
-
-
 # -- diagonal oracle
 
 
@@ -240,16 +226,16 @@ def test_correlation_ghz_analytic():
     assert rep.C == pytest.approx(1.5, abs=1e-10)
     assert rep.skipped == (1, 2, 4, 7)
     assert float(np.sum(rep.table.probabilities)) == pytest.approx(1.0, abs=1e-12)
-    alive = [t for t in rep.per_k if not t.skipped]
-    assert all(t.probability == pytest.approx(0.25, abs=1e-12) for t in alive)
-    assert all(t.term == pytest.approx(1.5, abs=1e-10) for t in alive)
+    alive = [k for k in range(8) if k not in rep.skipped]
+    np.testing.assert_allclose(rep.table.probabilities[alive], 0.25, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(rep.terms[alive], 1.5, rtol=0, atol=1e-10)
 
 
 def test_correlation_classical_mixture_analytic():
     rep = correlation(CLASSICAL, "analytic", "idealized")
     assert rep.C == pytest.approx(1.5, abs=1e-10)
     assert rep.skipped == ()
-    assert all(t.probability == pytest.approx(1 / 8, abs=1e-12) for t in rep.per_k)
+    np.testing.assert_allclose(rep.table.probabilities, 1 / 8, rtol=0, atol=1e-12)
 
 
 def test_correlation_product_states_vanish():
@@ -281,7 +267,8 @@ def test_correlation_reports_are_sane():
     assert rep.C >= 0
     assert rep.mode == "literal"
     assert rep.min_postselection_probability > 0
-    assert [t.k for t in rep.per_k] == list(range(8))
+    assert rep.terms.shape == rep.table.probabilities.shape == (8,)
+    assert len(rep.labels) == 8
 
 
 def test_correlation_outcome_robustness_with_relabeled_basis():

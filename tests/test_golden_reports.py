@@ -43,7 +43,9 @@ def _cases():
                     f"config_{config}.json", "--g-list", G_LIST]
             yield f"sweep-{state}-{config}.csv", argv
     for state in ORACLE_STATES:
-        yield f"oracle-{state}.json", ["oracle", "--state", f"{state}.json"]
+        for fmt in ("json", "csv"):
+            argv = ["oracle", "--state", f"{state}.json", "--format", fmt]
+            yield f"oracle-{state}.{fmt}", argv
 
 
 CASES = dict(_cases())

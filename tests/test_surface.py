@@ -17,14 +17,16 @@ MODULES = ["weakcorr"] + [
 
 # Names no module may define or export any more.
 REMOVED = {
-    "weakcorr": ["AncillaPair"],
-    "weakcorr.cli": ["convey"],
+    "weakcorr": ["AncillaPair", "PostselectionTerm", "reconstruct_element"],
+    "weakcorr.cli": ["convey", "dump_state"],
     "weakcorr.conveyance": ["AncillaPair", "OUTCOME_TOL"],
+    "weakcorr.estimator": ["PostselectionTerm", "reconstruct_element"],
     "weakcorr.pointer": ["POSTSELECTION_TOL"],
 }
 REMOVED_METHODS = {
     "DeviceTable": ["scope", "projector", "shift_digit"],
     "BranchState": ["branches", "assemble"],
+    "CorrelationReport": ["per_k"],
 }
 REMOVED_PARAMETERS = {"bell_state": ["variant"], "broadcast": ["variant"]}
 
