@@ -43,7 +43,11 @@ The circuit backend's zero-coupling limit (``weak_value_limits``) is one
 formula for both device layouts: line 1 as above, on the dephased state
 when copies are attached, and party lines that sum line 1 over the other
 parties' digits, relabelled by a digit map: the digit x_p itself without
-copies and (mu - x_p) mod d_p with them.
+copies and (mu - x_p) mod d_p with them.  Every party line of a stack is
+one matmul of line 1 by a 0/1 selector of shape (d, sum d_p), whose
+columns hold each party's digit map; it is built once per dims, layout
+and broadcast outcome, and party p's line is its d_p-column slice of the
+product.
 
 Matrix elements are read back from the same line-1 numerator
 (``reconstruct_matrix``): with beta_kx = <b_k|a_x>, the weak-value
@@ -61,6 +65,7 @@ the bracket above uses the complex modulus.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, replace
 from typing import Iterator, NamedTuple, Sequence
 
@@ -303,12 +308,16 @@ def _weak_value_numerator(rho: np.ndarray, basis_matrix: np.ndarray) -> np.ndarr
 def _line0(num: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Postselection probabilities, kept-row mask and line-0 weak values.
 
-    The probabilities are the row sums of the numerator; rows below
-    SKIP_THRESHOLD are skipped and stay zero.
+    The probabilities are the row sums of the numerator, taken once; each
+    row is scaled by the reciprocal of its sum.  numpy's complex division
+    by a real multiplies by that reciprocal too, so every entry is the
+    quotient bit for bit, up to the sign of an exact zero.  Rows below
+    SKIP_THRESHOLD are skipped and scaled by zero.
     """
     probs = np.real(num.sum(axis=-1))
     kept = probs >= SKIP_THRESHOLD
-    return probs, kept, _normalise_rows(num, kept)
+    scale = np.divide(1.0, probs, out=np.zeros_like(probs), where=kept)
+    return probs, kept, num * scale[..., None]
 
 
 @functools.lru_cache(maxsize=1)
@@ -352,12 +361,20 @@ def _damping_exponent(table: DeviceTable) -> np.ndarray:
     """D[i, j], the number of devices whose ket and bra branches shift differently.
 
     Columns i and j on line 0, and on party p's line the d/d_p columns with
-    digit i_p and the d/d_p columns with digit j_p.
+    digit i_p and the d/d_p columns with digit j_p.  Read-only, and built
+    once per dims: kept for the last dims only, like ``device_table``.
     """
+    return _damping_exponent_of(table.dims)
+
+
+@functools.lru_cache(maxsize=1)
+def _damping_exponent_of(dims: tuple[int, ...]) -> np.ndarray:
+    table = device_table(dims)
     d = table.n_columns
     differing = 2.0 - 2.0 * np.eye(d)
     for x, d_p in zip(table.party_digits.T, table.dims):
         differing += (2 * d // d_p) * (x[:, None] != x[None, :])
+    differing.setflags(write=False)
     return differing
 
 
@@ -612,7 +629,10 @@ def weak_value_limits(
     layouts share one formula: line 1 is the numerator N divided row-wise
     by its row sums P (the postselection probabilities), and party p's line
     at digit x is the sum of line 1 over the columns whose digit for p is
-    m(x), the digit map.  The layout picks N and m:
+    m(x), the digit map.  All party lines are read at once, as line 1
+    times a 0/1 selector of shape (d, sum d_p): its entry at column i and
+    party p's digit x is 1 when m(x) is column i's digit for p.  The
+    layout picks N and m:
 
     * without copies, N = conj(B) * (B rho^T) and m(x) = x: the readings
       tend to the weak values of the device projectors on the full state;
@@ -652,7 +672,7 @@ def _limits_lines(
     stacked as the rows of ``basis_matrix``."""
     if skip_broadcast:
         num = _weak_value_numerator(matrices, basis_matrix)
-        digit_maps = [np.arange(l) for l in table.dims]
+        selector = _party_selector(table.dims, None)
     else:
         bad = [l for l in table.dims if not 0 <= broadcast_outcome < l]
         if bad:
@@ -661,11 +681,32 @@ def _limits_lines(
             )
         diagonals = np.real(np.diagonal(matrices, axis1=-2, axis2=-1))
         num = (np.abs(basis_matrix) ** 2 * diagonals[:, None, :]).astype(complex)
-        digit_maps = [(broadcast_outcome - np.arange(l)) % l for l in table.dims]
+        selector = _party_selector(table.dims, int(broadcast_outcome))
     probs, _, line0 = _line0(num)
-    per_label = line0.reshape(line0.shape[:2] + table.dims)
-    parties = tuple(
-        per_label.sum(axis=tuple(2 + q for q in range(table.n_parties) if q != p))[..., m]
-        for p, m in enumerate(digit_maps)
-    )
+    # Every party line in one matmul; party p's line is its column slice.
+    lines = (line0.reshape(-1, line0.shape[-1]) @ selector).reshape(line0.shape[:-1] + (-1,))
+    stops = itertools.accumulate(table.dims)
+    parties = tuple(lines[..., stop - d_p : stop] for stop, d_p in zip(stops, table.dims))
     return _Lines(probs, line0, parties)
+
+
+@functools.lru_cache(maxsize=1)
+def _party_selector(dims: tuple[int, ...], broadcast_outcome: int | None) -> np.ndarray:
+    """S[i, o_p + x] = 1 where column i adds into party p's line at digit x.
+
+    Shape (d, sum d_p): party p owns the d_p columns from o_p = d_0 + ... +
+    d_(p-1) on, and column i adds into its digit map's preimage of i's
+    digit x_p: x_p itself without copies (``broadcast_outcome`` None) and
+    (mu - x_p) mod d_p with them, the map being its own inverse.  So line 1
+    times S is every party line at once.  Complex, so the product is one
+    complex matmul, and read-only; kept for the last (dims, outcome) only,
+    like ``device_table``.
+    """
+    digits = device_table(dims).party_digits
+    if broadcast_outcome is not None:
+        digits = (broadcast_outcome - digits) % np.array(dims)
+    offsets = np.cumsum((0,) + dims[:-1])
+    selector = np.zeros((len(digits), sum(dims)), dtype=complex)
+    selector[np.arange(len(digits))[:, None], digits + offsets] = 1.0
+    selector.setflags(write=False)
+    return selector

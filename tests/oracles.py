@@ -23,7 +23,11 @@ for bit: the analytic party lines read one marginal at a time through
 the package's partial trace, and the conveyance that relabels on every
 call, the identity relabel included.  The last is the sweep residual
 taken one table pair at a time, which the sweep's one masked max per
-block of couplings must match bit for bit.  ``dump_state`` writes the
+block of couplings must match bit for bit.  The circuit table's section
+holds the per-party reductions the selector matmul replaced, the line-1
+quotient that scaling by the reciprocal row sum replaced, and the damping
+exponent built on every call, which the cached one must match bit for
+bit.  ``dump_state`` writes the
 dense state files the command-line tests read, and ``oracle_csv_rows_loop``
 is the per-element loop that ``weakcorr oracle --format csv`` replaced
 with one format per matrix row; the bytes must match.
@@ -542,6 +546,43 @@ def max_difference(table, limits):
     pairs = zip((table.joint, *table.parties), (limits.joint, *limits.parties))
     differences = np.concatenate([a - b for a, b in pairs], axis=-1)
     return float(np.abs(differences[kept]).max(initial=0.0))
+
+
+# -- the circuit table before the selector
+
+
+def party_lines_by_sums(line0, dims, broadcast_outcome=None):
+    """Every party line of a stacked line 1, shape (stack, K, d): line 1
+    summed over the other parties' digits, then read at the digit map, x
+    without copies (``broadcast_outcome`` None) and (mu - x) mod d_p with
+    them.  The n reductions and n gathers one selector matmul replaced."""
+    n = len(dims)
+    per_label = line0.reshape(line0.shape[:2] + tuple(dims))
+    maps = [
+        np.arange(l) if broadcast_outcome is None else (broadcast_outcome - np.arange(l)) % l
+        for l in dims
+    ]
+    return tuple(
+        per_label.sum(axis=tuple(2 + q for q in range(n) if q != p))[..., m]
+        for p, m in enumerate(maps)
+    )
+
+
+def line0_by_division(num):
+    """Line 1 as each kept row of ``num`` divided by its sum, the other rows
+    +0.0: the quotient that scaling by the masked reciprocal replaced."""
+    sums = np.real(num.sum(axis=-1))
+    kept = sums >= SKIP_THRESHOLD
+    return np.divide(num, sums[..., None], out=np.zeros_like(num), where=kept[..., None])
+
+
+def damping_exponent_loop(table):
+    """D[i, j], built from the table's digits on every call."""
+    d = table.n_columns
+    differing = 2.0 - 2.0 * np.eye(d)
+    for x, d_p in zip(table.party_digits.T, table.dims):
+        differing += (2 * d // d_p) * (x[:, None] != x[None, :])
+    return differing
 
 
 # -- state files

@@ -197,10 +197,16 @@ def test_run_skip_broadcast_and_outcomes_config(tmp_path, capsys):
     assert doc["correlation"] == pytest.approx(1.5, abs=1e-6)
 
 
-def test_log_level_env_var(monkeypatch, capsys):
-    monkeypatch.setenv("WEAKCORR_LOG", "DEBUG")
-    code, out, _ = run_cli(capsys, "tables", "1")
-    assert code == 0 and "device operator table" in out
+def test_log_level_env_var():
+    # A child process, so logging.basicConfig runs on a root logger with no
+    # handler; in this process pytest's capture handler is already on it,
+    # and basicConfig would do nothing whatever the level.
+    argv = ("run", "--state", RANDOM7, "--config", CFG_DIRECT, "--format", "csv")
+    shown = {level: run_child(*argv, WEAKCORR_LOG=level) for level in ("DEBUG", "WARNING")}
+    assert all(proc.returncode == 0 for proc in shown.values())
+    assert "run: dims=(2, 2, 2)" in shown["DEBUG"].stderr
+    assert "run: dims=" not in shown["WARNING"].stderr
+    assert shown["DEBUG"].stdout == shown["WARNING"].stdout
 
 
 @pytest.mark.parametrize("name", ["basic_format", "nonsense"])
