@@ -341,8 +341,13 @@ def load_basis(name_or_path: str, dims) -> BasisSet:
     pairs = list(itertools.chain.from_iterable(vectors))
     matrix = _complex_array(pairs, "amplitude").reshape(d, d)
     labels = doc.get("labels", [str(k + 1) for k in range(d)])
-    if not isinstance(labels, list) or len(labels) != d:
-        raise errors.ParseFailure(f'"labels" must hold {d} strings')
+    # CSV reports print the labels unquoted.
+    if (
+        not isinstance(labels, list)
+        or len(labels) != d
+        or not all(isinstance(x, str) and not set(x) & set(",\n\r") for x in labels)
+    ):
+        raise errors.ParseFailure(f'"labels" must hold {d} strings without commas or line breaks')
     return BasisSet(bdims, matrix, labels)
 
 
@@ -501,12 +506,10 @@ def cmd_run(args) -> int:
 def cmd_sweep(args) -> int:
     """``weakcorr sweep``: the circuit backend at each g of ``--g-list``.
 
-    One pass reads every coupling, as ``correlation_sweep`` does (in
-    stacked blocks without copies, from one shared table with them); each
-    row compares its report with the oracle value and its table with the
-    zero-coupling limit.  Without copies the limit is the first row of the
-    coupling stack, and each block's residuals come from one masked max;
-    with copies the shared table is the limit, so the residual is 0.
+    One pass reads every coupling, as ``correlation_sweep`` does; each row
+    compares its report with the oracle value and its table with the
+    zero-coupling limit (the blocks and the limit row are set out at
+    ``estimator._sweep``).
     """
     try:
         g_list = [float(v) for v in args.g_list.split(",") if v.strip()]

@@ -18,9 +18,10 @@ W_p are weak values of the device-table projectors.  Two backends give them:
   once per basis read from a file): conj(F_p) * (F_p m_p^T), divided by
   its row sums, gives the weak value of each digit.  Every party's line
   is computed at once: one gather reads all n marginals (its index table
-  is built once per n), and one numerator and one row normalisation run
-  on the (n, K, 2) stack.  The table keeps each (K, d_p) line as it is;
-  a column reads it at its digit x_p.
+  is built once per n), and one numerator and one row scaling, by the
+  reciprocal row sums as for line 1, run on the (n, K, 2) stack.  The
+  table keeps each (K, d_p) line as it is; a column reads it at its digit
+  x_p.
 * ``"circuit"`` returns what the pointers read at the configured coupling
   strength, in closed form: the readout is the zero-coupling limit below
   on the damped state rho * Lambda_g (see ``weakcorr.pointer``).
@@ -28,16 +29,10 @@ W_p are weak values of the device-table projectors.  Two backends give them:
 ``correlation_sweep`` reads one state at many coupling strengths, doing
 once what does not depend on g; the circuit backend of ``correlation`` is
 its one-g case.  The table builders and the combination step take a
-leading stack axis: without copies the sweep stacks its couplings in
-blocks of at most 2**16 damped elements (max(1, 2**16 // d**2) couplings),
-so the limit formula and C run once per block; with copies it builds one
-table, with no D and no Lambda, and shares it across every report.  The
-analytic backend and ``weak_value_limits`` pass a stack of one.
-``weakcorr sweep`` also reports each table's distance from the
-zero-coupling limit: without copies the limit is read as the first row of
-the coupling stack (damping base a = 1, so rho * Lambda is rho bit for
-bit), counted toward the block size, and each block's distances come from
-one masked max; with copies the shared table is the limit.
+leading stack axis, so a sweep runs them once per block of couplings (the
+block size and the zero-coupling limit row are set out at
+``_BLOCK_ELEMENTS`` and ``_sweep``); the analytic backend and
+``weak_value_limits`` pass a stack of one.
 
 The circuit backend's zero-coupling limit (``weak_value_limits``) is one
 formula for both device layouts: line 1 as above, on the dephased state
@@ -71,12 +66,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .bases import (
-    BasisSet,
-    DeviceTable,
-    device_table,
-    hadamard_mub,
-)
+from .bases import BasisSet, device_table, hadamard_mub
 from .conveyance import convey
 from .errors import (
     BadDimension,
@@ -287,19 +277,6 @@ def _require_qubits(rho: DensityMatrix) -> int:
     return len(rho.dims)
 
 
-def _normalise_rows(num: np.ndarray, kept: np.ndarray) -> np.ndarray:
-    """Each kept row of ``num`` divided by its sum; the other rows zero.
-
-    ``kept`` masks the trailing row axes of ``num``; the leading axes (a
-    stack of parties) share it.
-    """
-    sums = np.real(num.sum(axis=-1))
-    low = sums[..., kept]
-    if low.size and low.min() < SKIP_THRESHOLD:
-        raise NullPostselection(f"postselection probability {low.min():.3e}")
-    return np.divide(num, sums[..., None], out=np.zeros_like(num), where=kept[..., None])
-
-
 def _weak_value_numerator(rho: np.ndarray, basis_matrix: np.ndarray) -> np.ndarray:
     """conj(B) * (B rho^T): entry (k, i) is <b_k|i><i| rho |b_k>, for each stacked rho."""
     return basis_matrix.conj() * (basis_matrix @ rho.swapaxes(-1, -2))
@@ -308,16 +285,24 @@ def _weak_value_numerator(rho: np.ndarray, basis_matrix: np.ndarray) -> np.ndarr
 def _line0(num: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Postselection probabilities, kept-row mask and line-0 weak values.
 
-    The probabilities are the row sums of the numerator, taken once; each
-    row is scaled by the reciprocal of its sum.  numpy's complex division
-    by a real multiplies by that reciprocal too, so every entry is the
-    quotient bit for bit, up to the sign of an exact zero.  Rows below
-    SKIP_THRESHOLD are skipped and scaled by zero.
+    The probabilities are the row sums of the numerator, taken once; rows
+    below SKIP_THRESHOLD are skipped.
     """
     probs = np.real(num.sum(axis=-1))
     kept = probs >= SKIP_THRESHOLD
-    scale = np.divide(1.0, probs, out=np.zeros_like(probs), where=kept)
-    return probs, kept, num * scale[..., None]
+    return probs, kept, _scale_rows(num, probs, kept)
+
+
+def _scale_rows(num: np.ndarray, sums: np.ndarray, kept: np.ndarray) -> np.ndarray:
+    """Each kept row of ``num`` scaled by the reciprocal of its sum, the others by zero.
+
+    numpy's complex division by a real multiplies by that reciprocal too,
+    so every entry is the quotient bit for bit, up to the sign of an exact
+    zero.  ``kept`` masks the trailing row axes of ``sums``; leading axes
+    (a stack of parties) share it.
+    """
+    scale = np.divide(1.0, sums, out=np.zeros_like(sums), where=kept)
+    return num * scale[..., None]
 
 
 @functools.lru_cache(maxsize=1)
@@ -350,25 +335,23 @@ def _analytic_lines(state: DensityMatrix, basis_b: BasisSet) -> _Lines:
     """The analytic table of ``state``, as a stack of one."""
     probs, kept, line0 = _line0(_weak_value_numerator(state.matrix[None], basis_b.matrix))
     # Party p's line: weak values of |v><v| on its marginal, postselected on
-    # F_p; every party at once, stacked along a leading party axis.
+    # F_p; every party at once, stacked along a leading party axis.  Line
+    # 1's kept rows mask them: for a product postselection, row k's party
+    # sum <f_p|m_p|f_p> = tr[(|f_p><f_p| x I) rho] >= <b_k|rho|b_k> = P_k.
     marginals = _marginals(state.matrix, len(state.dims))
     num = _weak_value_numerator(marginals, np.stack(basis_b.factors))
-    parties = _normalise_rows(num, kept[0])
+    parties = _scale_rows(num, np.real(num.sum(axis=-1)), kept[0])
     return _Lines(probs, line0, tuple(line[None] for line in parties))
 
 
-def _damping_exponent(table: DeviceTable) -> np.ndarray:
+@functools.lru_cache(maxsize=1)
+def _damping_exponent(dims: tuple[int, ...]) -> np.ndarray:
     """D[i, j], the number of devices whose ket and bra branches shift differently.
 
     Columns i and j on line 0, and on party p's line the d/d_p columns with
     digit i_p and the d/d_p columns with digit j_p.  Read-only, and built
     once per dims: kept for the last dims only, like ``device_table``.
     """
-    return _damping_exponent_of(table.dims)
-
-
-@functools.lru_cache(maxsize=1)
-def _damping_exponent_of(dims: tuple[int, ...]) -> np.ndarray:
     table = device_table(dims)
     d = table.n_columns
     differing = 2.0 - 2.0 * np.eye(d)
@@ -523,21 +506,9 @@ def correlation_sweep(
     Report i equals ``correlation(rho, "circuit", mode, cfgs[i], ...)``.
     What does not depend on g is computed once, when this is called: the
     argument checks, the conveyed state and its diagonal and the oracle
-    value.  The rest is computed when the iterator reaches it:
-
-    * without copies, the couplings are read in blocks of at most
-      max(1, 2**16 // d**2) couplings.  A block stacks Lambda_g = a_g ** D
-      along a leading coupling axis, with a_g = exp(-g^2 / (8 sigma^2)),
-      and runs the limit formula and the combination step once on the
-      stacked damped states rho * Lambda_g; its reports hold row slices of
-      the block's arrays, and one block is held at a time;
-    * with copies, only the diagonal is read and Lambda_g is 1 there, so
-      one table, built without D or Lambda, and one combination step serve
-      every report.
-
-    ``weakcorr sweep`` reads the same reports, each with its table's
-    distance from the zero-coupling limit, from blocks that hold the limit
-    as one more row.
+    value.  The rest is computed when the iterator reaches it, in blocks
+    of couplings without copies and from one shared table with them (the
+    rule is at ``_sweep``).
     """
     sweep = _sweep(
         rho,
@@ -565,6 +536,15 @@ def _sweep(
 ) -> Iterator[tuple[CorrelationReport, float | None]]:
     """``correlation_sweep``'s reports, each paired with its residual.
 
+    Without copies the couplings are read in blocks of at most
+    max(1, _BLOCK_ELEMENTS // d**2) rows.  A block stacks Lambda_g =
+    a_g ** D along a leading coupling axis, with a_g = exp(-g^2 / (8
+    sigma^2)), and runs the limit formula and the combination step once on
+    the stacked damped states rho * Lambda_g; its reports hold row slices
+    of the block's arrays, and one block is held at a time.  With copies
+    only the diagonal is read and Lambda_g is 1 there, so one table, built
+    without D or Lambda, and one combination step serve every report.
+
     With ``residuals`` the residual of a report is max |W_g - W_0| over
     line 1 and every party line, on the rows neither table skips, W_0 being
     the zero-coupling limit (``weak_value_limits`` of the conveyed state);
@@ -575,10 +555,10 @@ def _sweep(
     copies the shared table is the limit, so every residual is 0.0.
     """
     basis_b, outcomes, state = _prepare(rho, mode, postselection, outcomes)
-    table = device_table(rho.dims)
     cfgs = tuple(cfgs)
     mu = int(broadcast_outcome)
     skip = bool(skip_broadcast)
+    copy_outcome = None if skip else mu
     diag_eff = state.diagonal()
     oracle_diag = correlation_oracle_diag(rho)
     settings = dict(
@@ -586,7 +566,7 @@ def _sweep(
     )
 
     def lines_of(matrices: np.ndarray) -> _Lines:
-        return _limits_lines(matrices, basis_b.matrix, table, mu, skip)
+        return _limits_lines(matrices, basis_b.matrix, rho.dims, copy_outcome)
 
     def reports(lines: _Lines, block: Sequence[PointerConfig]) -> list[CorrelationReport]:
         return _reports(lines, basis_b.labels, diag_eff, oracle_diag, block, **settings)
@@ -598,7 +578,7 @@ def _sweep(
                 residual = 0.0 if residuals else None
                 yield from ((replace(shared, g=c.g, sigma=c.sigma), residual) for c in cfgs)
             return
-        exponent = _damping_exponent(table)
+        exponent = _damping_exponent(rho.dims)
         size = max(1, _BLOCK_ELEMENTS // exponent.size)
         # None stands for the zero-coupling limit, the first row read.
         rows = ((None,) if residuals else ()) + cfgs
@@ -619,7 +599,6 @@ def _sweep(
 def weak_value_limits(
     state: DensityMatrix,
     basis_b: BasisSet,
-    table: DeviceTable,
     broadcast_outcome: int = 0,
     skip_broadcast: bool = False,
 ) -> WeakValueTable:
@@ -646,65 +625,62 @@ def weak_value_limits(
     circuit backend's table at coupling g, on the damped state
     rho * Lambda_g (see ``weakcorr.pointer``): exact at every g with
     copies, where only the diagonal is read and Lambda_g is 1 there, and
-    with an O(g^2) bias without them.  With copies, a broadcast outcome
-    outside [0, d_p) for any party raises ImpossibleOutcome; without them
-    the outcome is ignored.
-
-    ``weakcorr sweep`` does not call this: it reads the same table as the
-    first row of its coupling stack, or with copies as the table every
-    coupling shares (see ``correlation_sweep``).
+    with an O(g^2) bias without them.  A basis on other dims than the
+    state's raises ShapeMismatch.  With copies, a broadcast outcome outside
+    [0, d_p) for any party raises ImpossibleOutcome; without them the
+    outcome is ignored.  ``weakcorr sweep`` reads the same table inside its
+    coupling stack (see ``_sweep``).
     """
-    lines = _limits_lines(
-        state.matrix[None], basis_b.matrix, table, broadcast_outcome, skip_broadcast
-    )
-    return lines.table(0)
+    if basis_b.dims != state.dims:
+        raise ShapeMismatch("postselection basis does not match the state dims")
+    copy_outcome = None if skip_broadcast else int(broadcast_outcome)
+    return _limits_lines(state.matrix[None], basis_b.matrix, state.dims, copy_outcome).table(0)
 
 
 def _limits_lines(
     matrices: np.ndarray,
     basis_matrix: np.ndarray,
-    table: DeviceTable,
-    broadcast_outcome: int,
-    skip_broadcast: bool,
+    dims: tuple[int, ...],
+    copy_outcome: int | None,
 ) -> _Lines:
     """The limit formula of ``weak_value_limits`` on each state matrix of the
     stack ``matrices``, shape (stack, d, d), with the postselection vectors
-    stacked as the rows of ``basis_matrix``."""
-    if skip_broadcast:
+    stacked as the rows of ``basis_matrix``, for parties of dimensions
+    ``dims``; ``copy_outcome`` is the broadcast outcome with copies and None
+    without them."""
+    selector = _party_selector(dims, copy_outcome)
+    if copy_outcome is None:
         num = _weak_value_numerator(matrices, basis_matrix)
-        selector = _party_selector(table.dims, None)
     else:
-        bad = [l for l in table.dims if not 0 <= broadcast_outcome < l]
-        if bad:
-            raise ImpossibleOutcome(
-                f"outcome {broadcast_outcome} out of range for dimension {bad[0]}"
-            )
         diagonals = np.real(np.diagonal(matrices, axis1=-2, axis2=-1))
         num = (np.abs(basis_matrix) ** 2 * diagonals[:, None, :]).astype(complex)
-        selector = _party_selector(table.dims, int(broadcast_outcome))
     probs, _, line0 = _line0(num)
     # Every party line in one matmul; party p's line is its column slice.
     lines = (line0.reshape(-1, line0.shape[-1]) @ selector).reshape(line0.shape[:-1] + (-1,))
-    stops = itertools.accumulate(table.dims)
-    parties = tuple(lines[..., stop - d_p : stop] for stop, d_p in zip(stops, table.dims))
+    stops = itertools.accumulate(dims)
+    parties = tuple(lines[..., stop - d_p : stop] for stop, d_p in zip(stops, dims))
     return _Lines(probs, line0, parties)
 
 
 @functools.lru_cache(maxsize=1)
-def _party_selector(dims: tuple[int, ...], broadcast_outcome: int | None) -> np.ndarray:
+def _party_selector(dims: tuple[int, ...], copy_outcome: int | None) -> np.ndarray:
     """S[i, o_p + x] = 1 where column i adds into party p's line at digit x.
 
     Shape (d, sum d_p): party p owns the d_p columns from o_p = d_0 + ... +
     d_(p-1) on, and column i adds into its digit map's preimage of i's
-    digit x_p: x_p itself without copies (``broadcast_outcome`` None) and
-    (mu - x_p) mod d_p with them, the map being its own inverse.  So line 1
-    times S is every party line at once.  Complex, so the product is one
-    complex matmul, and read-only; kept for the last (dims, outcome) only,
-    like ``device_table``.
+    digit x_p: x_p itself without copies (``copy_outcome`` None) and
+    (mu - x_p) mod d_p with them, mu being the broadcast outcome and the
+    map its own inverse.  So line 1 times S is every party line at once.
+    Complex, so the product is one complex matmul, and read-only; kept for
+    the last (dims, outcome) only, like ``device_table``.  An outcome
+    outside [0, d_p) for any party raises ImpossibleOutcome.
     """
     digits = device_table(dims).party_digits
-    if broadcast_outcome is not None:
-        digits = (broadcast_outcome - digits) % np.array(dims)
+    if copy_outcome is not None:
+        bad = [l for l in dims if not 0 <= copy_outcome < l]
+        if bad:
+            raise ImpossibleOutcome(f"outcome {copy_outcome} out of range for dimension {bad[0]}")
+        digits = (copy_outcome - digits) % np.array(dims)
     offsets = np.cumsum((0,) + dims[:-1])
     selector = np.zeros((len(digits), sum(dims)), dtype=complex)
     selector[np.arange(len(digits))[:, None], digits + offsets] = 1.0

@@ -20,7 +20,7 @@ marginal-by-marginal loop ``correlation_oracle_diag`` replaced and the
 Kronecker chain its outer product replaced, which it must match bit for
 bit.  The next section holds two paths the package must also match bit
 for bit: the analytic party lines read one marginal at a time through
-the package's partial trace, and the conveyance that relabels on every
+the package's partial trace and divided row by row, and the conveyance that relabels on every
 call, the identity relabel included.  The last is the sweep residual
 taken one table pair at a time, which the sweep's one masked max per
 block of couplings must match bit for bit.  The circuit table's section
@@ -60,7 +60,6 @@ from weakcorr.estimator import (
     SKIP_THRESHOLD,
     _Lines,
     _line0,
-    _normalise_rows,
     _weak_value_numerator,
 )
 from weakcorr.qcore import DensityMatrix, digit_table
@@ -505,12 +504,27 @@ def correlation_oracle_diag_kron(rho):
 # -- the per-party and always-relabelling paths
 
 
+def rows_by_division(num, kept):
+    """Each kept row of ``num`` divided by its sum, the other rows +0.0: the
+    quotient that the party lines' masked reciprocal scaling replaced.
+
+    ``kept`` masks the trailing row axes of ``num``; the leading axes (a
+    stack of parties) share it.  A kept row whose sum is below
+    SKIP_THRESHOLD raises NullPostselection.
+    """
+    sums = np.real(num.sum(axis=-1))
+    low = sums[..., kept]
+    if low.size and low.min() < SKIP_THRESHOLD:
+        raise NullPostselection(f"postselection probability {low.min():.3e}")
+    return np.divide(num, sums[..., None], out=np.zeros_like(num), where=kept[..., None])
+
+
 def analytic_lines_per_party(state, basis_b):
     """The analytic lines with one ``partial_trace``, one numerator and one
-    row normalisation per party, the loop the stacked gather replaced."""
+    row division per party, the loop the stacked gather replaced."""
     probs, kept, line0 = _line0(_weak_value_numerator(state.matrix[None], basis_b.matrix))
     parties = tuple(
-        _normalise_rows(_weak_value_numerator(partial_trace(state, [p]).matrix[None], f), kept)
+        rows_by_division(_weak_value_numerator(partial_trace(state, [p]).matrix[None], f), kept)
         for p, f in enumerate(basis_b.factors)
     )
     return _Lines(probs, line0, parties)

@@ -16,6 +16,7 @@ from oracles import (
     copies_limits_loop,
     correlation_sum_loop,
     max_difference,
+    rows_by_division,
     skip_broadcast_limits_loop,
 )
 
@@ -36,10 +37,13 @@ from weakcorr import (
 from weakcorr import estimator
 from weakcorr.cli import load_basis, load_state
 from weakcorr.estimator import (
+    _analytic_lines,
     _limits_lines,
+    _line0,
     _marginal_rows,
     _marginals,
     _party_product,
+    _weak_value_numerator,
 )
 from weakcorr.qcore import DensityMatrix, digit_table
 
@@ -118,7 +122,7 @@ def test_skip_broadcast_limits_match_per_element_loop(rho, mode, basis):
     basis = basis or hadamard_mub(n)
     conveyed = convey(rho, (0,) * (n - 1), mode).state
     table = device_table(rho.dims)
-    got = weak_value_limits(conveyed, basis, table, skip_broadcast=True)
+    got = weak_value_limits(conveyed, basis, skip_broadcast=True)
     assert_same_table(got, skip_broadcast_limits_loop(conveyed, basis, table))
 
 
@@ -136,7 +140,7 @@ def test_copies_limits_match_qubit_loop(n, seed, mode, mu):
     conveyed = convey(random_density_matrix((2,) * n, seed), (0,) * (n - 1), mode).state
     table = device_table(conveyed.dims)
     for basis in (hadamard_mub(n), random_product_basis(n, seed)):
-        got = weak_value_limits(conveyed, basis, table, mu)
+        got = weak_value_limits(conveyed, basis, mu)
         want = copies_limits_loop(conveyed, basis, table, mu)
         assert np.max(np.abs(got.values - want.values)) <= 1e-15
         assert np.max(np.abs(got.probabilities - want.probabilities)) <= 1e-15
@@ -148,7 +152,7 @@ def test_copies_limits_skip_like_qubit_loop(mu):
     # GHZ postselected on computational labels: six of eight rows vanish.
     basis = computational_basis(GHZ3.dims)
     table = device_table(GHZ3.dims)
-    got = weak_value_limits(GHZ3, basis, table, mu)
+    got = weak_value_limits(GHZ3, basis, mu)
     want = copies_limits_loop(GHZ3, basis, table, mu)
     assert got.skipped == want.skipped == (1, 2, 3, 4, 5, 6)
     assert np.max(np.abs(got.values - want.values)) <= 1e-15
@@ -299,7 +303,7 @@ def test_qudit_party_product_is_bitwise_the_dense_product(skip, mu):
     g = rng.standard_normal((18, 18)) + 1j * rng.standard_normal((18, 18))
     basis = BasisSet(dims, np.linalg.qr(g)[0], [str(k) for k in range(18)])
     rho = random_density_matrix(dims, 5)
-    table = _limits_lines(rho.matrix[None], basis.matrix, device_table(dims), mu, skip).table(0)
+    table = _limits_lines(rho.matrix[None], basis.matrix, dims, None if skip else mu).table(0)
     assert [line.shape for line in table.parties] == [(18, 3), (18, 2), (18, 3)]
     assert_product_is_dense_product(table)
 
@@ -324,9 +328,7 @@ def residual_cases():
 def test_sweep_residual_is_bitwise_the_dense_max(rho, basis, skip, mu, mode):
     n = len(rho.dims)
     conveyed = convey(rho, (0,) * (n - 1), mode).state
-    limits = weak_value_limits(
-        conveyed, basis or hadamard_mub(n), device_table(rho.dims), mu, skip
-    )
+    limits = weak_value_limits(conveyed, basis or hadamard_mub(n), mu, skip)
     cfgs = [PointerConfig(g) for g in (0.3, 0.1, 1e-2)]
     kwargs = dict(postselection=basis, broadcast_outcome=mu, skip_broadcast=skip)
     for rep in correlation_sweep(rho, mode, cfgs, **kwargs):
@@ -402,6 +404,29 @@ def test_stacked_party_lines_are_bitwise_the_per_party_path(n, basis, monkeypatc
         assert_bitwise_report(a, b)
 
 
+@pytest.mark.parametrize("basis", ["builtin", "product"])
+@pytest.mark.parametrize("n", range(2, 8))
+def test_party_sums_bound_the_postselection_probability(n, basis):
+    # For a product postselection b_k = f_1 x ... x f_n, row k's party sum
+    # <f_p|m_p|f_p> = tr[(|f_p><f_p| x I) rho] >= <b_k|rho|b_k> = P_k, so a
+    # row line 1 keeps has no party sum below SKIP_THRESHOLD.
+    for seed in range(3):
+        rho = random_density_matrix((2,) * n, 1000 + 10 * n + seed)
+        if basis == "builtin":
+            basis_b = hadamard_mub(n)
+        else:
+            basis_b = random_product_basis(n, 1100 + 10 * n + seed)
+        probs, kept, _ = _line0(_weak_value_numerator(rho.matrix[None], basis_b.matrix))
+        num = _weak_value_numerator(_marginals(rho.matrix, n), np.stack(basis_b.factors))
+        sums = np.real(num.sum(axis=-1))
+        assert (sums[:, kept[0]] >= probs[0, kept[0]] * (1 - 1e-12)).all()
+        # The scaled party lines are the division reference, up to the sign of zero.
+        want = rows_by_division(num, kept[0])
+        got = _analytic_lines(rho, basis_b).parties
+        for line, division in zip(got, want, strict=True):
+            assert (line[0] + 0.0).tobytes() == (division + 0.0).tobytes()
+
+
 # -- the sweep's residuals against the one-pair reference
 
 SWEEP_G = (0.2, 0.1, 0.05, 0.02, 0.01, 0.005, 0.002, 0.001)
@@ -445,7 +470,7 @@ def test_sweep_residuals_are_bitwise_the_reference(n, skip, mode, outcome, monke
     assert stacks == (nine if skip else [1])
     monkeypatch.undo()
     state = convey(rho, outcomes, mode).state
-    limits = weak_value_limits(state, hadamard_mub(n), device_table(rho.dims), outcome, skip)
+    limits = weak_value_limits(state, hadamard_mub(n), outcome, skip)
     want = list(correlation_sweep(rho, mode, cfgs, **kwargs))
     assert len(got) == len(want) == len(cfgs)
     for (report, residual), plain in zip(got, want):
@@ -462,7 +487,7 @@ def test_sweep_residuals_leave_out_skipped_rows(skip):
     basis = computational_basis(GHZ3.dims)
     cfgs = [PointerConfig(g) for g in SWEEP_G]
     state = convey(GHZ3, (0, 0), "idealized").state
-    limits = weak_value_limits(state, basis, device_table(GHZ3.dims), 0, skip)
+    limits = weak_value_limits(state, basis, 0, skip)
     pairs = estimator._sweep(
         GHZ3, "idealized", cfgs, residuals=True, postselection=basis, skip_broadcast=skip
     )

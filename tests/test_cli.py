@@ -690,6 +690,22 @@ def test_basis_vector_with_non_pair_exits_2(tmp_path, capsys):
     assert err == "error: parse-failure: amplitude must be a [re, im] pair, got [0.5]\n"
 
 
+@pytest.mark.parametrize("label", [None, [1, 2], True, 5, "a,b", "a\nb"])
+def test_basis_label_that_is_no_csv_field_exits_2(tmp_path, capsys, label):
+    # CSV reports print labels unquoted, so each must be a string without a
+    # comma or a line break.
+    basis = json.loads((FIXTURES / "basis_hadamard3.json").read_text())
+    basis["labels"][1] = label
+    path = tmp_path / "basis.json"
+    path.write_text(json.dumps(basis))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"postselection_basis": str(path)}))
+    code, out, err = run_cli(capsys, "run", "--state", GHZ, "--config", str(cfg), "--format", "csv")
+    assert code == 2 and out == ""
+    message = '"labels" must hold 8 strings without commas or line breaks'
+    assert err == f"error: parse-failure: {message}\n"
+
+
 BIG = 10**400  # a JSON integer beyond the float range
 
 

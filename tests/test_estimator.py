@@ -44,6 +44,7 @@ from weakcorr.errors import (
     ImpossibleOutcome,
     NonFactorablePostselection,
     NullPostselection,
+    ShapeMismatch,
     UnbiasednessViolation,
 )
 from weakcorr import estimator
@@ -381,7 +382,7 @@ def test_circuit_skip_broadcast_matches_full_state_weak_values():
     rep = correlation(
         rho, "circuit", "idealized", PointerConfig(1e-4), skip_broadcast=True
     )
-    limits = weak_value_limits(rho, hadamard_mub(3), device_table([2, 2, 2]), 0, True)
+    limits = weak_value_limits(rho, hadamard_mub(3), 0, True)
     keep = [k for k in range(8) if k not in rep.table.skipped]
     np.testing.assert_allclose(
         rep.table.values[:, keep, :], limits.values[:, keep, :], atol=1e-6
@@ -394,7 +395,7 @@ def test_circuit_limit_table_matches_circuit_at_small_g():
     from weakcorr.conveyance import convey
 
     conveyed = convey(rho, (0, 0), "literal").state
-    limits = weak_value_limits(conveyed, hadamard_mub(3), device_table([2, 2, 2]))
+    limits = weak_value_limits(conveyed, hadamard_mub(3))
     np.testing.assert_allclose(rep.table.values, limits.values, atol=1e-9)
     np.testing.assert_allclose(rep.table.probabilities, limits.probabilities, atol=1e-9)
 
@@ -420,7 +421,7 @@ def test_qudit_copies_limits_match_circuit_readout(dims):
         for party in range(len(dims)):
             extended = broadcast(extended, party, mu).state
         bs = couple_all(extended, table)
-        limits = weak_value_limits(rho, basis, table, mu)
+        limits = weak_value_limits(rho, basis, mu)
         assert limits.skipped == ()
         for k, b in enumerate(basis.vectors):
             readings = postselect_and_read(bs, b, cfg)
@@ -439,12 +440,20 @@ def test_circuit_rejects_out_of_range_broadcast_outcome(mu):
 @pytest.mark.parametrize("mu", [2, -1])
 def test_limits_reject_out_of_range_broadcast_outcome(mu):
     rho = random_density_matrix((2, 2, 2), 1)
-    mub, table = hadamard_mub(3), device_table((2, 2, 2))
+    mub = hadamard_mub(3)
     with pytest.raises(ImpossibleOutcome, match=f"outcome {mu} out of range for dimension 2"):
-        weak_value_limits(rho, mub, table, mu)
-    ignored = weak_value_limits(rho, mub, table, mu, skip_broadcast=True)
-    plain = weak_value_limits(rho, mub, table, 0, skip_broadcast=True)
+        weak_value_limits(rho, mub, mu)
+    ignored = weak_value_limits(rho, mub, mu, skip_broadcast=True)
+    plain = weak_value_limits(rho, mub, 0, skip_broadcast=True)
     assert np.array_equal(ignored.values, plain.values)
+
+
+def test_limits_reject_a_basis_on_other_dims():
+    rho = random_density_matrix((2, 2), 1)
+    for basis in (BasisSet((4,), np.eye(4), [str(k) for k in range(4)]), hadamard_mub(3)):
+        for skip in (True, False):
+            with pytest.raises(ShapeMismatch, match="basis does not match the state dims"):
+                weak_value_limits(rho, basis, skip_broadcast=skip)
 
 
 def test_broadcast_outcome_is_unused_without_copies():

@@ -46,11 +46,11 @@ def stacked(rho, size):
     """``size`` damped copies of rho, the first undamped, stacked as a sweep
     block stacks its couplings."""
     cfgs = [None] + [PointerConfig(g) for g in np.geomspace(0.5, 1e-3, size - 1)]
-    return rho.matrix * _damping(_damping_exponent(device_table(rho.dims)), cfgs)
+    return rho.matrix * _damping(_damping_exponent(rho.dims), cfgs)
 
 
 def assert_lines_are_the_sums(matrices, basis, dims, skip, mu):
-    lines = _limits_lines(matrices, basis.matrix, device_table(dims), mu, skip)
+    lines = _limits_lines(matrices, basis.matrix, dims, None if skip else mu)
     want = party_lines_by_sums(lines.joint, dims, None if skip else mu)
     assert [line.shape for line in lines.parties] == [line.shape for line in want]
     for got, line in zip(lines.parties, want):
@@ -80,7 +80,7 @@ def test_qudit_selector_lines_match_the_per_party_sums(dims, size):
             assert_lines_are_the_sums(matrices, basis, dims, False, mu)
         else:
             with pytest.raises(ImpossibleOutcome):
-                _limits_lines(matrices, basis.matrix, device_table(dims), mu, False)
+                _limits_lines(matrices, basis.matrix, dims, mu)
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (2,) * 5, (3, 2, 3)])
@@ -130,11 +130,10 @@ def test_line0_on_the_fixtures_differs_at_most_in_the_sign_of_zero(name):
 
 @pytest.mark.parametrize("dims", [(2,) * n for n in range(2, 7)] + [(3, 2, 3), (3, 3)])
 def test_damping_exponent_is_cached_and_bitwise_the_loop(dims):
-    table = device_table(dims)
-    exponent = _damping_exponent(table)
-    assert exponent.tobytes() == damping_exponent_loop(table).tobytes()
+    exponent = _damping_exponent(dims)
+    assert exponent.tobytes() == damping_exponent_loop(device_table(dims)).tobytes()
     assert not exponent.flags.writeable
-    assert _damping_exponent(device_table(dims)) is exponent
+    assert _damping_exponent(dims) is exponent
 
 
 # -- product states
@@ -169,7 +168,7 @@ def test_product_state_is_uncorrelated(rho, mode):
     for report in reports:
         assert_uncorrelated(report.C, report.terms)
     state = convey(rho, [0] * (n - 1), mode).state
-    limit = weak_value_limits(state, hadamard_mub(n), device_table(rho.dims), 0, True)
+    limit = weak_value_limits(state, hadamard_mub(n), 0, True)
     c, terms = correlation_sum_loop(limit)
     assert_uncorrelated(c, terms)
 

@@ -1,14 +1,17 @@
 """The public surface: every exported name resolves, and the names taken
 out of the package stay out."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
 import weakcorr
 
+SRC = Path(weakcorr.__file__).parent
 MODULES = ["weakcorr"] + [
     f"weakcorr.{info.name}"
     for info in pkgutil.iter_modules(weakcorr.__path__)
@@ -52,3 +55,28 @@ def test_removed_methods_and_parameters_stay_removed():
         assert [m for m in methods if hasattr(getattr(weakcorr, cls), m)] == [], cls
     for fn, params in REMOVED_PARAMETERS.items():
         assert not set(params) & set(inspect.signature(getattr(weakcorr, fn)).parameters), fn
+
+
+def imported_names(tree):
+    """Every name an import statement of ``tree`` binds."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.asname or alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from (alias.asname or alias.name for alias in node.names)
+
+
+def exported_names(tree):
+    """The names the module of ``tree`` lists in ``__all__``."""
+    for node in tree.body:
+        if "__all__" in [getattr(t, "id", "") for t in getattr(node, "targets", [])]:
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+# The package's __init__.py imports only to re-export; the tests above check it.
+@pytest.mark.parametrize("name", sorted({p.name for p in SRC.glob("*.py")} - {"__init__.py"}))
+def test_no_module_imports_a_name_it_never_uses(name):
+    tree = ast.parse((SRC / name).read_text())
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(set(imported_names(tree)) - used - exported_names(tree)) == []
