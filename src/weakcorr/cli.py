@@ -345,9 +345,11 @@ def load_basis(name_or_path: str, dims) -> BasisSet:
     if (
         not isinstance(labels, list)
         or len(labels) != d
-        or not all(isinstance(x, str) and not set(x) & set(",\n\r") for x in labels)
+        or not all(isinstance(x, str) and not set(x) & set(',"\n\r') for x in labels)
     ):
-        raise errors.ParseFailure(f'"labels" must hold {d} strings without commas or line breaks')
+        raise errors.ParseFailure(
+            f'"labels" must hold {d} strings without commas, double quotes or line breaks'
+        )
     return BasisSet(bdims, matrix, labels)
 
 

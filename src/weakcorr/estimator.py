@@ -338,9 +338,16 @@ def _analytic_lines(state: DensityMatrix, basis_b: BasisSet) -> _Lines:
     # F_p; every party at once, stacked along a leading party axis.  Line
     # 1's kept rows mask them: for a product postselection, row k's party
     # sum <f_p|m_p|f_p> = tr[(|f_p><f_p| x I) rho] >= <b_k|rho|b_k> = P_k.
+    # That holds for an exactly positive rho only; a state accepted with
+    # eigenvalues down to -SPECTRAL_TOL can keep a row whose party sum is
+    # zero or negative, so such a row raises.
     marginals = _marginals(state.matrix, len(state.dims))
     num = _weak_value_numerator(marginals, np.stack(basis_b.factors))
-    parties = _scale_rows(num, np.real(num.sum(axis=-1)), kept[0])
+    sums = np.real(num.sum(axis=-1))
+    low = sums[:, kept[0]]
+    if low.size and low.min() < SKIP_THRESHOLD:
+        raise NullPostselection(f"postselection probability {low.min():.3e}")
+    parties = _scale_rows(num, sums, kept[0])
     return _Lines(probs, line0, tuple(line[None] for line in parties))
 
 

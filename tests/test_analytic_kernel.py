@@ -45,6 +45,7 @@ from weakcorr.estimator import (
     _party_product,
     _weak_value_numerator,
 )
+from weakcorr.errors import NullPostselection
 from weakcorr.qcore import DensityMatrix, digit_table
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -425,6 +426,17 @@ def test_party_sums_bound_the_postselection_probability(n, basis):
         got = _analytic_lines(rho, basis_b).parties
         for line, division in zip(got, want, strict=True):
             assert (line[0] + 0.0).tobytes() == (division + 0.0).tobytes()
+
+
+@pytest.mark.parametrize("mode", ["idealized", "literal"])
+def test_party_sum_below_threshold_on_a_kept_row_raises(mode):
+    # The bound above needs an exactly positive rho.  This state passes
+    # validation (its eigenvalue -1e-13 is within SPECTRAL_TOL), line 1
+    # keeps row |00> (P = 1e-13), and party 0's sum <0|m_0|0> is exactly 0:
+    # a null postselection, not a NaN or a sign-flipped C.
+    rho = DensityMatrix((2, 2), np.diag([1e-13, -1e-13, 0.5, 0.5]))
+    with pytest.raises(NullPostselection):
+        correlation(rho, "analytic", mode, postselection=computational_basis((2, 2)))
 
 
 # -- the sweep's residuals against the one-pair reference

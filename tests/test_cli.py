@@ -690,10 +690,10 @@ def test_basis_vector_with_non_pair_exits_2(tmp_path, capsys):
     assert err == "error: parse-failure: amplitude must be a [re, im] pair, got [0.5]\n"
 
 
-@pytest.mark.parametrize("label", [None, [1, 2], True, 5, "a,b", "a\nb"])
+@pytest.mark.parametrize("label", [None, [1, 2], True, 5, "a,b", '"x', "a\nb"])
 def test_basis_label_that_is_no_csv_field_exits_2(tmp_path, capsys, label):
     # CSV reports print labels unquoted, so each must be a string without a
-    # comma or a line break.
+    # comma, a double quote or a line break.
     basis = json.loads((FIXTURES / "basis_hadamard3.json").read_text())
     basis["labels"][1] = label
     path = tmp_path / "basis.json"
@@ -702,7 +702,7 @@ def test_basis_label_that_is_no_csv_field_exits_2(tmp_path, capsys, label):
     cfg.write_text(json.dumps({"postselection_basis": str(path)}))
     code, out, err = run_cli(capsys, "run", "--state", GHZ, "--config", str(cfg), "--format", "csv")
     assert code == 2 and out == ""
-    message = '"labels" must hold 8 strings without commas or line breaks'
+    message = '"labels" must hold 8 strings without commas, double quotes or line breaks'
     assert err == f"error: parse-failure: {message}\n"
 
 

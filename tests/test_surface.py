@@ -31,7 +31,11 @@ REMOVED_METHODS = {
     "BranchState": ["branches", "assemble"],
     "CorrelationReport": ["per_k"],
 }
-REMOVED_PARAMETERS = {"bell_state": ["variant"], "broadcast": ["variant"]}
+REMOVED_PARAMETERS = {
+    "bell_state": ["variant"],
+    "broadcast": ["variant"],
+    "weak_value_limits": ["table"],
+}
 
 
 @pytest.mark.parametrize("name", MODULES)
