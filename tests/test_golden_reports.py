@@ -28,6 +28,10 @@ SWEEP_STATES = ("random3_seed7", "ghz3")
 SWEEP_CONFIGS = ("circuit", "direct")
 G_LIST = "0.1,0.05,0.025"
 ORACLE_STATES = ("random3_seed7",)
+# The benchmark's size, n = 4, with copies in literal mode: broadcast outcome
+# 0 with zero conveyance outcomes, and broadcast outcome 1 with mixed ones.
+N4_STATE = "random4_seed11"
+N4_RUN_CONFIGS = ("circuit", "circuit_mu1_n4")
 
 
 def _cases():
@@ -37,11 +41,19 @@ def _cases():
                 argv = ["run", "--state", f"{state}.json", "--config",
                         f"config_{config}.json", "--format", fmt]
                 yield f"run-{state}-{config}.{fmt}", argv
+    for config in N4_RUN_CONFIGS:
+        for fmt in ("json", "csv"):
+            argv = ["run", "--state", f"{N4_STATE}.json", "--config",
+                    f"config_{config}.json", "--format", fmt]
+            yield f"run-{N4_STATE}-{config}.{fmt}", argv
     for state in SWEEP_STATES:
         for config in SWEEP_CONFIGS:
             argv = ["sweep", "--state", f"{state}.json", "--config",
                     f"config_{config}.json", "--g-list", G_LIST]
             yield f"sweep-{state}-{config}.csv", argv
+    argv = ["sweep", "--state", f"{N4_STATE}.json", "--config",
+            "config_circuit.json", "--g-list", G_LIST]
+    yield f"sweep-{N4_STATE}-circuit.csv", argv
     for state in ORACLE_STATES:
         for fmt in ("json", "csv"):
             argv = ["oracle", "--state", f"{state}.json", "--format", fmt]
