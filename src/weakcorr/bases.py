@@ -55,8 +55,9 @@ class BasisSet:
     label per row.  Construction checks the shape, the label count, that
     every amplitude is finite and that max |B B^dagger - I| <= STRUCT_TOL;
     the Gram diagonal is the norm check of each vector.  The single-party
-    factors of the rows (:attr:`factors`) are computed at most once per
-    instance.
+    factors of the rows (:attr:`factors`) and the squared moduli of the
+    amplitudes, which the copies layout reads, are computed at most once
+    per instance.
     """
 
     dims: tuple[int, ...]
@@ -119,6 +120,14 @@ class BasisSet:
         """
         return _read_only(product_factors(self.matrix, self.dims))
 
+    @functools.cached_property
+    def _squared_moduli(self) -> np.ndarray:
+        """|B|^2, each row's computational-basis probabilities: a read-only
+        real (d, d) array, computed on first access."""
+        moduli = np.abs(self.matrix) ** 2
+        moduli.setflags(write=False)
+        return moduli
+
 
 def _read_only(arrays) -> tuple[np.ndarray, ...]:
     arrays = tuple(arrays)
@@ -158,8 +167,9 @@ def hadamard_mub(n_qubits: int) -> BasisSet:
     factors are known, so the basis carries them: factor p of vector k is
     (1, (-1)^bit_p(k))/sqrt(2), and :func:`product_factors` never runs.
 
-    Kept for the last n only; the entry holds the 16 * 4^n byte matrix and
-    32 n 2^n bytes of factors, until a call with another n.
+    Kept for the last n only; the entry holds the 16 * 4^n byte matrix,
+    32 n 2^n bytes of factors and, once the copies layout has read them,
+    8 * 4^n bytes of squared moduli, until a call with another n.
     """
     if n_qubits < 1:
         raise BadSize(f"need at least one qubit, got {n_qubits}")

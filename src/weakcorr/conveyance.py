@@ -24,7 +24,11 @@ relabel times a mask (discarding the originals keeps only matrix elements
 whose conveyed labels agree), and broadcast embeds the matrix next to the
 computed copy labels.  When the conveyance relabel is the identity
 (every outcome 0, in idealized mode or on qubits) no index map is built
-and the input matrix is used as it is.
+and the input matrix is used as it is.  The mask keeps every diagonal
+element and the relabel permutes them, so the conveyed diagonal, all the
+copies layout reads, is built from the input diagonal alone
+(``_conveyed_diagonal``), with the same checks and relabel as
+:func:`convey`.
 :func:`strong_couple_and_measure` remains the gate-level building block the
 tests check both maps against.
 """
@@ -136,7 +140,30 @@ def convey(
     ``x -> (x + outcome) mod l``, the identity for zero outcomes.  The two
     modes agree on the relabel only for qubits.
     """
-    n = len(rho.dims)
+    outcomes, perm = _conveyance_relabel(rho.dims, outcomes, mode)
+    matrix = rho.matrix
+    if mode == "literal":
+        # The receiver's particle is the fastest digit, so i // dims[-1]
+        # holds the conveyed labels of basis index i.
+        block = np.arange(rho.dim) // rho.dims[-1]
+        matrix = np.where(block[:, None] == block[None, :], matrix, 0.0)
+    if perm is not None:
+        matrix = _relabel(matrix, perm)
+    # A relabel, or a relabel of the pinching onto equal conveyed labels:
+    # both keep the checked input's trace and positivity.
+    state = DensityMatrix._trusted(rho.dims, matrix)
+    return ConveyanceRecord(state, outcomes, 1.0 / math.prod(rho.dims[:-1]))
+
+
+def _conveyance_relabel(
+    dims: tuple[int, ...], outcomes: Sequence[int], mode: str
+) -> tuple[tuple[int, ...], np.ndarray | None]:
+    """``convey``'s argument checks, then its relabel of the basis indices.
+
+    Returns the outcomes as ints and the permutation |i> -> |perm[i]> of
+    the conveyed digits, or None where the relabel fixes every label.
+    """
+    n = len(dims)
     if n < 2:
         raise ShapeMismatch("conveyance needs at least two parties")
     outcomes = tuple(int(v) for v in outcomes)
@@ -145,33 +172,33 @@ def convey(
     if mode not in ("literal", "idealized"):
         raise ShapeMismatch(f"unknown conveyance mode {mode!r}")
 
-    for l, v in zip(rho.dims, outcomes):
+    for l, v in zip(dims, outcomes):
         if mode == "literal" and l < 2:
             raise BadDimension(f"ancilla dimension must be >= 2, got {l}")
         if not 0 <= v < l:
             raise ImpossibleOutcome(f"outcome {v} out of range for dimension {l}")
 
-    matrix = rho.matrix
-    if mode == "literal":
-        # The receiver's particle is the fastest digit, so i // dims[-1]
-        # holds the conveyed labels of basis index i.
-        block = np.arange(rho.dim) // rho.dims[-1]
-        matrix = np.where(block[:, None] == block[None, :], matrix, 0.0)
     # x -> (x + nu) mod l and x -> (nu - x) mod l fix every label only for
     # nu = 0, the second only on qubits.
-    if any(outcomes) or (mode == "literal" and any(l != 2 for l in rho.dims[:-1])):
-        radix = np.array(rho.dims[:-1])
-        nu = np.array(outcomes)
-        digits = digit_table(rho.dims)
-        if mode == "idealized":
-            digits[:, :-1] = (digits[:, :-1] + nu) % radix
-        else:
-            digits[:, :-1] = (nu - digits[:, :-1]) % radix
-        matrix = _relabel(matrix, np.ravel_multi_index(tuple(digits.T), rho.dims))
-    # A relabel, or a relabel of the pinching onto equal conveyed labels:
-    # both keep the checked input's trace and positivity.
-    state = DensityMatrix._trusted(rho.dims, matrix)
-    return ConveyanceRecord(state, outcomes, 1.0 / math.prod(rho.dims[:-1]))
+    if not any(outcomes) and (mode == "idealized" or all(l == 2 for l in dims[:-1])):
+        return outcomes, None
+    radix = np.array(dims[:-1])
+    nu = np.array(outcomes)
+    digits = digit_table(dims)
+    if mode == "idealized":
+        digits[:, :-1] = (digits[:, :-1] + nu) % radix
+    else:
+        digits[:, :-1] = (nu - digits[:, :-1]) % radix
+    return outcomes, np.ravel_multi_index(tuple(digits.T), dims)
+
+
+def _conveyed_diagonal(rho: DensityMatrix, outcomes: Sequence[int], mode: str) -> np.ndarray:
+    """The diagonal of ``convey(rho, outcomes, mode).state``, with the same
+    checks, built without the matrix: the literal mask keeps every diagonal
+    element and the relabel permutes them."""
+    _, perm = _conveyance_relabel(rho.dims, outcomes, mode)
+    diagonal = rho.diagonal()
+    return diagonal if perm is None else diagonal[np.argsort(perm)]
 
 
 def broadcast(rho: DensityMatrix, party: int, outcome: int) -> ConveyanceRecord:

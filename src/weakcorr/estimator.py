@@ -28,11 +28,17 @@ W_p are weak values of the device-table projectors.  Two backends give them:
 
 ``correlation_sweep`` reads one state at many coupling strengths, doing
 once what does not depend on g; the circuit backend of ``correlation`` is
-its one-g case.  The table builders and the combination step take a
-leading stack axis, so a sweep runs them once per block of couplings (the
-block size and the zero-coupling limit row are set out at
+its one-g case.  One combination step (``_combine``) turns lines into the
+terms, C, the completeness residual and the least kept probability, over
+trailing axes.  Without copies the table builders take a leading stack
+axis, so a sweep runs them and the combination step once per block of
+couplings (the block size and the zero-coupling limit row are set out at
 ``_BLOCK_ELEMENTS`` and ``_sweep``); the analytic backend and
-``weak_value_limits`` pass a stack of one.
+``weak_value_limits`` pass a stack of one.  With copies nothing depends
+on g: ``correlation`` and the sweep make one flat pass
+(``_copies_reports``) from the conveyed diagonal, which is conveyed
+without building any (d, d) matrix, through 2-D lines to one report,
+with no stack axis and no generator.
 
 The circuit backend's zero-coupling limit (``weak_value_limits``) is one
 formula for both device layouts: line 1 as above, on the dephased state
@@ -67,7 +73,7 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .bases import BasisSet, device_table, hadamard_mub
-from .conveyance import convey
+from .conveyance import _conveyed_diagonal, convey
 from .errors import (
     BadDimension,
     ImpossibleOutcome,
@@ -240,11 +246,15 @@ class CorrelationReport:
 
 
 class _Lines(NamedTuple):
-    """Weak-value lines of a stack of states; every array leads with the stack axis."""
+    """Weak-value lines of one state, or of a stack of states along leading axes.
 
-    probabilities: np.ndarray  # float, shape (stack, postselections)
-    joint: np.ndarray  # complex, shape (stack, postselections, columns)
-    parties: tuple[np.ndarray, ...]  # complex, party p's shape (stack, postselections, d_p)
+    The stacked builders lead every array with the stack axis, which
+    ``table`` and ``rows`` index; the copies layout's flat pass has none.
+    """
+
+    probabilities: np.ndarray  # float, shape (..., postselections)
+    joint: np.ndarray  # complex, shape (..., postselections, columns)
+    parties: tuple[np.ndarray, ...]  # complex, party p's shape (..., postselections, d_p)
 
     def table(self, s: int) -> WeakValueTable:
         """The table of the stack's state s."""
@@ -382,18 +392,16 @@ def _damping(exponent: np.ndarray, cfgs: Sequence[PointerConfig | None]) -> np.n
 
 
 def _prepare(
-    rho: DensityMatrix,
-    mode: str,
-    postselection: BasisSet | None,
-    outcomes: Sequence[int] | None,
-) -> tuple[BasisSet, tuple[int, ...], DensityMatrix]:
-    """Argument checks, postselection basis, conveyed state."""
+    rho: DensityMatrix, postselection: BasisSet | None, outcomes: Sequence[int] | None
+) -> tuple[BasisSet, tuple[int, ...]]:
+    """Argument checks, postselection basis and conveyance outcomes; the
+    callers convey the state, or only its diagonal."""
     n = _require_qubits(rho)
     basis_b = postselection or hadamard_mub(n)
     if basis_b.dims != rho.dims:
         raise ShapeMismatch("postselection basis does not match the state dims")
     outcomes = tuple(int(v) for v in (outcomes if outcomes is not None else [0] * (n - 1)))
-    return basis_b, outcomes, convey(rho, outcomes, mode).state
+    return basis_b, outcomes
 
 
 def _party_product(parties: Sequence[np.ndarray]) -> np.ndarray:
@@ -405,6 +413,28 @@ def _party_product(parties: Sequence[np.ndarray]) -> np.ndarray:
     return product
 
 
+def _combine(
+    lines: _Lines, diag_eff: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The combination step, on the trailing axes of ``lines``.
+
+    Returns the per-postselection terms, C, the completeness residual
+    max_i |sum_k P_k W_joint[k, i] - diag_eff[i]| and the least kept
+    probability (0.0 where every row is skipped), each with the leading
+    axes of ``lines``: the stacked builders' stack axis, or none.
+    """
+    probs, joint = lines.probabilities, lines.joint
+    kept = probs >= SKIP_THRESHOLD
+    # Skipped rows of the table are zero, so their terms are zero too.
+    terms = np.abs(joint - _party_product(lines.parties)).sum(axis=-1)
+    # A running total in row order, so C is bitwise the row-by-row sum.
+    totals = np.cumsum(np.where(kept, probs * terms, 0.0), axis=-1)[..., -1]
+    recombined = np.einsum("...k,...ki->...i", probs, joint)
+    residuals = np.abs(recombined - diag_eff).max(axis=-1)
+    least = np.where(kept.any(axis=-1), np.where(kept, probs, np.inf).min(axis=-1), 0.0)
+    return terms, totals, residuals, least
+
+
 def _reports(
     lines: _Lines,
     labels: tuple[str, ...],
@@ -413,20 +443,12 @@ def _reports(
     cfgs: Sequence[PointerConfig],
     **settings,
 ) -> list[CorrelationReport]:
-    """The combination step on a stack: report s from row s of ``lines`` at ``cfgs[s]``.
+    """Report s from row s of the stacked ``lines`` at ``cfgs[s]``.
 
-    C, the per-postselection terms and the diagnostics of every row are
-    computed once for the whole stack; each report holds its row's slices.
+    The combination step runs once for the whole stack; each report holds
+    its row's slices.
     """
-    probs, joint = lines.probabilities, lines.joint
-    kept = probs >= SKIP_THRESHOLD
-    # Skipped rows of the table are zero, so their terms are zero too.
-    terms = np.abs(joint - _party_product(lines.parties)).sum(axis=-1)
-    # A running total in row order, so C is bitwise the row-by-row sum.
-    totals = np.cumsum(np.where(kept, probs * terms, 0.0), axis=-1)[:, -1]
-    recombined = np.einsum("sk,ski->si", probs, joint)
-    residuals = np.abs(recombined - diag_eff).max(axis=-1)
-    least = np.where(kept.any(axis=-1), np.where(kept, probs, np.inf).min(axis=-1), 0.0)
+    terms, totals, residuals, least = _combine(lines, diag_eff)
     return [
         CorrelationReport(
             C=total,
@@ -444,6 +466,49 @@ def _reports(
             zip(cfgs, totals.tolist(), residuals.tolist(), least.tolist(), strict=True)
         )
     ]
+
+
+def _copies_reports(
+    rho: DensityMatrix,
+    mode: str,
+    cfgs: Sequence[PointerConfig],
+    postselection: BasisSet | None,
+    outcomes: Sequence[int] | None,
+    mu: int,
+) -> list[CorrelationReport]:
+    """The copies layout's report at each configuration of ``cfgs``.
+
+    One flat pass from the conveyed diagonal: line 1 is |B|^2 * diag over
+    its row sums, the party lines are its product with the selector, and
+    the combination step runs on these 2-D arrays.  The readout is exact
+    at every g, so the reports after the first differ from it in g and
+    sigma only.  The argument checks, the conveyance and the oracle value
+    run even for an empty ``cfgs``.
+    """
+    basis_b, outcomes = _prepare(rho, postselection, outcomes)
+    diagonal = _conveyed_diagonal(rho, outcomes, mode)
+    oracle_diag = correlation_oracle_diag(rho)
+    if not cfgs:
+        return []
+    lines = _diagonal_lines(basis_b._squared_moduli, diagonal, rho.dims, mu)
+    terms, total, residual, least = _combine(lines, diagonal)
+    first = CorrelationReport(
+        C=float(total),
+        backend="circuit",
+        mode=mode,
+        g=cfgs[0].g,
+        sigma=cfgs[0].sigma,
+        outcomes=outcomes,
+        broadcast_outcome=mu,
+        skip_broadcast=False,
+        table=WeakValueTable(lines.joint, lines.parties, lines.probabilities),
+        terms=terms,
+        labels=basis_b.labels,
+        oracle_diag=oracle_diag,
+        max_completeness_residual=float(residual),
+        min_postselection_probability=float(least),
+    )
+    return [first, *(replace(first, g=c.g, sigma=c.sigma) for c in cfgs[1:])]
 
 
 def correlation(
@@ -466,23 +531,39 @@ def correlation(
     party devices couple directly to the line-1 particles and no copies are
     made.  The circuit backend is the one-configuration case of
     :func:`correlation_sweep`.
+
+    With copies the circuit backend reads the conveyed state's diagonal
+    only, at every g.  The device of party p reads its copy, whose digit
+    is (mu - x_p) mod 2 for broadcast outcome mu.  With mu = 0 that map is
+    the identity on qubits, so with the builtin postselection basis C is
+    ``oracle_diag``, twice the diagonal distance between the state and the
+    product of its marginals, to rounding, whatever the conveyance
+    outcomes.  With mu = 1 the party
+    lines read the product of the marginals at flipped digits, so a
+    product state does not read zero: C reached 1.96 on seeded random
+    product states of 2 to 7 qubits.
     """
     if backend == "circuit":
+        cfg = cfg or PointerConfig()
+        if not skip_broadcast:
+            mu = int(broadcast_outcome)
+            return _copies_reports(rho, mode, [cfg], postselection, outcomes, mu)[0]
         return next(
             correlation_sweep(
                 rho,
                 mode,
-                [cfg or PointerConfig()],
+                [cfg],
                 postselection=postselection,
                 outcomes=outcomes,
                 broadcast_outcome=broadcast_outcome,
-                skip_broadcast=skip_broadcast,
+                skip_broadcast=True,
             )
         )
     if backend != "analytic":
         raise ShapeMismatch(f"unknown backend {backend!r}")
     cfg = cfg or PointerConfig()
-    basis_b, outcomes, state = _prepare(rho, mode, postselection, outcomes)
+    basis_b, outcomes = _prepare(rho, postselection, outcomes)
+    state = convey(rho, outcomes, mode).state
     (report,) = _reports(
         _analytic_lines(state, basis_b),
         basis_b.labels,
@@ -512,9 +593,10 @@ def correlation_sweep(
 
     Report i equals ``correlation(rho, "circuit", mode, cfgs[i], ...)``.
     What does not depend on g is computed once, when this is called: the
-    argument checks, the conveyed state and its diagonal and the oracle
-    value.  The rest is computed when the iterator reaches it, in blocks
-    of couplings without copies and from one shared table with them (the
+    argument checks, the conveyed state (its diagonal only, with copies)
+    and the oracle value.  With copies nothing depends on g, so every
+    report is built then, from one table; without them the rest is
+    computed when the iterator reaches it, in blocks of couplings (the
     rule is at ``_sweep``).
     """
     sweep = _sweep(
@@ -543,48 +625,39 @@ def _sweep(
 ) -> Iterator[tuple[CorrelationReport, float | None]]:
     """``correlation_sweep``'s reports, each paired with its residual.
 
-    Without copies the couplings are read in blocks of at most
+    With copies only the diagonal is read and Lambda_g is 1 there, so the
+    reports are ``_copies_reports``: one flat pass, built without D or
+    Lambda.  Without copies the couplings are read in blocks of at most
     max(1, _BLOCK_ELEMENTS // d**2) rows.  A block stacks Lambda_g =
     a_g ** D along a leading coupling axis, with a_g = exp(-g^2 / (8
     sigma^2)), and runs the limit formula and the combination step once on
     the stacked damped states rho * Lambda_g; its reports hold row slices
-    of the block's arrays, and one block is held at a time.  With copies
-    only the diagonal is read and Lambda_g is 1 there, so one table, built
-    without D or Lambda, and one combination step serve every report.
+    of the block's arrays, and one block is held at a time.
 
     With ``residuals`` the residual of a report is max |W_g - W_0| over
     line 1 and every party line, on the rows neither table skips, W_0 being
     the zero-coupling limit (``weak_value_limits`` of the conveyed state);
-    otherwise it is None.  Without copies the limit is one more row of the
+    otherwise it is None.  With copies the shared table is the limit, so
+    every residual is 0.0.  Without them the limit is one more row of the
     coupling stack, read first with damping base a = 1, so Lambda = 1 and
     rho * Lambda is rho bit for bit; it counts toward the block size, and
-    each block's residuals come from one masked max against it.  With
-    copies the shared table is the limit, so every residual is 0.0.
+    each block's residuals come from one masked max against it.
     """
-    basis_b, outcomes, state = _prepare(rho, mode, postselection, outcomes)
     cfgs = tuple(cfgs)
     mu = int(broadcast_outcome)
-    skip = bool(skip_broadcast)
-    copy_outcome = None if skip else mu
+    if not skip_broadcast:
+        reports = _copies_reports(rho, mode, cfgs, postselection, outcomes, mu)
+        residual = 0.0 if residuals else None
+        return ((report, residual) for report in reports)
+    basis_b, outcomes = _prepare(rho, postselection, outcomes)
+    state = convey(rho, outcomes, mode).state
     diag_eff = state.diagonal()
     oracle_diag = correlation_oracle_diag(rho)
     settings = dict(
-        backend="circuit", mode=mode, outcomes=outcomes, broadcast_outcome=mu, skip_broadcast=skip
+        backend="circuit", mode=mode, outcomes=outcomes, broadcast_outcome=mu, skip_broadcast=True
     )
 
-    def lines_of(matrices: np.ndarray) -> _Lines:
-        return _limits_lines(matrices, basis_b.matrix, rho.dims, copy_outcome)
-
-    def reports(lines: _Lines, block: Sequence[PointerConfig]) -> list[CorrelationReport]:
-        return _reports(lines, basis_b.labels, diag_eff, oracle_diag, block, **settings)
-
     def sweep() -> Iterator[tuple[CorrelationReport, float | None]]:
-        if not skip:
-            if cfgs:
-                (shared,) = reports(lines_of(state.matrix[None]), cfgs[:1])
-                residual = 0.0 if residuals else None
-                yield from ((replace(shared, g=c.g, sigma=c.sigma), residual) for c in cfgs)
-            return
         exponent = _damping_exponent(rho.dims)
         size = max(1, _BLOCK_ELEMENTS // exponent.size)
         # None stands for the zero-coupling limit, the first row read.
@@ -592,13 +665,15 @@ def _sweep(
         limit = None
         for start in range(0, len(rows), size):
             block = rows[start : start + size]
-            lines = lines_of(state.matrix * _damping(exponent, block))
+            damped = state.matrix * _damping(exponent, block)
+            lines = _limits_lines(damped, basis_b.matrix, rho.dims, None)
             if block[0] is None:
                 limit, lines, block = lines.rows(0, 1), lines.rows(1, None), block[1:]
                 if not block:  # from n = 8 on the limit has a block to itself
                     continue
             distances = _residuals(lines, limit).tolist() if residuals else [None] * len(block)
-            yield from zip(reports(lines, block), distances, strict=True)
+            reports = _reports(lines, basis_b.labels, diag_eff, oracle_diag, block, **settings)
+            yield from zip(reports, distances, strict=True)
 
     return sweep()
 
@@ -626,7 +701,12 @@ def weak_value_limits(
       the same formula on the dephased state, |B|^2 * diag(rho), and the
       device of party p reads the copy, whose digit is (mu - x_p) mod d_p
       for broadcast outcome mu; that relabel is its own inverse, so
-      m(x) = (mu - x) mod d_p.
+      m(x) = (mu - x) mod d_p.  On qubits with mu = 0, m is the identity:
+      with a builtin (flat |B|^2) basis every row of line 1 is diag(rho),
+      party p's line is p's marginal diagonal, and the correlation sum of
+      the table is ``correlation_oracle_diag``.  With mu = 1 each party
+      line reads its marginal at the flipped digit, so the sum does not
+      vanish on a product state.
 
     This is the g = 0 case (Lambda = 1) of the builder that also gives the
     circuit backend's table at coupling g, on the damped state
@@ -636,7 +716,8 @@ def weak_value_limits(
     state's raises ShapeMismatch.  With copies, a broadcast outcome outside
     [0, d_p) for any party raises ImpossibleOutcome; without them the
     outcome is ignored.  ``weakcorr sweep`` reads the same table inside its
-    coupling stack (see ``_sweep``).
+    coupling stack without copies, and with them from the conveyed
+    diagonal in the flat pass ``correlation`` makes (see ``_sweep``).
     """
     if basis_b.dims != state.dims:
         raise ShapeMismatch("postselection basis does not match the state dims")
@@ -655,12 +736,26 @@ def _limits_lines(
     stacked as the rows of ``basis_matrix``, for parties of dimensions
     ``dims``; ``copy_outcome`` is the broadcast outcome with copies and None
     without them."""
-    selector = _party_selector(dims, copy_outcome)
     if copy_outcome is None:
-        num = _weak_value_numerator(matrices, basis_matrix)
-    else:
-        diagonals = np.real(np.diagonal(matrices, axis1=-2, axis2=-1))
-        num = (np.abs(basis_matrix) ** 2 * diagonals[:, None, :]).astype(complex)
+        return _party_lines(_weak_value_numerator(matrices, basis_matrix), dims, None)
+    diagonals = np.real(np.diagonal(matrices, axis1=-2, axis2=-1))
+    return _diagonal_lines(np.abs(basis_matrix) ** 2, diagonals, dims, copy_outcome)
+
+
+def _diagonal_lines(
+    squared_moduli: np.ndarray, diagonals: np.ndarray, dims: tuple[int, ...], copy_outcome: int
+) -> _Lines:
+    """The copies layout's lines from state diagonals of shape (..., d): the
+    numerator |B|^2 * diag(rho), with |B|^2 given as ``squared_moduli``."""
+    num = (squared_moduli * diagonals[..., None, :]).astype(complex)
+    return _party_lines(num, dims, copy_outcome)
+
+
+def _party_lines(num: np.ndarray, dims: tuple[int, ...], copy_outcome: int | None) -> _Lines:
+    """Line 1 and every party line from the line-1 numerator ``num``, shape
+    (..., postselections, d): line 1 is ``num`` over its row sums, and the
+    party lines are one matmul of it by ``_party_selector``."""
+    selector = _party_selector(dims, copy_outcome)
     probs, _, line0 = _line0(num)
     # Every party line in one matmul; party p's line is its column slice.
     lines = (line0.reshape(-1, line0.shape[-1]) @ selector).reshape(line0.shape[:-1] + (-1,))

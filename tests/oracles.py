@@ -27,7 +27,10 @@ block of couplings must match bit for bit.  The circuit table's section
 holds the per-party reductions the selector matmul replaced, the line-1
 quotient that scaling by the reciprocal row sum replaced, and the damping
 exponent built on every call, which the cached one must match bit for
-bit.  ``dump_state`` writes the
+bit.  The copies report by matrix is the route the flat pass from the
+conveyed diagonal replaced: the whole conveyed matrix, the limit formula
+on a stack of one and the stacked combination step, which the flat pass
+must match bit for bit.  ``dump_state`` writes the
 dense state files the command-line tests read, and ``oracle_csv_rows_loop``
 is the per-element loop that ``weakcorr oracle --format csv`` replaced
 with one format per matrix row; the bytes must match.
@@ -43,9 +46,12 @@ from weakcorr import (
     analytic_weak_value,
     bell_state,
     broadcast,
+    convey,
     correlation,
+    correlation_oracle_diag,
     couple_all,
     extract_weak_value,
+    hadamard_mub,
     ket2dm,
     party_factors,
     partial_trace,
@@ -59,7 +65,9 @@ from weakcorr.errors import NullPostselection, UnbiasednessViolation
 from weakcorr.estimator import (
     SKIP_THRESHOLD,
     _Lines,
+    _limits_lines,
     _line0,
+    _reports,
     _weak_value_numerator,
 )
 from weakcorr.qcore import DensityMatrix, digit_table
@@ -597,6 +605,35 @@ def damping_exponent_loop(table):
     for x, d_p in zip(table.party_digits.T, table.dims):
         differing += (2 * d // d_p) * (x[:, None] != x[None, :])
     return differing
+
+
+# -- the copies layout through the whole conveyed matrix
+
+
+def copies_report_by_matrix(
+    rho, mode, cfg, *, postselection=None, outcomes=None, broadcast_outcome=0
+):
+    """The circuit backend's copies report by the route the flat pass from
+    the conveyed diagonal replaced: the whole conveyed matrix, the limit
+    formula on a stack of one, and the stacked combination step."""
+    n = len(rho.dims)
+    basis_b = postselection or hadamard_mub(n)
+    outcomes = tuple(outcomes) if outcomes is not None else (0,) * (n - 1)
+    state = convey(rho, outcomes, mode).state
+    lines = _limits_lines(state.matrix[None], basis_b.matrix, rho.dims, broadcast_outcome)
+    (report,) = _reports(
+        lines,
+        basis_b.labels,
+        state.diagonal(),
+        correlation_oracle_diag(rho),
+        [cfg],
+        backend="circuit",
+        mode=mode,
+        outcomes=outcomes,
+        broadcast_outcome=broadcast_outcome,
+        skip_broadcast=False,
+    )
+    return report
 
 
 # -- state files

@@ -457,6 +457,19 @@ def spy_stacks(monkeypatch):
     return stacks
 
 
+def spy_diagonal_conveyance(monkeypatch):
+    """Record the arguments of every ``_conveyed_diagonal`` call."""
+    calls = []
+    original = estimator._conveyed_diagonal
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(estimator, "_conveyed_diagonal", spy)
+    return calls
+
+
 @functools.cache
 def residual_state(n):
     return random_density_matrix((2,) * n, 500 + n)
@@ -472,14 +485,17 @@ def test_sweep_residuals_are_bitwise_the_reference(n, skip, mode, outcome, monke
     cfgs = [PointerConfig(g) for g in SWEEP_G]
     kwargs = dict(outcomes=outcomes, broadcast_outcome=outcome, skip_broadcast=skip)
     stacks = spy_stacks(monkeypatch)
+    conveyed = spy_diagonal_conveyance(monkeypatch)
     got = list(estimator._sweep(rho, mode, cfgs, residuals=True, **kwargs))
     # Without copies the limit row leads the stack and counts toward the
     # block size: all nine rows at n <= 4, four per block at n = 7 (the
     # limit and three couplings first) and one from n = 8 on, where the
-    # first block is the limit alone and yields no report.
+    # first block is the limit alone and yields no report.  With copies the
+    # flat pass reads the conveyed diagonal once and stacks nothing.
     size = max(1, 2**16 // 4**n)
     nine = [len(range(start, min(start + size, 9))) for start in range(0, 9, size)]
-    assert stacks == (nine if skip else [1])
+    assert stacks == (nine if skip else [])
+    assert len(conveyed) == (0 if skip else 1)
     monkeypatch.undo()
     state = convey(rho, outcomes, mode).state
     limits = weak_value_limits(state, hadamard_mub(n), outcome, skip)

@@ -208,7 +208,9 @@ def test_sweep_conveys_and_takes_the_oracle_once(tmp_path, monkeypatch, capsys, 
 
         monkeypatch.setattr(module, name, counted)
 
-    count(estimator, "convey")
+    # With copies the sweep conveys the diagonal only, without them the state.
+    for name in ("convey", "_conveyed_diagonal"):
+        count(estimator, name)
     for module in (cli, estimator):
         count(module, "correlation_oracle_diag")
     config = tmp_path / "cfg.json"
@@ -217,7 +219,9 @@ def test_sweep_conveys_and_takes_the_oracle_once(tmp_path, monkeypatch, capsys, 
     argv = ["sweep", "--state", str(FIXTURES / "random3_seed7.json"), "--config", str(config)]
     assert main(argv + ["--g-list", g_list]) == 0
     assert capsys.readouterr().out.count("\n") == 2 + 8
-    assert calls["convey"] == 1 and calls["correlation_oracle_diag"] == 1, calls
+    conveyed = calls["convey"] if skip else calls["_conveyed_diagonal"]
+    assert conveyed == 1 and calls["convey"] + calls["_conveyed_diagonal"] == 1, calls
+    assert calls["correlation_oracle_diag"] == 1, calls
 
 
 # -- properties of the circuit correlation
