@@ -28,10 +28,12 @@ SWEEP_STATES = ("random3_seed7", "ghz3")
 SWEEP_CONFIGS = ("circuit", "direct")
 G_LIST = "0.1,0.05,0.025"
 ORACLE_STATES = ("random3_seed7",)
-# The benchmark's size, n = 4, with copies in literal mode: broadcast outcome
-# 0 with zero conveyance outcomes, and broadcast outcome 1 with mixed ones.
+# The benchmark's size, n = 4: analytic; circuit with copies in literal mode,
+# broadcast outcome 0 with zero conveyance outcomes and broadcast outcome 1
+# with mixed ones; circuit without copies.
 N4_STATE = "random4_seed11"
-N4_RUN_CONFIGS = ("circuit", "circuit_mu1_n4")
+N4_RUN_CONFIGS = ("analytic", "circuit", "circuit_mu1_n4", "direct")
+N4_SWEEP_CONFIGS = ("circuit", "direct")
 
 
 def _cases():
@@ -51,9 +53,10 @@ def _cases():
             argv = ["sweep", "--state", f"{state}.json", "--config",
                     f"config_{config}.json", "--g-list", G_LIST]
             yield f"sweep-{state}-{config}.csv", argv
-    argv = ["sweep", "--state", f"{N4_STATE}.json", "--config",
-            "config_circuit.json", "--g-list", G_LIST]
-    yield f"sweep-{N4_STATE}-circuit.csv", argv
+    for config in N4_SWEEP_CONFIGS:
+        argv = ["sweep", "--state", f"{N4_STATE}.json", "--config",
+                f"config_{config}.json", "--g-list", G_LIST]
+        yield f"sweep-{N4_STATE}-{config}.csv", argv
     for state in ORACLE_STATES:
         for fmt in ("json", "csv"):
             argv = ["oracle", "--state", f"{state}.json", "--format", fmt]
