@@ -27,15 +27,16 @@ W_p are weak values of the device-table projectors.  Two backends give them:
   on the damped state rho * Lambda_g (see ``weakcorr.pointer``).
 
 ``correlation_sweep`` reads one state at many coupling strengths, doing
-once what does not depend on g; the circuit backend of ``correlation`` is
-its one-g case.  One combination step (``_combine``) turns lines into the
-terms, C, the completeness residual and the least kept probability, over
-trailing axes.  Without copies the table builders take a leading stack
-axis, so a sweep runs them and the combination step once per block of
-couplings (the block size and the zero-coupling limit row are set out at
-``_BLOCK_ELEMENTS`` and ``_sweep``); the analytic backend and
-``weak_value_limits`` pass a stack of one.  With copies nothing depends
-on g: ``correlation`` and the sweep make one flat pass
+once what does not depend on g.  One combination step (``_combine``)
+turns lines into the terms, C, the completeness residual and the least
+kept probability, over trailing axes.  Without copies the table builders
+take a leading stack axis, and one block body (``_direct_lines``) reads
+the damped states of a stack of couplings: ``correlation`` runs it once,
+on a stack of its one coupling, and a sweep once per block of couplings
+(the block size and the zero-coupling limit row are set out at
+``_BLOCK_ELEMENTS`` and ``_sweep``).  The analytic backend and
+``weak_value_limits`` read a stack of one undamped state.  With copies
+nothing depends on g: ``correlation`` and the sweep make one flat pass
 (``_copies_reports``) from the conveyed diagonal, which is conveyed
 without building any (d, d) matrix, through 2-D lines to one report,
 with no stack axis and no generator.
@@ -529,8 +530,9 @@ def correlation(
     the three local copy measurements, used only by the circuit backend
     when ``skip_broadcast`` is false.  With ``skip_broadcast`` the single-
     party devices couple directly to the line-1 particles and no copies are
-    made.  The circuit backend is the one-configuration case of
-    :func:`correlation_sweep`.
+    made.  The circuit backend reports what :func:`correlation_sweep`
+    reports at ``cfg``; without copies it runs the sweep's block body
+    once, on a block of this one coupling, with no sweep between.
 
     With copies the circuit backend reads the conveyed state's diagonal
     only, at every g.  The device of party p reads its copy, whose digit
@@ -543,29 +545,20 @@ def correlation(
     product state does not read zero: C reached 1.96 on seeded random
     product states of 2 to 7 qubits.
     """
-    if backend == "circuit":
-        cfg = cfg or PointerConfig()
-        if not skip_broadcast:
-            mu = int(broadcast_outcome)
-            return _copies_reports(rho, mode, [cfg], postselection, outcomes, mu)[0]
-        return next(
-            correlation_sweep(
-                rho,
-                mode,
-                [cfg],
-                postselection=postselection,
-                outcomes=outcomes,
-                broadcast_outcome=broadcast_outcome,
-                skip_broadcast=True,
-            )
-        )
-    if backend != "analytic":
+    if backend not in ("analytic", "circuit"):
         raise ShapeMismatch(f"unknown backend {backend!r}")
     cfg = cfg or PointerConfig()
+    if backend == "circuit" and not skip_broadcast:
+        mu = int(broadcast_outcome)
+        return _copies_reports(rho, mode, [cfg], postselection, outcomes, mu)[0]
     basis_b, outcomes = _prepare(rho, postselection, outcomes)
     state = convey(rho, outcomes, mode).state
+    if backend == "analytic":
+        lines = _analytic_lines(state, basis_b)
+    else:
+        lines = _direct_lines(state.matrix, basis_b.matrix, rho.dims, [cfg])
     (report,) = _reports(
-        _analytic_lines(state, basis_b),
+        lines,
         basis_b.labels,
         state.diagonal(),
         correlation_oracle_diag(rho),
@@ -596,7 +589,8 @@ def correlation_sweep(
     argument checks, the conveyed state (its diagonal only, with copies)
     and the oracle value.  With copies nothing depends on g, so every
     report is built then, from one table; without them the rest is
-    computed when the iterator reaches it, in blocks of couplings (the
+    computed when the iterator reaches it, in blocks of couplings, each
+    read by the block body a single ``correlation`` call runs once (the
     rule is at ``_sweep``).
     """
     sweep = _sweep(
@@ -628,11 +622,12 @@ def _sweep(
     With copies only the diagonal is read and Lambda_g is 1 there, so the
     reports are ``_copies_reports``: one flat pass, built without D or
     Lambda.  Without copies the couplings are read in blocks of at most
-    max(1, _BLOCK_ELEMENTS // d**2) rows.  A block stacks Lambda_g =
-    a_g ** D along a leading coupling axis, with a_g = exp(-g^2 / (8
-    sigma^2)), and runs the limit formula and the combination step once on
-    the stacked damped states rho * Lambda_g; its reports hold row slices
-    of the block's arrays, and one block is held at a time.
+    max(1, _BLOCK_ELEMENTS // d**2) rows.  Each block runs the block body
+    ``correlation`` runs on one coupling, ``_direct_lines``: the limit
+    formula on the damped states rho * Lambda_g, Lambda_g = a_g ** D
+    stacked along a leading coupling axis with a_g = exp(-g^2 / (8
+    sigma^2)); then the combination step, once.  Its reports hold row
+    slices of the block's arrays, and one block is held at a time.
 
     With ``residuals`` the residual of a report is max |W_g - W_0| over
     line 1 and every party line, on the rows neither table skips, W_0 being
@@ -658,15 +653,13 @@ def _sweep(
     )
 
     def sweep() -> Iterator[tuple[CorrelationReport, float | None]]:
-        exponent = _damping_exponent(rho.dims)
-        size = max(1, _BLOCK_ELEMENTS // exponent.size)
+        size = max(1, _BLOCK_ELEMENTS // state.dim**2)
         # None stands for the zero-coupling limit, the first row read.
         rows = ((None,) if residuals else ()) + cfgs
         limit = None
         for start in range(0, len(rows), size):
             block = rows[start : start + size]
-            damped = state.matrix * _damping(exponent, block)
-            lines = _limits_lines(damped, basis_b.matrix, rho.dims, None)
+            lines = _direct_lines(state.matrix, basis_b.matrix, rho.dims, block)
             if block[0] is None:
                 limit, lines, block = lines.rows(0, 1), lines.rows(1, None), block[1:]
                 if not block:  # from n = 8 on the limit has a block to itself
@@ -721,25 +714,26 @@ def weak_value_limits(
     """
     if basis_b.dims != state.dims:
         raise ShapeMismatch("postselection basis does not match the state dims")
-    copy_outcome = None if skip_broadcast else int(broadcast_outcome)
-    return _limits_lines(state.matrix[None], basis_b.matrix, state.dims, copy_outcome).table(0)
+    if skip_broadcast:
+        num = _weak_value_numerator(state.matrix[None], basis_b.matrix)
+        return _party_lines(num, state.dims, None).table(0)
+    diagonals = state.diagonal()[None]
+    mu = int(broadcast_outcome)
+    return _diagonal_lines(basis_b._squared_moduli, diagonals, state.dims, mu).table(0)
 
 
-def _limits_lines(
-    matrices: np.ndarray,
+def _direct_lines(
+    matrix: np.ndarray,
     basis_matrix: np.ndarray,
     dims: tuple[int, ...],
-    copy_outcome: int | None,
+    cfgs: Sequence[PointerConfig | None],
 ) -> _Lines:
-    """The limit formula of ``weak_value_limits`` on each state matrix of the
-    stack ``matrices``, shape (stack, d, d), with the postselection vectors
-    stacked as the rows of ``basis_matrix``, for parties of dimensions
-    ``dims``; ``copy_outcome`` is the broadcast outcome with copies and None
-    without them."""
-    if copy_outcome is None:
-        return _party_lines(_weak_value_numerator(matrices, basis_matrix), dims, None)
-    diagonals = np.real(np.diagonal(matrices, axis1=-2, axis2=-1))
-    return _diagonal_lines(np.abs(basis_matrix) ** 2, diagonals, dims, copy_outcome)
+    """The no-copies lines of the state ``matrix`` at each configuration of
+    ``cfgs``, stacked along a leading axis: the limit formula on the damped
+    states matrix * Lambda_g, with the postselection vectors stacked as the
+    rows of ``basis_matrix``.  A configuration of None reads the limit."""
+    damped = matrix * _damping(_damping_exponent(dims), cfgs)
+    return _party_lines(_weak_value_numerator(damped, basis_matrix), dims, None)
 
 
 def _diagonal_lines(

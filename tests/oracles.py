@@ -30,7 +30,9 @@ exponent built on every call, which the cached one must match bit for
 bit.  The copies report by matrix is the route the flat pass from the
 conveyed diagonal replaced: the whole conveyed matrix, the limit formula
 on a stack of one and the stacked combination step, which the flat pass
-must match bit for bit.  ``dump_state`` writes the
+must match bit for bit; its limit formula goes through ``_limits_lines``,
+the one dispatcher over both layouts that the estimator's no-copies
+block body and ``weak_value_limits`` replaced.  ``dump_state`` writes the
 dense state files the command-line tests read, and ``oracle_csv_rows_loop``
 is the per-element loop that ``weakcorr oracle --format csv`` replaced
 with one format per matrix row; the bytes must match.
@@ -64,9 +66,10 @@ from weakcorr.cli import _fmt_float
 from weakcorr.errors import NullPostselection, UnbiasednessViolation
 from weakcorr.estimator import (
     SKIP_THRESHOLD,
+    _diagonal_lines,
     _Lines,
-    _limits_lines,
     _line0,
+    _party_lines,
     _reports,
     _weak_value_numerator,
 )
@@ -608,6 +611,23 @@ def damping_exponent_loop(table):
 
 
 # -- the copies layout through the whole conveyed matrix
+
+
+def _limits_lines(
+    matrices: np.ndarray,
+    basis_matrix: np.ndarray,
+    dims: tuple[int, ...],
+    copy_outcome: int | None,
+) -> _Lines:
+    """The limit formula of ``weak_value_limits`` on each state matrix of the
+    stack ``matrices``, shape (stack, d, d), with the postselection vectors
+    stacked as the rows of ``basis_matrix``, for parties of dimensions
+    ``dims``; ``copy_outcome`` is the broadcast outcome with copies and None
+    without them."""
+    if copy_outcome is None:
+        return _party_lines(_weak_value_numerator(matrices, basis_matrix), dims, None)
+    diagonals = np.real(np.diagonal(matrices, axis1=-2, axis2=-1))
+    return _diagonal_lines(np.abs(basis_matrix) ** 2, diagonals, dims, copy_outcome)
 
 
 def copies_report_by_matrix(

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    _limits_lines,
     analytic_lines_per_party,
     analytic_table_loop,
     copies_limits_loop,
@@ -38,7 +39,6 @@ from weakcorr import estimator
 from weakcorr.cli import load_basis, load_state
 from weakcorr.estimator import (
     _analytic_lines,
-    _limits_lines,
     _line0,
     _marginal_rows,
     _marginals,
@@ -445,15 +445,16 @@ SWEEP_G = (0.2, 0.1, 0.05, 0.02, 0.01, 0.005, 0.002, 0.001)
 
 
 def spy_stacks(monkeypatch):
-    """Record the stack size of every ``_limits_lines`` call."""
+    """Record the stack size, the number of configurations, of every
+    ``_direct_lines`` call."""
     stacks = []
-    original = estimator._limits_lines
+    original = estimator._direct_lines
 
-    def spy(matrices, *args):
-        stacks.append(matrices.shape[0])
-        return original(matrices, *args)
+    def spy(matrix, basis_matrix, dims, cfgs):
+        stacks.append(len(cfgs))
+        return original(matrix, basis_matrix, dims, cfgs)
 
-    monkeypatch.setattr(estimator, "_limits_lines", spy)
+    monkeypatch.setattr(estimator, "_direct_lines", spy)
     return stacks
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import correlation_loop, diag_correlation, staged_circuit_table
+from oracles import _limits_lines, correlation_loop, diag_correlation, staged_circuit_table
 from test_analytic_kernel import permute_qubits, random_product_state
 from test_estimator import random_unitary_basis
 
@@ -29,7 +29,7 @@ from weakcorr import (
     random_density_matrix,
 )
 from weakcorr.cli import load_state, main
-from weakcorr.estimator import _damping, _damping_exponent, _limits_lines
+from weakcorr.estimator import _damping, _damping_exponent
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GHZ3 = load_state(str(FIXTURES / "ghz3.json"))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    _limits_lines,
     correlation_sum_loop,
     damping_exponent_loop,
     line0_by_division,
@@ -30,7 +31,6 @@ from weakcorr.errors import ImpossibleOutcome
 from weakcorr.estimator import (
     _damping,
     _damping_exponent,
-    _limits_lines,
     _line0,
     _party_selector,
     _weak_value_numerator,
