@@ -701,16 +701,16 @@ def weak_value_limits(
       line reads its marginal at the flipped digit, so the sum does not
       vanish on a product state.
 
-    This is the g = 0 case (Lambda = 1) of the builder that also gives the
-    circuit backend's table at coupling g, on the damped state
-    rho * Lambda_g (see ``weakcorr.pointer``): exact at every g with
+    This is the g = 0 case (Lambda = 1, so D is not built) of the formula
+    that also gives the circuit backend's table at coupling g, on the damped
+    state rho * Lambda_g (see ``weakcorr.pointer``): exact at every g with
     copies, where only the diagonal is read and Lambda_g is 1 there, and
     with an O(g^2) bias without them.  A basis on other dims than the
     state's raises ShapeMismatch.  With copies, a broadcast outcome outside
     [0, d_p) for any party raises ImpossibleOutcome; without them the
     outcome is ignored.  ``weakcorr sweep`` reads the same table inside its
-    coupling stack without copies, and with them from the conveyed
-    diagonal in the flat pass ``correlation`` makes (see ``_sweep``).
+    coupling stack without copies, and with them from the conveyed diagonal
+    in the flat pass ``correlation`` makes (see ``_sweep``).
     """
     if basis_b.dims != state.dims:
         raise ShapeMismatch("postselection basis does not match the state dims")
