@@ -55,9 +55,9 @@ class BasisSet:
     label per row.  Construction checks the shape, the label count, that
     every amplitude is finite and that max |B B^dagger - I| <= STRUCT_TOL;
     the Gram diagonal is the norm check of each vector.  The single-party
-    factors of the rows (:attr:`factors`) and the squared moduli of the
-    amplitudes, which the copies layout reads, are computed at most once
-    per instance.
+    factors of the rows (:attr:`factors`), their stack, which the analytic
+    party lines read, and the squared moduli of the amplitudes, which the
+    copies layout reads, are computed at most once per instance.
     """
 
     dims: tuple[int, ...]
@@ -119,6 +119,15 @@ class BasisSet:
         :class:`NonFactorablePostselection` there.
         """
         return _read_only(product_factors(self.matrix, self.dims))
+
+    @functools.cached_property
+    def _stacked_factors(self) -> np.ndarray:
+        """:attr:`factors` stacked along a leading party axis: a read-only
+        (n, d, d_p) array for parties of one dimension d_p, computed on first
+        access."""
+        stacked = np.stack(self.factors)
+        stacked.setflags(write=False)
+        return stacked
 
     @functools.cached_property
     def _squared_moduli(self) -> np.ndarray:
@@ -184,8 +193,10 @@ def hadamard_mub(n_qubits: int) -> BasisSet:
     factors[:, :, 1] = 1.0 - 2.0 * bits.T
     factors /= math.sqrt(2.0)
     factors.setflags(write=False)
-    # Seeds the cache of BasisSet.factors with one (K, 2) view per qubit.
+    # Seeds the caches of BasisSet.factors, with one (K, 2) view per qubit,
+    # and of their stack.
     vars(basis)["factors"] = tuple(factors)
+    vars(basis)["_stacked_factors"] = factors
     return basis
 
 

@@ -42,7 +42,14 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BadDimension, BadSubsystem, ImpossibleOutcome, ShapeMismatch
-from .qcore import SKIP_THRESHOLD, DensityMatrix, PureState, digit_table
+from .qcore import (
+    SKIP_THRESHOLD,
+    DensityMatrix,
+    PureState,
+    _outcome,
+    _place_values,
+    digit_table,
+)
 
 __all__ = [
     "ConveyanceRecord",
@@ -74,8 +81,8 @@ def bell_state(dim: int) -> PureState:
 
 def _relabel(matrix: np.ndarray, perm: np.ndarray) -> np.ndarray:
     """U m U^dagger for the basis permutation |i> -> |perm[i]>."""
-    inverse = np.argsort(perm)
-    return matrix[np.ix_(inverse, inverse)]
+    inverse = perm.argsort()
+    return matrix[inverse[:, None], inverse]
 
 
 def _controlled_shift_perm(dims, control: int, target: int) -> np.ndarray:
@@ -104,11 +111,12 @@ def strong_couple_and_measure(
             f"control dim {joint.dims[control]} != target dim {joint.dims[target]}"
         )
     l = joint.dims[target]
-    if not 0 <= int(outcome) < l:
+    outcome = _outcome(outcome)
+    if not 0 <= outcome < l:
         raise ImpossibleOutcome(f"outcome {outcome} out of range for dimension {l}")
     perm = _controlled_shift_perm(joint.dims, control, target)
     coupled = _relabel(joint.matrix, perm)
-    sel = np.flatnonzero(digit_table(joint.dims)[:, target] == int(outcome))
+    sel = np.flatnonzero(digit_table(joint.dims)[:, target] == outcome)
     block = coupled[np.ix_(sel, sel)]
     prob = float(np.real(np.trace(block)))
     if prob < SKIP_THRESHOLD:
@@ -117,7 +125,7 @@ def strong_couple_and_measure(
         )
     dims = joint.dims[:target] + joint.dims[target + 1 :]
     state = DensityMatrix(dims, block / prob)
-    return ConveyanceRecord(state, (int(outcome),), prob)
+    return ConveyanceRecord(state, (outcome,), prob)
 
 
 def convey(
@@ -146,7 +154,8 @@ def convey(
         # The receiver's particle is the fastest digit, so i // dims[-1]
         # holds the conveyed labels of basis index i.
         block = np.arange(rho.dim) // rho.dims[-1]
-        matrix = np.where(block[:, None] == block[None, :], matrix, 0.0)
+        same = block[:, None] == block[None, :]
+        matrix = np.positive(matrix, out=np.zeros(matrix.shape, complex), where=same)
     if perm is not None:
         matrix = _relabel(matrix, perm)
     # A relabel, or a relabel of the pinching onto equal conveyed labels:
@@ -166,7 +175,7 @@ def _conveyance_relabel(
     n = len(dims)
     if n < 2:
         raise ShapeMismatch("conveyance needs at least two parties")
-    outcomes = tuple(int(v) for v in outcomes)
+    outcomes = tuple(_outcome(v) for v in outcomes)
     if len(outcomes) != n - 1:
         raise ShapeMismatch(f"expected {n - 1} outcomes, got {len(outcomes)}")
     if mode not in ("literal", "idealized"):
@@ -189,7 +198,7 @@ def _conveyance_relabel(
         digits[:, :-1] = (digits[:, :-1] + nu) % radix
     else:
         digits[:, :-1] = (nu - digits[:, :-1]) % radix
-    return outcomes, np.ravel_multi_index(tuple(digits.T), dims)
+    return outcomes, digits @ _place_values(dims)
 
 
 def _conveyed_diagonal(rho: DensityMatrix, outcomes: Sequence[int], mode: str) -> np.ndarray:
@@ -198,7 +207,7 @@ def _conveyed_diagonal(rho: DensityMatrix, outcomes: Sequence[int], mode: str) -
     element and the relabel permutes them."""
     _, perm = _conveyance_relabel(rho.dims, outcomes, mode)
     diagonal = rho.diagonal()
-    return diagonal if perm is None else diagonal[np.argsort(perm)]
+    return diagonal if perm is None else diagonal[perm.argsort()]
 
 
 def broadcast(rho: DensityMatrix, party: int, outcome: int) -> ConveyanceRecord:
@@ -217,7 +226,7 @@ def broadcast(rho: DensityMatrix, party: int, outcome: int) -> ConveyanceRecord:
     if not 0 <= party < n:
         raise BadSubsystem(f"party {party} out of range for {n} subsystems")
     l = rho.dims[party]
-    outcome = int(outcome)
+    outcome = _outcome(outcome)
     if l < 2:
         raise BadDimension(f"ancilla dimension must be >= 2, got {l}")
     if not 0 <= outcome < l:

@@ -62,6 +62,19 @@ A postselection with probability P_k < SKIP_THRESHOLD (1e-14, defined in
 annihilates the undefined weak value) and is reported as skipped; at
 P_k = SKIP_THRESHOLD it is computed.  Weak values are generally complex;
 the bracket above uses the complex modulus.
+
+Per-call code reaches numpy through ufuncs, their ``reduce`` and
+``accumulate`` methods and ndarray attributes only, not through numpy
+functions or methods that run Python code first (``np.sum``, ``np.real``,
+``np.where``, ``np.stack``, and ``ndarray.sum``, ``.max`` or ``.any``,
+which call into ``numpy._core._methods``).  At the sizes one call
+handles at small n, tens to thousands of elements, such a wrapper's
+Python frames cost as much as the C loop it reaches; the ufunc form runs
+the same loop on the same axis with the same operands, so every value is
+unchanged bit for bit.  ``np.einsum`` for the completeness residual is
+the one exception: the ufunc form, a broadcast product reduced over the
+postselections, gives the same bits but allocates a (K, d) temporary, and
+at n = 11 it takes about twice as long.
 """
 
 from __future__ import annotations
@@ -83,7 +96,7 @@ from .errors import (
     UnbiasednessViolation,
 )
 from .pointer import PointerConfig
-from .qcore import SKIP_THRESHOLD, DensityMatrix, PureState, as_operator, digit_table
+from .qcore import SKIP_THRESHOLD, DensityMatrix, PureState, _outcome, as_operator, digit_table
 
 # The most damped-state elements (couplings x d^2) one block of a
 # no-copies sweep stacks.  Stacking pays where numpy's per-call cost
@@ -93,6 +106,8 @@ from .qcore import SKIP_THRESHOLD, DensityMatrix, PureState, as_operator, digit_
 # slower).  2**16 takes every coupling in one block up to n = 4, four per
 # block at n = 7 and one from n = 8 on.
 _BLOCK_ELEMENTS = 2**16
+# The pointer configuration of a ``correlation`` call that names none.
+_DEFAULT_POINTER = PointerConfig()
 
 __all__ = [
     "SKIP_THRESHOLD",
@@ -175,9 +190,17 @@ def correlation_oracle_diag(rho: DensityMatrix) -> float:
     """
     diag = rho.diagonal()
     cube = diag.reshape(rho.dims)
-    n = len(rho.dims)
-    marginals = [cube.sum(axis=tuple(q for q in range(n) if q != p)) for p in range(n)]
-    return float(np.sum(np.abs(diag - _party_product(marginals))))
+    marginals = [np.add.reduce(cube, axis=axes) for axes in _other_axes(len(rho.dims))]
+    return float(np.add.reduce(np.abs(diag - _party_product(marginals)), axis=None))
+
+
+@functools.lru_cache(maxsize=1)
+def _other_axes(n: int) -> tuple[tuple[int, ...], ...]:
+    """axes[p]: every axis of an n-party array but p's, in order.
+
+    Built once per n and kept for the last n only, like ``_marginal_rows``.
+    """
+    return tuple(tuple(q for q in range(n) if q != p) for p in range(n))
 
 
 @dataclass(frozen=True)
@@ -275,9 +298,15 @@ def _residuals(lines: _Lines, limit: _Lines) -> np.ndarray:
     ``limit``, over line 1 and every party line, on the rows neither skips;
     0.0 where every row is skipped."""
     kept = (lines.probabilities >= SKIP_THRESHOLD) & (limit.probabilities >= SKIP_THRESHOLD)
-    pairs = zip((lines.joint, *lines.parties), (limit.joint, *limit.parties))
-    differences = np.concatenate([a - b for a, b in pairs], axis=-1)
-    return np.abs(differences).max(axis=(-2, -1), initial=0.0, where=kept[..., None])
+    new, old = (lines.joint, *lines.parties), (limit.joint, *limit.parties)
+    stops = list(itertools.accumulate(line.shape[-1] for line in new))
+    # Every pair's difference side by side in one buffer, then one masked max.
+    differences = np.empty(lines.joint.shape[:-1] + (stops[-1],), complex)
+    for a, b, start, stop in zip(new, old, [0, *stops], stops):
+        np.subtract(a, b, out=differences[..., start:stop])
+    return np.maximum.reduce(
+        np.abs(differences), axis=(-2, -1), initial=0.0, where=kept[..., None]
+    )
 
 
 def _require_qubits(rho: DensityMatrix) -> int:
@@ -299,7 +328,7 @@ def _line0(num: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     The probabilities are the row sums of the numerator, taken once; rows
     below SKIP_THRESHOLD are skipped.
     """
-    probs = np.real(num.sum(axis=-1))
+    probs = np.add.reduce(num, axis=-1).real
     kept = probs >= SKIP_THRESHOLD
     return probs, kept, _scale_rows(num, probs, kept)
 
@@ -312,7 +341,7 @@ def _scale_rows(num: np.ndarray, sums: np.ndarray, kept: np.ndarray) -> np.ndarr
     zero.  ``kept`` masks the trailing row axes of ``sums``; leading axes
     (a stack of parties) share it.
     """
-    scale = np.divide(1.0, sums, out=np.zeros_like(sums), where=kept)
+    scale = np.divide(1.0, sums, out=np.zeros(sums.shape), where=kept)
     return num * scale[..., None]
 
 
@@ -339,7 +368,7 @@ def _marginals(matrix: np.ndarray, n: int) -> np.ndarray:
     marginal is bitwise ``partial_trace(state, [p])``.
     """
     rows = _marginal_rows(n)
-    return matrix[rows[..., :, None], rows[..., None, :]].sum(axis=0)
+    return np.add.reduce(matrix[rows[..., :, None], rows[..., None, :]], axis=0)
 
 
 def _analytic_lines(state: DensityMatrix, basis_b: BasisSet) -> _Lines:
@@ -353,11 +382,11 @@ def _analytic_lines(state: DensityMatrix, basis_b: BasisSet) -> _Lines:
     # eigenvalues down to -SPECTRAL_TOL can keep a row whose party sum is
     # zero or negative, so such a row raises.
     marginals = _marginals(state.matrix, len(state.dims))
-    num = _weak_value_numerator(marginals, np.stack(basis_b.factors))
-    sums = np.real(num.sum(axis=-1))
-    low = sums[:, kept[0]]
-    if low.size and low.min() < SKIP_THRESHOLD:
-        raise NullPostselection(f"postselection probability {low.min():.3e}")
+    num = _weak_value_numerator(marginals, basis_b._stacked_factors)
+    sums = np.add.reduce(num, axis=-1).real
+    low = np.minimum.reduce(sums[:, kept[0]], axis=None, initial=np.inf)
+    if low < SKIP_THRESHOLD:
+        raise NullPostselection(f"postselection probability {low:.3e}")
     parties = _scale_rows(num, sums, kept[0])
     return _Lines(probs, line0, tuple(line[None] for line in parties))
 
@@ -401,7 +430,7 @@ def _prepare(
     basis_b = postselection or hadamard_mub(n)
     if basis_b.dims != rho.dims:
         raise ShapeMismatch("postselection basis does not match the state dims")
-    outcomes = tuple(int(v) for v in (outcomes if outcomes is not None else [0] * (n - 1)))
+    outcomes = tuple(_outcome(v) for v in (outcomes if outcomes is not None else [0] * (n - 1)))
     return basis_b, outcomes
 
 
@@ -427,12 +456,16 @@ def _combine(
     probs, joint = lines.probabilities, lines.joint
     kept = probs >= SKIP_THRESHOLD
     # Skipped rows of the table are zero, so their terms are zero too.
-    terms = np.abs(joint - _party_product(lines.parties)).sum(axis=-1)
+    terms = np.add.reduce(np.abs(joint - _party_product(lines.parties)), axis=-1)
     # A running total in row order, so C is bitwise the row-by-row sum.
-    totals = np.cumsum(np.where(kept, probs * terms, 0.0), axis=-1)[..., -1]
+    weighted = np.multiply(probs, terms, out=np.zeros(probs.shape), where=kept)
+    totals = np.add.accumulate(weighted, axis=-1)[..., -1]
     recombined = np.einsum("...k,...ki->...i", probs, joint)
-    residuals = np.abs(recombined - diag_eff).max(axis=-1)
-    least = np.where(kept.any(axis=-1), np.where(kept, probs, np.inf).min(axis=-1), 0.0)
+    residuals = np.maximum.reduce(np.abs(recombined - diag_eff), axis=-1)
+    least = np.minimum.reduce(
+        probs, axis=-1, out=np.empty(probs.shape[:-1]), initial=np.inf, where=kept
+    )
+    least[~np.logical_or.reduce(kept, axis=-1)] = 0.0
     return terms, totals, residuals, least
 
 
@@ -528,7 +561,9 @@ def correlation(
     ``outcomes`` lists the conveyance measurement results, one per conveyed
     party (zeros by default); ``broadcast_outcome`` is the shared result of
     the three local copy measurements, used only by the circuit backend
-    when ``skip_broadcast`` is false.  With ``skip_broadcast`` the single-
+    when ``skip_broadcast`` is false.  Every outcome is read with
+    ``operator.index``: one that is not an integer, such as 1.7, raises
+    ImpossibleOutcome.  With ``skip_broadcast`` the single-
     party devices couple directly to the line-1 particles and no copies are
     made.  The circuit backend reports what :func:`correlation_sweep`
     reports at ``cfg``; without copies it runs the sweep's block body
@@ -547,9 +582,9 @@ def correlation(
     """
     if backend not in ("analytic", "circuit"):
         raise ShapeMismatch(f"unknown backend {backend!r}")
-    cfg = cfg or PointerConfig()
+    cfg = cfg or _DEFAULT_POINTER
+    mu = _outcome(broadcast_outcome)
     if backend == "circuit" and not skip_broadcast:
-        mu = int(broadcast_outcome)
         return _copies_reports(rho, mode, [cfg], postselection, outcomes, mu)[0]
     basis_b, outcomes = _prepare(rho, postselection, outcomes)
     state = convey(rho, outcomes, mode).state
@@ -566,7 +601,7 @@ def correlation(
         backend=backend,
         mode=mode,
         outcomes=outcomes,
-        broadcast_outcome=int(broadcast_outcome),
+        broadcast_outcome=mu,
         skip_broadcast=bool(skip_broadcast),
     )
     return report
@@ -639,7 +674,7 @@ def _sweep(
     each block's residuals come from one masked max against it.
     """
     cfgs = tuple(cfgs)
-    mu = int(broadcast_outcome)
+    mu = _outcome(broadcast_outcome)
     if not skip_broadcast:
         reports = _copies_reports(rho, mode, cfgs, postselection, outcomes, mu)
         residual = 0.0 if residuals else None
@@ -718,7 +753,7 @@ def weak_value_limits(
         num = _weak_value_numerator(state.matrix[None], basis_b.matrix)
         return _party_lines(num, state.dims, None).table(0)
     diagonals = state.diagonal()[None]
-    mu = int(broadcast_outcome)
+    mu = _outcome(broadcast_outcome)
     return _diagonal_lines(basis_b._squared_moduli, diagonals, state.dims, mu).table(0)
 
 
@@ -777,7 +812,7 @@ def _party_selector(dims: tuple[int, ...], copy_outcome: int | None) -> np.ndarr
         if bad:
             raise ImpossibleOutcome(f"outcome {copy_outcome} out of range for dimension {bad[0]}")
         digits = (copy_outcome - digits) % np.array(dims)
-    offsets = np.cumsum((0,) + dims[:-1])
+    offsets = np.add.accumulate((0,) + dims[:-1])
     selector = np.zeros((len(digits), sum(dims)), dtype=complex)
     selector[np.arange(len(digits))[:, None], digits + offsets] = 1.0
     selector.setflags(write=False)

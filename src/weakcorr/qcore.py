@@ -31,12 +31,13 @@ probability check of the package uses that one rule.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import BadSubsystem, InvariantViolation, ShapeMismatch
+from .errors import BadSubsystem, ImpossibleOutcome, InvariantViolation, ShapeMismatch
 
 STRUCT_TOL = 1e-12
 SPECTRAL_TOL = 1e-10
@@ -71,6 +72,16 @@ def _dims_tuple(dims) -> tuple[int, ...]:
     return out
 
 
+def _outcome(value) -> int:
+    """A measurement outcome as an int; a value that is not an integer
+    (``operator.index`` refuses it, as it refuses 1.7 or 1.0) raises
+    ImpossibleOutcome instead of being truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ImpossibleOutcome(f"outcome {value!r} is not an integer") from None
+
+
 def as_operator(matrix, dim: int | None = None) -> np.ndarray:
     """Coerce ``matrix`` to a square complex array with finite entries."""
     m = np.asarray(matrix, dtype=complex)
@@ -90,8 +101,13 @@ def digit_table(dims) -> np.ndarray:
     first subsystem most significant.
     """
     dims = _dims_tuple(dims)
-    strides = np.cumprod((1,) + dims[:0:-1])[::-1]
-    return (np.arange(math.prod(dims))[:, None] // strides) % np.array(dims)
+    return (np.arange(math.prod(dims))[:, None] // _place_values(dims)) % np.array(dims)
+
+
+def _place_values(dims: tuple[int, ...]) -> np.ndarray:
+    """The weight of each subsystem's digit in the flattened index, first
+    subsystem most significant: digits @ place values is the index."""
+    return np.multiply.accumulate((1,) + dims[:0:-1])[::-1]
 
 
 @dataclass(frozen=True)
@@ -148,12 +164,12 @@ class DensityMatrix:
         d = math.prod(dims)
         if m.shape != (d, d):
             raise ShapeMismatch(f"matrix shape {m.shape} does not match dims {dims}")
-        if not np.all(np.isfinite(m)):
+        if not np.logical_and.reduce(np.isfinite(m), axis=None):
             raise InvariantViolation("density matrix entries must be finite")
-        herm = float(np.max(np.abs(m - m.conj().T)))
+        herm = float(np.maximum.reduce(np.abs(m - m.conj().T), axis=None))
         if herm > STRUCT_TOL:
             raise InvariantViolation(f"hermiticity: max |m - m^dagger| = {herm:.3e}")
-        tr = complex(np.trace(m))
+        tr = complex(m.trace())
         if abs(tr - 1.0) > STRUCT_TOL:
             raise InvariantViolation(f"unit trace: trace = {tr!r}")
         # m + SPECTRAL_TOL * I has a Cholesky factor when the smallest
@@ -190,7 +206,7 @@ class DensityMatrix:
 
     def diagonal(self) -> np.ndarray:
         """Real diagonal in the computational basis."""
-        return np.real(np.diagonal(self.matrix)).copy()
+        return self.matrix.diagonal().real.copy()
 
 
 def tensor_product(a, b):
