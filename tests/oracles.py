@@ -23,7 +23,10 @@ for bit: the analytic party lines read one marginal at a time through
 the package's partial trace and divided row by row, and the conveyance that relabels on every
 call, the identity relabel included.  The last is the sweep residual
 taken one table pair at a time, which the sweep's one masked max per
-block of couplings must match bit for bit.  The circuit table's section
+block of couplings must match bit for bit, and the combination step and
+the block residual as they read through numpy's Python wrappers (sums,
+``np.where``, ``np.cumsum``, a concatenation), which the estimator's ufunc
+methods must match bit for bit.  The circuit table's section
 holds the per-party reductions the selector matmul replaced, the line-1
 quotient that scaling by the reciprocal row sum replaced, and the damping
 exponent built on every call, which the cached one must match bit for
@@ -70,6 +73,7 @@ from weakcorr.estimator import (
     _Lines,
     _line0,
     _party_lines,
+    _party_product,
     _reports,
     _weak_value_numerator,
 )
@@ -571,6 +575,31 @@ def max_difference(table, limits):
     pairs = zip((table.joint, *table.parties), (limits.joint, *limits.parties))
     differences = np.concatenate([a - b for a, b in pairs], axis=-1)
     return float(np.abs(differences[kept]).max(initial=0.0))
+
+
+def combine_by_wrappers(lines, diag_eff):
+    """The combination step through numpy's Python wrappers (``.sum``,
+    ``np.where``, ``np.cumsum``, ``.max``, ``.any``, ``.min``): the body
+    the ufunc methods of ``estimator._combine`` replaced, which must match
+    it bit for bit."""
+    probs, joint = lines.probabilities, lines.joint
+    kept = probs >= SKIP_THRESHOLD
+    terms = np.abs(joint - _party_product(lines.parties)).sum(axis=-1)
+    totals = np.cumsum(np.where(kept, probs * terms, 0.0), axis=-1)[..., -1]
+    recombined = np.einsum("...k,...ki->...i", probs, joint)
+    residuals = np.abs(recombined - diag_eff).max(axis=-1)
+    least = np.where(kept.any(axis=-1), np.where(kept, probs, np.inf).min(axis=-1), 0.0)
+    return terms, totals, residuals, least
+
+
+def residuals_by_concatenation(lines, limit):
+    """Each stacked state's sweep residual from one concatenation of every
+    line pair's difference: the body the one preallocated buffer of
+    ``estimator._residuals`` replaced, which must match it bit for bit."""
+    kept = (lines.probabilities >= SKIP_THRESHOLD) & (limit.probabilities >= SKIP_THRESHOLD)
+    pairs = zip((lines.joint, *lines.parties), (limit.joint, *limit.parties))
+    differences = np.concatenate([a - b for a, b in pairs], axis=-1)
+    return np.abs(differences).max(axis=(-2, -1), initial=0.0, where=kept[..., None])
 
 
 # -- the circuit table before the selector

@@ -1,5 +1,6 @@
 """Tests for weak values, reconstruction, and the correlation functional."""
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -21,8 +22,10 @@ from weakcorr import (
     analytic_weak_value,
     broadcast,
     computational_basis,
+    convey,
     correlation,
     correlation_oracle_diag,
+    correlation_sweep,
     couple_all,
     device_table,
     extract_weak_value,
@@ -35,6 +38,7 @@ from weakcorr import (
     postselection_probability,
     random_density_matrix,
     reconstruct_matrix,
+    strong_couple_and_measure,
     tensor_product,
     weak_value_limits,
     weak_value_pure,
@@ -446,6 +450,48 @@ def test_limits_reject_out_of_range_broadcast_outcome(mu):
     ignored = weak_value_limits(rho, mub, mu, skip_broadcast=True)
     plain = weak_value_limits(rho, mub, 0, skip_broadcast=True)
     assert np.array_equal(ignored.values, plain.values)
+
+
+@pytest.mark.parametrize("value", [1.7, 0.9, 1.0, np.float64(1.0), "1"])
+def test_a_non_integer_outcome_raises_naming_it(value):
+    """Every place an outcome enters reads it with operator.index, so none
+    is truncated: 1.7 used to run as 1 and 0.9 as 0."""
+    rho = random_density_matrix((2, 2, 2), 1)
+    mub = hadamard_mub(3)
+    cfgs = [PointerConfig(0.05)]
+    entries = {
+        "analytic outcomes": lambda: correlation(rho, "analytic", outcomes=[value, 0.2]),
+        "copies outcomes": lambda: correlation(rho, "circuit", outcomes=[0, value]),
+        "analytic broadcast": lambda: correlation(rho, "analytic", broadcast_outcome=value),
+        "copies broadcast": lambda: correlation(rho, "circuit", broadcast_outcome=value),
+        "no-copies broadcast": lambda: correlation(
+            rho, "circuit", broadcast_outcome=value, skip_broadcast=True
+        ),
+        "copies sweep": lambda: list(correlation_sweep(rho, "literal", cfgs, outcomes=[value, 0])),
+        "no-copies sweep": lambda: list(
+            correlation_sweep(rho, "literal", cfgs, broadcast_outcome=value, skip_broadcast=True)
+        ),
+        "limits": lambda: weak_value_limits(rho, mub, value),
+        "convey": lambda: convey(rho, [0, value]),
+        "broadcast": lambda: broadcast(rho, 0, value),
+        "strong coupling": lambda: strong_couple_and_measure(
+            tensor_product(rho, ket2dm(ket("00"))), 0, 3, value
+        ),
+    }
+    message = re.escape(f"outcome {value!r} is not an integer")
+    for name, call in entries.items():
+        with pytest.raises(ImpossibleOutcome, match=message):
+            call()
+
+
+def test_integer_outcomes_of_any_integer_type_are_read_as_ints():
+    rho = random_density_matrix((2, 2, 2), 1)
+    want = correlation(rho, "circuit", "literal", outcomes=[1, 0], broadcast_outcome=1)
+    got = correlation(
+        rho, "circuit", "literal", outcomes=[np.int64(1), np.uint8(0)], broadcast_outcome=np.int32(1)
+    )
+    assert [type(v) for v in (*got.outcomes, got.broadcast_outcome)] == [int, int, int]
+    assert (got.outcomes, got.broadcast_outcome, got.C) == ((1, 0), 1, want.C)
 
 
 def test_limits_reject_a_basis_on_other_dims():

@@ -1,0 +1,108 @@
+"""The combination step and the sweep residual in their ufunc forms.
+
+``estimator._combine`` and ``estimator._residuals`` reach numpy through
+ufunc methods only; each must give bit for bit what its body through
+numpy's Python wrappers gave (``oracles.combine_by_wrappers`` and
+``oracles.residuals_by_concatenation``) on every shape the package hands
+them: a stacked no-copies block with the limit row, an analytic stack of
+one, the flat copies lines, tables with skipped rows, and a stack row
+whose every row is skipped.
+"""
+
+import numpy as np
+import pytest
+
+from oracles import combine_by_wrappers, residuals_by_concatenation
+
+from weakcorr import PointerConfig, convey, ghz, hadamard_mub, ket2dm, random_density_matrix
+from weakcorr.estimator import (
+    _analytic_lines,
+    _combine,
+    _diagonal_lines,
+    _direct_lines,
+    _Lines,
+    _residuals,
+)
+
+CFGS = [PointerConfig(g) for g in (0.2, 0.05, 0.01)]
+
+
+def assert_same_bytes(got, want):
+    for g, w in zip(got, want, strict=True):
+        g, w = np.asarray(g), np.asarray(w)
+        assert (g.dtype, g.shape) == (w.dtype, w.shape)
+        assert g.tobytes() == w.tobytes()
+
+
+def states(n):
+    """A seeded random state and GHZ, whose odd-parity rows are skipped."""
+    yield random_density_matrix((2,) * n, 2_300 + n)
+    yield ket2dm(ghz(n))
+
+
+def conveyed(rho, mode):
+    return convey(rho, [0] * (len(rho.dims) - 1), mode).state
+
+
+@pytest.mark.parametrize("mode", ["idealized", "literal"])
+@pytest.mark.parametrize("n", range(2, 9))
+def test_no_copies_block_with_the_limit_row(n, mode):
+    basis = hadamard_mub(n)
+    for rho in states(n):
+        state = conveyed(rho, mode)
+        block = _direct_lines(state.matrix, basis.matrix, rho.dims, [None, *CFGS])
+        limit, lines = block.rows(0, 1), block.rows(1, None)
+        diag = state.diagonal()
+        assert_same_bytes(_combine(lines, diag), combine_by_wrappers(lines, diag))
+        assert_same_bytes([_residuals(lines, limit)], [residuals_by_concatenation(lines, limit)])
+
+
+@pytest.mark.parametrize("mode", ["idealized", "literal"])
+@pytest.mark.parametrize("n", range(2, 9))
+def test_analytic_stack_of_one(n, mode):
+    basis = hadamard_mub(n)
+    for rho in states(n):
+        state = conveyed(rho, mode)
+        lines = _analytic_lines(state, basis)
+        diag = state.diagonal()
+        assert_same_bytes(_combine(lines, diag), combine_by_wrappers(lines, diag))
+
+
+@pytest.mark.parametrize("mu", [0, 1])
+@pytest.mark.parametrize("n", range(2, 9))
+def test_flat_copies_lines(n, mu):
+    basis = hadamard_mub(n)
+    for rho in states(n):
+        diag = conveyed(rho, "literal").diagonal()
+        lines = _diagonal_lines(basis._squared_moduli, diag, rho.dims, mu)
+        assert lines.probabilities.ndim == 1
+        assert_same_bytes(_combine(lines, diag), combine_by_wrappers(lines, diag))
+
+
+def test_ghz_tables_skip_rows():
+    """The skipped-row cases above do skip rows."""
+    rho = ket2dm(ghz(3))
+    lines = _analytic_lines(rho, hadamard_mub(3))
+    assert 0 < np.count_nonzero(lines.probabilities < 1e-14) < 8
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_a_stack_row_with_every_row_skipped(n):
+    """Row 1 of the stack is all zero, every postselection skipped: its
+    least kept probability and its residual are 0.0, and its C is 0.0."""
+    rho = random_density_matrix((2,) * n, 2_400 + n)
+    basis = hadamard_mub(n)
+    real = _direct_lines(rho.matrix, basis.matrix, rho.dims, [None, CFGS[0]])
+    limit = real.rows(0, 1)
+    arrays = (real.probabilities, real.joint, *real.parties)
+    stacked = [np.stack([a[1], np.zeros_like(a[1])]) for a in arrays]
+    lines = _Lines(stacked[0], stacked[1], tuple(stacked[2:]))
+    diag = rho.diagonal()
+    got = _combine(lines, diag)
+    assert_same_bytes(got, combine_by_wrappers(lines, diag))
+    terms, totals, _, least = got
+    assert least[1] == 0.0 and least[0] > 0.0
+    assert totals[1] == 0.0 and not terms[1].any()
+    residuals = _residuals(lines, limit)
+    assert_same_bytes([residuals], [residuals_by_concatenation(lines, limit)])
+    assert residuals[1] == 0.0
