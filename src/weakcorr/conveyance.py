@@ -89,7 +89,7 @@ def _controlled_shift_perm(dims, control: int, target: int) -> np.ndarray:
     """Index permutation of |..x..m..> -> |..x..(m+x) mod l..>."""
     digits = digit_table(dims)
     digits[:, target] = (digits[:, target] + digits[:, control]) % dims[target]
-    return np.ravel_multi_index(tuple(digits.T), dims)
+    return digits @ _place_values(dims)
 
 
 def strong_couple_and_measure(
@@ -155,6 +155,8 @@ def convey(
         # holds the conveyed labels of basis index i.
         block = np.arange(rho.dim) // rho.dims[-1]
         same = block[:, None] == block[None, :]
+        # np.where(same, matrix, 0.0) as one ufunc call, without its Python
+        # dispatcher: the masked-out entries stay +0.
         matrix = np.positive(matrix, out=np.zeros(matrix.shape, complex), where=same)
     if perm is not None:
         matrix = _relabel(matrix, perm)

@@ -741,19 +741,20 @@ def weak_value_limits(
     state rho * Lambda_g (see ``weakcorr.pointer``): exact at every g with
     copies, where only the diagonal is read and Lambda_g is 1 there, and
     with an O(g^2) bias without them.  A basis on other dims than the
-    state's raises ShapeMismatch.  With copies, a broadcast outcome outside
-    [0, d_p) for any party raises ImpossibleOutcome; without them the
-    outcome is ignored.  ``weakcorr sweep`` reads the same table inside its
+    state's raises ShapeMismatch.  A broadcast outcome that is not an
+    integer raises ImpossibleOutcome; with copies, so does one outside
+    [0, d_p) for any party, and without them its value is ignored.
+    ``weakcorr sweep`` reads the same table inside its
     coupling stack without copies, and with them from the conveyed diagonal
     in the flat pass ``correlation`` makes (see ``_sweep``).
     """
     if basis_b.dims != state.dims:
         raise ShapeMismatch("postselection basis does not match the state dims")
+    mu = _outcome(broadcast_outcome)
     if skip_broadcast:
         num = _weak_value_numerator(state.matrix[None], basis_b.matrix)
         return _party_lines(num, state.dims, None).table(0)
     diagonals = state.diagonal()[None]
-    mu = _outcome(broadcast_outcome)
     return _diagonal_lines(basis_b._squared_moduli, diagonals, state.dims, mu).table(0)
 
 

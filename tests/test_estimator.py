@@ -472,6 +472,7 @@ def test_a_non_integer_outcome_raises_naming_it(value):
             correlation_sweep(rho, "literal", cfgs, broadcast_outcome=value, skip_broadcast=True)
         ),
         "limits": lambda: weak_value_limits(rho, mub, value),
+        "no-copies limits": lambda: weak_value_limits(rho, mub, value, skip_broadcast=True),
         "convey": lambda: convey(rho, [0, value]),
         "broadcast": lambda: broadcast(rho, 0, value),
         "strong coupling": lambda: strong_couple_and_measure(
