@@ -47,6 +47,7 @@ from .bases import (
     is_mutually_unbiased,
 )
 from .estimator import (
+    _copies_reports,
     _marginals,
     _sweep,
     correlation,
@@ -381,6 +382,8 @@ _SWEEP_COLUMNS = (
     "max_weak_value_residual",
     "error_nonincreasing",
 )
+# A sweep CSV row: four floats formatted as _fmt_float does, and the trend.
+_SWEEP_ROW = "%.11e,%.11e,%.11e,%.11e,%s"
 
 
 def _term_rows(report) -> list[tuple]:
@@ -509,9 +512,13 @@ def cmd_sweep(args) -> int:
     """``weakcorr sweep``: the circuit backend at each g of ``--g-list``.
 
     One pass reads every coupling, as ``correlation_sweep`` does; each row
-    compares its report with the oracle value and its table with the
-    zero-coupling limit (the blocks and the limit row are set out at
-    ``estimator._sweep``).
+    compares its C with the oracle value and its table with the
+    zero-coupling limit.  Without copies the rows read C and the residual
+    straight from the arrays of each block of couplings
+    (``estimator._sweep``, where the blocks and the limit row are set out):
+    no report, and none of the diagnostics only a report holds, is built.
+    With copies the one flat pass of ``correlation`` gives one C for every
+    g, with residual 0.0, since its table is the limit.
     """
     try:
         g_list = [float(v) for v in args.g_list.split(",") if v.strip()]
@@ -531,26 +538,29 @@ def cmd_sweep(args) -> int:
     basis = load_basis(rc.basis_source, rho.dims)
     n = len(rho.dims)
     nu, mu = _split_outcomes(rc.outcomes, n)
-    reports = _sweep(
-        rho,
-        rc.mode,
-        [PointerConfig(g, rc.pointer.sigma) for g in g_list],
-        residuals=True,
-        postselection=basis,
-        outcomes=nu,
-        broadcast_outcome=mu,
-        skip_broadcast=rc.skip_broadcast,
-    )
-
-    rows = []
-    prev_err = None
-    for report, residual in reports:
+    cfgs = tuple(PointerConfig(g, rc.pointer.sigma) for g in g_list)
+    if rc.skip_broadcast:
+        sweep = _sweep(
+            rho,
+            rc.mode,
+            cfgs,
+            residuals=True,
+            postselection=basis,
+            outcomes=nu,
+            broadcast_outcome=mu,
+        )
+        oracle, correlations, residuals = sweep.oracle_diag, [], []
+        for block in sweep.blocks:
+            correlations += block.totals.tolist()
+            residuals += block.residuals.tolist()
+    else:
+        (report,) = _copies_reports(rho, rc.mode, cfgs[:1], basis, nu, mu)
         oracle = report.oracle_diag
-        err = abs(report.C - oracle)
-        trend = "na" if prev_err is None else ("yes" if err <= prev_err else "no")
-        rows.append((report.g, report.C, err, residual, trend))
-        prev_err = err
+        correlations, residuals = [report.C] * len(cfgs), [0.0] * len(cfgs)
 
+    errs = [abs(c - oracle) for c in correlations]
+    trends = ["na", *("yes" if err <= prev else "no" for prev, err in zip(errs, errs[1:]))]
+    rows = list(zip(g_list, correlations, errs, residuals, trends))
     if args.format == "json":
         doc = {
             "command": "sweep",
@@ -561,7 +571,12 @@ def cmd_sweep(args) -> int:
         }
         _emit(render_json(doc), args.out)
         return 0
-    lines = [f"# oracle_diag={_fmt_float(oracle)}", ",".join(_SWEEP_COLUMNS), *map(_csv_row, rows)]
+    # One %-format per row; adding 0.0 turns -0.0 into 0.0, as _fmt_float does.
+    lines = [
+        f"# oracle_diag={_fmt_float(oracle)}",
+        ",".join(_SWEEP_COLUMNS),
+        *(_SWEEP_ROW % (g + 0.0, c + 0.0, e + 0.0, r + 0.0, t) for g, c, e, r, t in rows),
+    ]
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

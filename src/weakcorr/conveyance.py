@@ -177,7 +177,7 @@ def _conveyance_relabel(
     n = len(dims)
     if n < 2:
         raise ShapeMismatch("conveyance needs at least two parties")
-    outcomes = tuple(_outcome(v) for v in outcomes)
+    outcomes = tuple(map(_outcome, outcomes))
     if len(outcomes) != n - 1:
         raise ShapeMismatch(f"expected {n - 1} outcomes, got {len(outcomes)}")
     if mode not in ("literal", "idealized"):

@@ -27,19 +27,25 @@ W_p are weak values of the device-table projectors.  Two backends give them:
   on the damped state rho * Lambda_g (see ``weakcorr.pointer``).
 
 ``correlation_sweep`` reads one state at many coupling strengths, doing
-once what does not depend on g.  One combination step (``_combine``)
-turns lines into the terms, C, the completeness residual and the least
-kept probability, over trailing axes.  Without copies the table builders
-take a leading stack axis, and one block body (``_direct_lines``) reads
-the damped states of a stack of couplings: ``correlation`` runs it once,
-on a stack of its one coupling, and a sweep once per block of couplings
-(the block size and the zero-coupling limit row are set out at
-``_BLOCK_ELEMENTS`` and ``_sweep``).  The analytic backend and
-``weak_value_limits`` read a stack of one undamped state.  With copies
-nothing depends on g: ``correlation`` and the sweep make one flat pass
-(``_copies_reports``) from the conveyed diagonal, which is conveyed
-without building any (d, d) matrix, through 2-D lines to one report,
-with no stack axis and no generator.
+once what does not depend on g.  The combination step works over
+trailing axes in two parts: ``_combine`` turns lines into the terms and
+C, and ``_diagnostics`` into the completeness residual and the least kept
+probability, which only a report holds.  Without copies the table
+builders take a leading stack axis, and one block body (``_direct_lines``)
+reads the damped states of a stack of couplings: ``correlation`` runs it
+once, on a stack of its one coupling, and a sweep once per block of
+couplings.  A no-copies sweep (``_sweep``) yields blocks, not reports:
+each holds its couplings, lines, terms and C, and with ``residuals`` the
+distance of each coupling's table from the zero-coupling limit (the block
+size and the limit row are set out at ``_BLOCK_ELEMENTS`` and
+``_sweep``).  ``correlation_sweep`` turns each block into reports
+(``_reports``, which adds the diagnostics); ``weakcorr sweep`` reads C
+and the residuals from the blocks' arrays and builds no report.  The
+analytic backend and ``weak_value_limits`` read a stack of one undamped
+state.  With copies nothing depends on g: ``correlation`` and the sweep
+make one flat pass (``_copies_reports``) from the conveyed diagonal,
+which is conveyed without building any (d, d) matrix, through 2-D lines
+to one report, with no stack axis and no generator.
 
 The circuit backend's zero-coupling limit (``weak_value_limits``) is one
 formula for both device layouts: line 1 as above, on the dephased state
@@ -293,6 +299,30 @@ class _Lines(NamedTuple):
         return _Lines(self.probabilities[rows], self.joint[rows], parties)
 
 
+class _Block(NamedTuple):
+    """Couplings read together: their stacked lines, terms and C, one row
+    per coupling, and each table's residual against the zero-coupling
+    limit, or None when the sweep reads no limit."""
+
+    cfgs: tuple[PointerConfig, ...]
+    lines: _Lines
+    terms: np.ndarray  # float, shape (couplings, postselections)
+    totals: np.ndarray  # float, shape (couplings,)
+    residuals: np.ndarray | None  # float, shape (couplings,)
+
+
+class _Sweep(NamedTuple):
+    """A no-copies sweep: what does not depend on g, computed when it is
+    set up, and its blocks, each computed when the iterator reaches it."""
+
+    labels: tuple[str, ...]
+    outcomes: tuple[int, ...]
+    broadcast_outcome: int
+    diag_eff: np.ndarray
+    oracle_diag: float
+    blocks: Iterator[_Block]
+
+
 def _residuals(lines: _Lines, limit: _Lines) -> np.ndarray:
     """max |W - W_0| of each state of the stack against the one-state
     ``limit``, over line 1 and every party line, on the rows neither skips;
@@ -310,7 +340,7 @@ def _residuals(lines: _Lines, limit: _Lines) -> np.ndarray:
 
 
 def _require_qubits(rho: DensityMatrix) -> int:
-    if any(d != 2 for d in rho.dims):
+    if rho.dims.count(2) != len(rho.dims):
         raise BadDimension(f"protocol parties must be qubits, got dims {rho.dims}")
     if len(rho.dims) < 2:
         raise BadDimension("correlation needs at least two parties")
@@ -412,26 +442,43 @@ def _damping(exponent: np.ndarray, cfgs: Sequence[PointerConfig | None]) -> np.n
     """Lambda_g = a_g ** D with a_g = exp(-g^2 / (8 sigma^2)), the pointer
     overlaps, stacked along a leading axis with one entry per configuration.
 
-    A configuration of None is the zero-coupling limit: a = 1.0, so its
-    Lambda is exactly 1.
+    A configuration of None is the zero-coupling limit: its exponent is
+    0.0, so a = 1.0 and its Lambda is exactly 1.  One ``np.exp`` over the
+    stacked exponents gives each a_g bitwise as one scalar ``np.exp`` per
+    configuration does.
     """
-    a = np.array(
-        [1.0 if c is None else np.exp(-(c.g * c.g) / (8.0 * c.sigma * c.sigma)) for c in cfgs]
-    )
-    return a[:, None, None] ** exponent
+    rates = [0.0 if c is None else -(c.g * c.g) / (8.0 * c.sigma * c.sigma) for c in cfgs]
+    return np.exp(rates)[:, None, None] ** exponent
 
 
 def _prepare(
-    rho: DensityMatrix, postselection: BasisSet | None, outcomes: Sequence[int] | None
-) -> tuple[BasisSet, tuple[int, ...]]:
-    """Argument checks, postselection basis and conveyance outcomes; the
-    callers convey the state, or only its diagonal."""
+    rho: DensityMatrix,
+    postselection: BasisSet | None,
+    outcomes: Sequence[int] | None,
+    broadcast_outcome: int,
+) -> tuple[BasisSet, tuple[int, ...], int]:
+    """Argument checks, postselection basis, conveyance outcomes and the
+    broadcast outcome; the callers convey the state, or only its diagonal.
+
+    The broadcast outcome is checked against every party's dimension in
+    every layout, also where it is not read, so no report holds an outcome
+    no measurement gives.
+    """
     n = _require_qubits(rho)
     basis_b = postselection or hadamard_mub(n)
     if basis_b.dims != rho.dims:
         raise ShapeMismatch("postselection basis does not match the state dims")
-    outcomes = tuple(_outcome(v) for v in (outcomes if outcomes is not None else [0] * (n - 1)))
-    return basis_b, outcomes
+    outcomes = tuple(map(_outcome, outcomes if outcomes is not None else [0] * (n - 1)))
+    mu = _outcome(broadcast_outcome)
+    _check_broadcast_outcome(mu, rho.dims)
+    return basis_b, outcomes, mu
+
+
+def _check_broadcast_outcome(mu: int, dims: tuple[int, ...]) -> None:
+    """Raise ImpossibleOutcome unless 0 <= mu < d_p for every party p."""
+    if not 0 <= mu < min(dims):
+        bad = next(l for l in dims if not 0 <= mu < l)
+        raise ImpossibleOutcome(f"outcome {mu} out of range for dimension {bad}")
 
 
 def _party_product(parties: Sequence[np.ndarray]) -> np.ndarray:
@@ -443,15 +490,11 @@ def _party_product(parties: Sequence[np.ndarray]) -> np.ndarray:
     return product
 
 
-def _combine(
-    lines: _Lines, diag_eff: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _combine(lines: _Lines) -> tuple[np.ndarray, np.ndarray]:
     """The combination step, on the trailing axes of ``lines``.
 
-    Returns the per-postselection terms, C, the completeness residual
-    max_i |sum_k P_k W_joint[k, i] - diag_eff[i]| and the least kept
-    probability (0.0 where every row is skipped), each with the leading
-    axes of ``lines``: the stacked builders' stack axis, or none.
+    Returns the per-postselection terms and C, each with the leading axes
+    of ``lines``: the stacked builders' stack axis, or none.
     """
     probs, joint = lines.probabilities, lines.joint
     kept = probs >= SKIP_THRESHOLD
@@ -460,45 +503,55 @@ def _combine(
     # A running total in row order, so C is bitwise the row-by-row sum.
     weighted = np.multiply(probs, terms, out=np.zeros(probs.shape), where=kept)
     totals = np.add.accumulate(weighted, axis=-1)[..., -1]
-    recombined = np.einsum("...k,...ki->...i", probs, joint)
+    return terms, totals
+
+
+def _diagnostics(lines: _Lines, diag_eff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A report's checks of ``lines``, on their trailing axes.
+
+    Returns the completeness residual max_i |sum_k P_k W_joint[k, i] -
+    diag_eff[i]| and the least kept probability (0.0 where every row is
+    skipped), each with the leading axes of ``lines``.
+    """
+    probs = lines.probabilities
+    kept = probs >= SKIP_THRESHOLD
+    recombined = np.einsum("...k,...ki->...i", probs, lines.joint)
     residuals = np.maximum.reduce(np.abs(recombined - diag_eff), axis=-1)
     least = np.minimum.reduce(
         probs, axis=-1, out=np.empty(probs.shape[:-1]), initial=np.inf, where=kept
     )
     least[~np.logical_or.reduce(kept, axis=-1)] = 0.0
-    return terms, totals, residuals, least
+    return residuals, least
 
 
 def _reports(
-    lines: _Lines,
+    block: _Block,
     labels: tuple[str, ...],
     diag_eff: np.ndarray,
     oracle_diag: float,
-    cfgs: Sequence[PointerConfig],
     **settings,
 ) -> list[CorrelationReport]:
-    """Report s from row s of the stacked ``lines`` at ``cfgs[s]``.
+    """Report s from row s of ``block``, at its configuration s.
 
-    The combination step runs once for the whole stack; each report holds
-    its row's slices.
+    The diagnostics run once for the whole block; each report holds its
+    row's slices.
     """
-    terms, totals, residuals, least = _combine(lines, diag_eff)
+    residuals, least = _diagnostics(block.lines, diag_eff)
+    rows = zip(block.cfgs, block.totals.tolist(), residuals.tolist(), least.tolist(), strict=True)
     return [
         CorrelationReport(
             C=total,
             g=cfg.g,
             sigma=cfg.sigma,
-            table=lines.table(s),
-            terms=terms[s],
+            table=block.lines.table(s),
+            terms=block.terms[s],
             labels=labels,
             oracle_diag=oracle_diag,
             max_completeness_residual=residual,
             min_postselection_probability=low,
             **settings,
         )
-        for s, (cfg, total, residual, low) in enumerate(
-            zip(cfgs, totals.tolist(), residuals.tolist(), least.tolist(), strict=True)
-        )
+        for s, (cfg, total, residual, low) in enumerate(rows)
     ]
 
 
@@ -508,7 +561,7 @@ def _copies_reports(
     cfgs: Sequence[PointerConfig],
     postselection: BasisSet | None,
     outcomes: Sequence[int] | None,
-    mu: int,
+    broadcast_outcome: int,
 ) -> list[CorrelationReport]:
     """The copies layout's report at each configuration of ``cfgs``.
 
@@ -519,13 +572,14 @@ def _copies_reports(
     sigma only.  The argument checks, the conveyance and the oracle value
     run even for an empty ``cfgs``.
     """
-    basis_b, outcomes = _prepare(rho, postselection, outcomes)
+    basis_b, outcomes, mu = _prepare(rho, postselection, outcomes, broadcast_outcome)
     diagonal = _conveyed_diagonal(rho, outcomes, mode)
     oracle_diag = correlation_oracle_diag(rho)
     if not cfgs:
         return []
     lines = _diagonal_lines(basis_b._squared_moduli, diagonal, rho.dims, mu)
-    terms, total, residual, least = _combine(lines, diagonal)
+    terms, total = _combine(lines)
+    residual, least = _diagnostics(lines, diagonal)
     first = CorrelationReport(
         C=float(total),
         backend="circuit",
@@ -563,11 +617,13 @@ def correlation(
     the three local copy measurements, used only by the circuit backend
     when ``skip_broadcast`` is false.  Every outcome is read with
     ``operator.index``: one that is not an integer, such as 1.7, raises
-    ImpossibleOutcome.  With ``skip_broadcast`` the single-
-    party devices couple directly to the line-1 particles and no copies are
-    made.  The circuit backend reports what :func:`correlation_sweep`
-    reports at ``cfg``; without copies it runs the sweep's block body
-    once, on a block of this one coupling, with no sweep between.
+    ImpossibleOutcome, and so does a broadcast outcome outside [0, 2), in
+    every layout, including those that do not read it.  With
+    ``skip_broadcast`` the single-party devices couple directly to the
+    line-1 particles and no copies are made.  The circuit backend reports
+    what :func:`correlation_sweep` reports at ``cfg``; without copies it
+    runs the sweep's block body once, on a block of this one coupling,
+    with no sweep between.
 
     With copies the circuit backend reads the conveyed state's diagonal
     only, at every g.  The device of party p reads its copy, whose digit
@@ -583,21 +639,19 @@ def correlation(
     if backend not in ("analytic", "circuit"):
         raise ShapeMismatch(f"unknown backend {backend!r}")
     cfg = cfg or _DEFAULT_POINTER
-    mu = _outcome(broadcast_outcome)
     if backend == "circuit" and not skip_broadcast:
-        return _copies_reports(rho, mode, [cfg], postselection, outcomes, mu)[0]
-    basis_b, outcomes = _prepare(rho, postselection, outcomes)
+        return _copies_reports(rho, mode, [cfg], postselection, outcomes, broadcast_outcome)[0]
+    basis_b, outcomes, mu = _prepare(rho, postselection, outcomes, broadcast_outcome)
     state = convey(rho, outcomes, mode).state
     if backend == "analytic":
         lines = _analytic_lines(state, basis_b)
     else:
         lines = _direct_lines(state.matrix, basis_b.matrix, rho.dims, [cfg])
     (report,) = _reports(
-        lines,
+        _Block((cfg,), lines, *_combine(lines), None),
         basis_b.labels,
         state.diagonal(),
         correlation_oracle_diag(rho),
-        [cfg],
         backend=backend,
         mode=mode,
         outcomes=outcomes,
@@ -624,10 +678,13 @@ def correlation_sweep(
     argument checks, the conveyed state (its diagonal only, with copies)
     and the oracle value.  With copies nothing depends on g, so every
     report is built then, from one table; without them the rest is
-    computed when the iterator reaches it, in blocks of couplings, each
-    read by the block body a single ``correlation`` call runs once (the
-    rule is at ``_sweep``).
+    computed when the iterator reaches it, one block of couplings at a
+    time (the rule is at ``_sweep``), each block's reports at once.
     """
+    cfgs = tuple(cfgs)
+    if not skip_broadcast:
+        reports = _copies_reports(rho, mode, cfgs, postselection, outcomes, broadcast_outcome)
+        return iter(reports)
     sweep = _sweep(
         rho,
         mode,
@@ -636,58 +693,55 @@ def correlation_sweep(
         postselection=postselection,
         outcomes=outcomes,
         broadcast_outcome=broadcast_outcome,
-        skip_broadcast=skip_broadcast,
     )
-    return (report for report, _ in sweep)
+    settings = dict(
+        backend="circuit",
+        mode=mode,
+        outcomes=sweep.outcomes,
+        broadcast_outcome=sweep.broadcast_outcome,
+        skip_broadcast=True,
+    )
+    reports = (
+        _reports(block, sweep.labels, sweep.diag_eff, sweep.oracle_diag, **settings)
+        for block in sweep.blocks
+    )
+    return itertools.chain.from_iterable(reports)
 
 
 def _sweep(
     rho: DensityMatrix,
     mode: str,
-    cfgs: Sequence[PointerConfig],
+    cfgs: tuple[PointerConfig, ...],
     *,
     residuals: bool,
     postselection: BasisSet | None = None,
     outcomes: Sequence[int] | None = None,
     broadcast_outcome: int = 0,
-    skip_broadcast: bool = False,
-) -> Iterator[tuple[CorrelationReport, float | None]]:
-    """``correlation_sweep``'s reports, each paired with its residual.
+) -> _Sweep:
+    """A no-copies sweep over ``cfgs``, read in blocks of couplings.
 
-    With copies only the diagonal is read and Lambda_g is 1 there, so the
-    reports are ``_copies_reports``: one flat pass, built without D or
-    Lambda.  Without copies the couplings are read in blocks of at most
-    max(1, _BLOCK_ELEMENTS // d**2) rows.  Each block runs the block body
-    ``correlation`` runs on one coupling, ``_direct_lines``: the limit
+    The argument checks, the conveyed state and the oracle value are
+    computed here; the blocks when the iterator reaches them.  A block
+    holds at most max(1, _BLOCK_ELEMENTS // d**2) rows and runs the block
+    body ``correlation`` runs on one coupling, ``_direct_lines``: the limit
     formula on the damped states rho * Lambda_g, Lambda_g = a_g ** D
     stacked along a leading coupling axis with a_g = exp(-g^2 / (8
-    sigma^2)); then the combination step, once.  Its reports hold row
-    slices of the block's arrays, and one block is held at a time.
+    sigma^2)); then ``_combine``, once.  The diagnostics a report adds are
+    not computed here.  One block is held at a time.
 
-    With ``residuals`` the residual of a report is max |W_g - W_0| over
-    line 1 and every party line, on the rows neither table skips, W_0 being
-    the zero-coupling limit (``weak_value_limits`` of the conveyed state);
-    otherwise it is None.  With copies the shared table is the limit, so
-    every residual is 0.0.  Without them the limit is one more row of the
-    coupling stack, read first with damping base a = 1, so Lambda = 1 and
-    rho * Lambda is rho bit for bit; it counts toward the block size, and
-    each block's residuals come from one masked max against it.
+    With ``residuals`` a block's residuals are max |W_g - W_0| over line 1
+    and every party line, on the rows neither table skips, W_0 being the
+    zero-coupling limit (``weak_value_limits`` of the conveyed state);
+    otherwise they are None.  The limit is one more row of the coupling
+    stack, read first with damping base a = 1, so Lambda = 1 and
+    rho * Lambda is rho bit for bit; it counts toward the block size,
+    is yielded in no block, and each block's residuals come from one
+    masked max against it.
     """
-    cfgs = tuple(cfgs)
-    mu = _outcome(broadcast_outcome)
-    if not skip_broadcast:
-        reports = _copies_reports(rho, mode, cfgs, postselection, outcomes, mu)
-        residual = 0.0 if residuals else None
-        return ((report, residual) for report in reports)
-    basis_b, outcomes = _prepare(rho, postselection, outcomes)
+    basis_b, outcomes, mu = _prepare(rho, postselection, outcomes, broadcast_outcome)
     state = convey(rho, outcomes, mode).state
-    diag_eff = state.diagonal()
-    oracle_diag = correlation_oracle_diag(rho)
-    settings = dict(
-        backend="circuit", mode=mode, outcomes=outcomes, broadcast_outcome=mu, skip_broadcast=True
-    )
 
-    def sweep() -> Iterator[tuple[CorrelationReport, float | None]]:
+    def blocks() -> Iterator[_Block]:
         size = max(1, _BLOCK_ELEMENTS // state.dim**2)
         # None stands for the zero-coupling limit, the first row read.
         rows = ((None,) if residuals else ()) + cfgs
@@ -699,11 +753,11 @@ def _sweep(
                 limit, lines, block = lines.rows(0, 1), lines.rows(1, None), block[1:]
                 if not block:  # from n = 8 on the limit has a block to itself
                     continue
-            distances = _residuals(lines, limit).tolist() if residuals else [None] * len(block)
-            reports = _reports(lines, basis_b.labels, diag_eff, oracle_diag, block, **settings)
-            yield from zip(reports, distances, strict=True)
+            distances = _residuals(lines, limit) if residuals else None
+            yield _Block(block, lines, *_combine(lines), distances)
 
-    return sweep()
+    oracle_diag = correlation_oracle_diag(rho)
+    return _Sweep(basis_b.labels, outcomes, mu, state.diagonal(), oracle_diag, blocks())
 
 
 def weak_value_limits(
@@ -745,8 +799,9 @@ def weak_value_limits(
     integer raises ImpossibleOutcome; with copies, so does one outside
     [0, d_p) for any party, and without them its value is ignored.
     ``weakcorr sweep`` reads the same table inside its
-    coupling stack without copies, and with them from the conveyed diagonal
-    in the flat pass ``correlation`` makes (see ``_sweep``).
+    coupling stack without copies (see ``_sweep``), and with them from the
+    conveyed diagonal in the flat pass ``correlation`` makes
+    (``_copies_reports``).
     """
     if basis_b.dims != state.dims:
         raise ShapeMismatch("postselection basis does not match the state dims")
@@ -809,9 +864,7 @@ def _party_selector(dims: tuple[int, ...], copy_outcome: int | None) -> np.ndarr
     """
     digits = device_table(dims).party_digits
     if copy_outcome is not None:
-        bad = [l for l in dims if not 0 <= copy_outcome < l]
-        if bad:
-            raise ImpossibleOutcome(f"outcome {copy_outcome} out of range for dimension {bad[0]}")
+        _check_broadcast_outcome(copy_outcome, dims)
         digits = (copy_outcome - digits) % np.array(dims)
     offsets = np.add.accumulate((0,) + dims[:-1])
     selector = np.zeros((len(digits), sum(dims)), dtype=complex)

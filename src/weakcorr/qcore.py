@@ -64,10 +64,10 @@ __all__ = [
 
 
 def _dims_tuple(dims) -> tuple[int, ...]:
-    out = tuple(int(d) for d in dims)
+    out = tuple(map(int, dims))
     if not out:
         raise ShapeMismatch("at least one subsystem is required")
-    if any(d < 1 for d in out):
+    if min(out) < 1:
         raise ShapeMismatch(f"subsystem dimensions must be positive, got {out}")
     return out
 
@@ -177,7 +177,7 @@ class DensityMatrix:
         # stable, its error about d * eps * |m|); it costs a third of the
         # eigensolve, which runs only to decide and word a failure.
         shifted = m.copy()
-        shifted.flat[:: d + 1] += SPECTRAL_TOL
+        shifted.reshape(-1)[:: d + 1] += SPECTRAL_TOL
         try:
             np.linalg.cholesky(shifted)
         except np.linalg.LinAlgError:

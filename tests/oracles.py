@@ -48,12 +48,14 @@ import numpy as np
 
 from weakcorr import (
     ConveyanceRecord,
+    PointerConfig,
     analytic_weak_value,
     bell_state,
     broadcast,
     convey,
     correlation,
     correlation_oracle_diag,
+    correlation_sweep,
     couple_all,
     extract_weak_value,
     hadamard_mub,
@@ -64,17 +66,21 @@ from weakcorr import (
     postselection_probability,
     strong_couple_and_measure,
     tensor_product,
+    weak_value_limits,
 )
-from weakcorr.cli import _fmt_float
+from weakcorr.cli import _SWEEP_COLUMNS, _csv_row, _fmt_float, render_json
 from weakcorr.errors import NullPostselection, UnbiasednessViolation
 from weakcorr.estimator import (
     SKIP_THRESHOLD,
+    _Block,
+    _combine,
     _diagonal_lines,
     _Lines,
     _line0,
     _party_lines,
     _party_product,
     _reports,
+    _sweep,
     _weak_value_numerator,
 )
 from weakcorr.qcore import DensityMatrix, digit_table
@@ -490,6 +496,73 @@ def correlation_loop(rho, mode, cfgs, **kwargs):
     return [correlation(rho, "circuit", mode, cfg, **kwargs) for cfg in cfgs]
 
 
+def sweep_pairs(rho, mode, cfgs, *, residuals, skip_broadcast=False, **kwargs):
+    """Each report of ``correlation_sweep`` paired with its residual.
+
+    Without copies the reports are built from the blocks of
+    ``estimator._sweep``, each paired with its row of the block's residuals
+    (None without ``residuals``); with copies the table is the limit, so
+    each residual is 0.0.
+    """
+    if not skip_broadcast:
+        reports = correlation_sweep(rho, mode, cfgs, **kwargs)
+        return [(report, 0.0 if residuals else None) for report in reports]
+    sweep = _sweep(rho, mode, tuple(cfgs), residuals=residuals, **kwargs)
+    settings = dict(
+        backend="circuit",
+        mode=mode,
+        outcomes=sweep.outcomes,
+        broadcast_outcome=sweep.broadcast_outcome,
+        skip_broadcast=True,
+    )
+    pairs = []
+    for block in sweep.blocks:
+        reports = _reports(block, sweep.labels, sweep.diag_eff, sweep.oracle_diag, **settings)
+        distances = block.residuals.tolist() if residuals else [None] * len(reports)
+        pairs.extend(zip(reports, distances, strict=True))
+    return pairs
+
+
+def sweep_rows_by_reports(rho, mode, cfgs, *, skip_broadcast=False, **kwargs):
+    """The oracle value and the rows of ``weakcorr sweep``, one report at a
+    time: the reports of ``correlation_sweep``, each row's residual the
+    masked max of its table against the zero-coupling limit
+    (``max_difference``), and the trend read row by row."""
+    n = len(rho.dims)
+    outcomes = kwargs.get("outcomes") or (0,) * (n - 1)
+    basis = kwargs.get("postselection") or hadamard_mub(n)
+    mu = kwargs.get("broadcast_outcome", 0)
+    state = convey(rho, outcomes, mode).state
+    limits = weak_value_limits(state, basis, mu, skip_broadcast)
+    rows = []
+    prev_err = None
+    for report in correlation_sweep(rho, mode, cfgs, skip_broadcast=skip_broadcast, **kwargs):
+        err = abs(report.C - report.oracle_diag)
+        trend = "na" if prev_err is None else ("yes" if err <= prev_err else "no")
+        rows.append((report.g, report.C, err, max_difference(report.table, limits), trend))
+        prev_err = err
+    return report.oracle_diag, rows
+
+
+def sweep_report_by_reports(state_path, fmt, rho, mode, g_list, sigma, **kwargs):
+    """The text ``weakcorr sweep --format fmt`` prints for the state file
+    ``state_path`` holding ``rho``, from ``sweep_rows_by_reports``: each CSV
+    row through ``_csv_row``, each JSON row a dict."""
+    cfgs = [PointerConfig(g, sigma) for g in g_list]
+    oracle, rows = sweep_rows_by_reports(rho, mode, cfgs, **kwargs)
+    if fmt == "json":
+        doc = {
+            "command": "sweep",
+            "state": state_path,
+            "mode": mode,
+            "oracle_diag": oracle,
+            "rows": [dict(zip(_SWEEP_COLUMNS, row)) for row in rows],
+        }
+        return render_json(doc)
+    lines = [f"# oracle_diag={_fmt_float(oracle)}", ",".join(_SWEEP_COLUMNS)]
+    return "\n".join(lines + [_csv_row(row) for row in rows]) + "\n"
+
+
 # -- the diagonal oracle
 
 
@@ -630,6 +703,16 @@ def line0_by_division(num):
     return np.divide(num, sums[..., None], out=np.zeros_like(num), where=kept[..., None])
 
 
+def damping_by_scalar_exps(exponent, cfgs):
+    """Lambda_g = a_g ** D stacked over ``cfgs``, with one scalar ``np.exp``
+    per configuration and a = 1.0 for None, the zero-coupling limit: the
+    form one ``np.exp`` over the stacked exponents replaced."""
+    a = np.array(
+        [1.0 if c is None else np.exp(-(c.g * c.g) / (8.0 * c.sigma * c.sigma)) for c in cfgs]
+    )
+    return a[:, None, None] ** exponent
+
+
 def damping_exponent_loop(table):
     """D[i, j], built from the table's digits on every call."""
     d = table.n_columns
@@ -671,11 +754,10 @@ def copies_report_by_matrix(
     state = convey(rho, outcomes, mode).state
     lines = _limits_lines(state.matrix[None], basis_b.matrix, rho.dims, broadcast_outcome)
     (report,) = _reports(
-        lines,
+        _Block((cfg,), lines, *_combine(lines), None),
         basis_b.labels,
         state.diagonal(),
         correlation_oracle_diag(rho),
-        [cfg],
         backend="circuit",
         mode=mode,
         outcomes=outcomes,

@@ -19,6 +19,7 @@ from oracles import (
     max_difference,
     rows_by_division,
     skip_broadcast_limits_loop,
+    sweep_pairs,
 )
 
 from weakcorr import (
@@ -487,7 +488,7 @@ def test_sweep_residuals_are_bitwise_the_reference(n, skip, mode, outcome, monke
     kwargs = dict(outcomes=outcomes, broadcast_outcome=outcome, skip_broadcast=skip)
     stacks = spy_stacks(monkeypatch)
     conveyed = spy_diagonal_conveyance(monkeypatch)
-    got = list(estimator._sweep(rho, mode, cfgs, residuals=True, **kwargs))
+    got = sweep_pairs(rho, mode, cfgs, residuals=True, **kwargs)
     # Without copies the limit row leads the stack and counts toward the
     # block size: all nine rows at n <= 4, four per block at n = 7 (the
     # limit and three couplings first) and one from n = 8 on, where the
@@ -517,7 +518,7 @@ def test_sweep_residuals_leave_out_skipped_rows(skip):
     cfgs = [PointerConfig(g) for g in SWEEP_G]
     state = convey(GHZ3, (0, 0), "idealized").state
     limits = weak_value_limits(state, basis, 0, skip)
-    pairs = estimator._sweep(
+    pairs = sweep_pairs(
         GHZ3, "idealized", cfgs, residuals=True, postselection=basis, skip_broadcast=skip
     )
     for report, residual in pairs:
@@ -530,7 +531,7 @@ def test_plain_sweep_reads_no_limit_row(monkeypatch):
     rho = residual_state(4)
     cfgs = [PointerConfig(g) for g in SWEEP_G]
     stacks = spy_stacks(monkeypatch)
-    pairs = list(estimator._sweep(rho, "idealized", cfgs, residuals=False, skip_broadcast=True))
+    pairs = sweep_pairs(rho, "idealized", cfgs, residuals=False, skip_broadcast=True)
     assert [residual for _, residual in pairs] == [None] * len(cfgs)
     reports = list(correlation_sweep(rho, "idealized", cfgs, skip_broadcast=True))
     assert stacks == [8, 8]

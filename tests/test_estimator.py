@@ -504,9 +504,12 @@ def test_limits_reject_a_basis_on_other_dims():
 
 
 def test_broadcast_outcome_is_unused_without_copies():
+    # Its value does not change C; one out of range is refused all the same.
     rho = random_density_matrix((2, 2, 2), 1)
-    rep = correlation(rho, "circuit", broadcast_outcome=2, skip_broadcast=True)
+    rep = correlation(rho, "circuit", broadcast_outcome=1, skip_broadcast=True)
     assert rep.C == correlation(rho, "circuit", skip_broadcast=True).C
+    with pytest.raises(ImpossibleOutcome, match="outcome 2 out of range for dimension 2"):
+        correlation(rho, "circuit", broadcast_outcome=2, skip_broadcast=True)
 
 
 def test_circuit_error_bounded_linearly_in_g():

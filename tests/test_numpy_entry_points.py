@@ -7,7 +7,10 @@ Python frames that cost as much as its C loop at the sizes one call
 handles.  Under ``sys.setprofile``, after one warm-up round per dims
 (which fills the per-dims caches), each call below must enter no Python
 function whose code lies in the numpy package, apart from ``np.einsum``
-and its dispatcher, which read the completeness residual.
+and its dispatcher, which read the completeness residual.  The blocks
+``weakcorr sweep`` reads its rows from build no report, so they read no
+completeness residual either, and must enter no numpy Python function at
+all.
 """
 
 import collections
@@ -27,9 +30,9 @@ SWEEP_CFGS = [PointerConfig(g) for g in (0.2, 0.1, 0.05, 0.02, 0.01, 0.005, 0.00
 
 def calls(rho):
     """Every path of one state: analytic in both modes, copies at mu = 0
-    and 1, the no-copies circuit, a no-copies sweep with residuals and a
-    copies sweep; then analytic, copies and no copies with conveyance
-    outcomes 1, which relabel the state."""
+    and 1, the no-copies circuit, a no-copies and a copies sweep; then
+    analytic, copies and no copies with conveyance outcomes 1, which
+    relabel the state."""
     cfg = PointerConfig(0.05)
     ones = [1] * (len(rho.dims) - 1)
     return {
@@ -39,7 +42,7 @@ def calls(rho):
         "copies mu=1": lambda: correlation(rho, "circuit", "literal", cfg, broadcast_outcome=1),
         "no copies": lambda: correlation(rho, "circuit", "idealized", cfg, skip_broadcast=True),
         "no-copies sweep": lambda: list(
-            _sweep(rho, "idealized", SWEEP_CFGS, residuals=True, skip_broadcast=True)
+            correlation_sweep(rho, "idealized", SWEEP_CFGS, skip_broadcast=True)
         ),
         "copies sweep": lambda: list(correlation_sweep(rho, "literal", SWEEP_CFGS)),
         "analytic relabelled": lambda: correlation(rho, "analytic", "literal", outcomes=ones),
@@ -52,14 +55,21 @@ def calls(rho):
     }
 
 
-def numpy_functions_entered(call) -> collections.Counter:
+def sweep_rows(rho, outcomes=None):
+    """What ``weakcorr sweep`` reads of a no-copies sweep with residuals:
+    C and the residual of every coupling, from the blocks' arrays."""
+    sweep = _sweep(rho, "idealized", tuple(SWEEP_CFGS), residuals=True, outcomes=outcomes)
+    return sweep.oracle_diag, [(b.totals.tolist(), b.residuals.tolist()) for b in sweep.blocks]
+
+
+def numpy_functions_entered(call, allowed=ALLOWED) -> collections.Counter:
     """file:function of each numpy Python function ``call`` enters, counted."""
     entered = collections.Counter()
 
     def profile(frame, event, arg):
         code = frame.f_code
         if event == "call" and code.co_filename.startswith(NUMPY_DIR):
-            if code.co_name not in ALLOWED:
+            if code.co_name not in allowed:
                 where = os.path.relpath(code.co_filename, NUMPY_DIR)
                 entered[f"{where}:{code.co_name}"] += 1
 
@@ -85,6 +95,25 @@ def test_a_call_enters_no_numpy_wrapper_but_einsum(n):
     assert not offenders, "numpy Python functions entered:\n" + "\n".join(
         f"  {name}: {found}" for name, found in offenders.items()
     )
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_the_sweep_rows_enter_no_numpy_function(n):
+    """From n = 8 on the limit row is a block of its own."""
+    rho = random_density_matrix((2,) * n, 2_500 + n)
+    ones = [1] * (n - 1)
+    for outcomes in (None, ones):
+        sweep_rows(rho, outcomes)
+        entered = numpy_functions_entered(lambda: sweep_rows(rho, outcomes), allowed=set())
+        assert not entered, dict(entered)
+
+
+def test_the_profile_sees_einsum():
+    """With nothing allowed, a report's completeness residual shows."""
+    rho = random_density_matrix((2, 2, 2), 2_599)
+    call = lambda: correlation(rho, "circuit", "idealized", skip_broadcast=True)  # noqa: E731
+    call()
+    assert "_core/einsumfunc.py:einsum" in numpy_functions_entered(call, allowed=set())
 
 
 def test_the_profile_sees_a_numpy_wrapper():

@@ -1,8 +1,11 @@
 """The combination step and the sweep residual in their ufunc forms.
 
-``estimator._combine`` and ``estimator._residuals`` reach numpy through
-ufunc methods only; each must give bit for bit what its body through
-numpy's Python wrappers gave (``oracles.combine_by_wrappers`` and
+``estimator._combine`` (terms and C), ``estimator._diagnostics``
+(completeness residual and least kept probability) and
+``estimator._residuals`` reach numpy through ufunc methods only, the
+completeness residual's ``np.einsum`` apart; together they must give bit
+for bit what their bodies through numpy's Python wrappers gave
+(``oracles.combine_by_wrappers`` and
 ``oracles.residuals_by_concatenation``) on every shape the package hands
 them: a stacked no-copies block with the limit row, an analytic stack of
 one, the flat copies lines, tables with skipped rows, and a stack row
@@ -18,6 +21,7 @@ from weakcorr import PointerConfig, convey, ghz, hadamard_mub, ket2dm, random_de
 from weakcorr.estimator import (
     _analytic_lines,
     _combine,
+    _diagnostics,
     _diagonal_lines,
     _direct_lines,
     _Lines,
@@ -32,6 +36,11 @@ def assert_same_bytes(got, want):
         g, w = np.asarray(g), np.asarray(w)
         assert (g.dtype, g.shape) == (w.dtype, w.shape)
         assert g.tobytes() == w.tobytes()
+
+
+def combined(lines, diag):
+    """The terms, C, completeness residual and least kept probability."""
+    return (*_combine(lines), *_diagnostics(lines, diag))
 
 
 def states(n):
@@ -53,7 +62,7 @@ def test_no_copies_block_with_the_limit_row(n, mode):
         block = _direct_lines(state.matrix, basis.matrix, rho.dims, [None, *CFGS])
         limit, lines = block.rows(0, 1), block.rows(1, None)
         diag = state.diagonal()
-        assert_same_bytes(_combine(lines, diag), combine_by_wrappers(lines, diag))
+        assert_same_bytes(combined(lines, diag), combine_by_wrappers(lines, diag))
         assert_same_bytes([_residuals(lines, limit)], [residuals_by_concatenation(lines, limit)])
 
 
@@ -65,7 +74,7 @@ def test_analytic_stack_of_one(n, mode):
         state = conveyed(rho, mode)
         lines = _analytic_lines(state, basis)
         diag = state.diagonal()
-        assert_same_bytes(_combine(lines, diag), combine_by_wrappers(lines, diag))
+        assert_same_bytes(combined(lines, diag), combine_by_wrappers(lines, diag))
 
 
 @pytest.mark.parametrize("mu", [0, 1])
@@ -76,7 +85,7 @@ def test_flat_copies_lines(n, mu):
         diag = conveyed(rho, "literal").diagonal()
         lines = _diagonal_lines(basis._squared_moduli, diag, rho.dims, mu)
         assert lines.probabilities.ndim == 1
-        assert_same_bytes(_combine(lines, diag), combine_by_wrappers(lines, diag))
+        assert_same_bytes(combined(lines, diag), combine_by_wrappers(lines, diag))
 
 
 def test_ghz_tables_skip_rows():
@@ -98,7 +107,7 @@ def test_a_stack_row_with_every_row_skipped(n):
     stacked = [np.stack([a[1], np.zeros_like(a[1])]) for a in arrays]
     lines = _Lines(stacked[0], stacked[1], tuple(stacked[2:]))
     diag = rho.diagonal()
-    got = _combine(lines, diag)
+    got = combined(lines, diag)
     assert_same_bytes(got, combine_by_wrappers(lines, diag))
     terms, totals, _, least = got
     assert least[1] == 0.0 and least[0] > 0.0
