@@ -318,7 +318,7 @@ class _Sweep(NamedTuple):
     labels: tuple[str, ...]
     outcomes: tuple[int, ...]
     broadcast_outcome: int
-    diag_eff: np.ndarray
+    state: DensityMatrix  # the conveyed state
     oracle_diag: float
     blocks: Iterator[_Block]
 
@@ -701,8 +701,9 @@ def correlation_sweep(
         broadcast_outcome=sweep.broadcast_outcome,
         skip_broadcast=True,
     )
+    diag_eff = sweep.state.diagonal()
     reports = (
-        _reports(block, sweep.labels, sweep.diag_eff, sweep.oracle_diag, **settings)
+        _reports(block, sweep.labels, diag_eff, sweep.oracle_diag, **settings)
         for block in sweep.blocks
     )
     return itertools.chain.from_iterable(reports)
@@ -757,7 +758,7 @@ def _sweep(
             yield _Block(block, lines, *_combine(lines), distances)
 
     oracle_diag = correlation_oracle_diag(rho)
-    return _Sweep(basis_b.labels, outcomes, mu, state.diagonal(), oracle_diag, blocks())
+    return _Sweep(basis_b.labels, outcomes, mu, state, oracle_diag, blocks())
 
 
 def weak_value_limits(

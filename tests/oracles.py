@@ -15,7 +15,11 @@ The staged circuit readout chains the package's gate-level pipeline
 which the circuit backend computes in closed form.  The matrix-element
 reconstruction is the per-postselection sum the reconstruction identity
 replaced, the circuit sweep is the one-call-per-g loop
-``correlation_sweep`` replaced, and the two diagonal oracles are the
+``correlation_sweep`` replaced, ``sweep_pairs`` pairs each of its reports
+with the residual read from the same block, and ``sweep_rows_by_reports``
+(with ``sweep_report_by_reports``, its printed form) is the row loop over
+those reports that ``weakcorr sweep`` replaced by reading the blocks'
+arrays, whose bytes must match.  The two diagonal oracles are the
 marginal-by-marginal loop ``correlation_oracle_diag`` replaced and the
 Kronecker chain its outer product replaced, which it must match bit for
 bit.  The next section holds two paths the package must also match bit
@@ -28,9 +32,10 @@ the block residual as they read through numpy's Python wrappers (sums,
 ``np.where``, ``np.cumsum``, a concatenation), which the estimator's ufunc
 methods must match bit for bit.  The circuit table's section
 holds the per-party reductions the selector matmul replaced, the line-1
-quotient that scaling by the reciprocal row sum replaced, and the damping
+quotient that scaling by the reciprocal row sum replaced, the damping
 exponent built on every call, which the cached one must match bit for
-bit.  The copies report by matrix is the route the flat pass from the
+bit, and the damping with one scalar ``np.exp`` per coupling, which the
+one ``np.exp`` over a block's couplings must match bit for bit.  The copies report by matrix is the route the flat pass from the
 conveyed diagonal replaced: the whole conveyed matrix, the limit formula
 on a stack of one and the stacked combination step, which the flat pass
 must match bit for bit; its limit formula goes through ``_limits_lines``,
@@ -516,8 +521,9 @@ def sweep_pairs(rho, mode, cfgs, *, residuals, skip_broadcast=False, **kwargs):
         skip_broadcast=True,
     )
     pairs = []
+    diag_eff = sweep.state.diagonal()
     for block in sweep.blocks:
-        reports = _reports(block, sweep.labels, sweep.diag_eff, sweep.oracle_diag, **settings)
+        reports = _reports(block, sweep.labels, diag_eff, sweep.oracle_diag, **settings)
         distances = block.residuals.tolist() if residuals else [None] * len(reports)
         pairs.extend(zip(reports, distances, strict=True))
     return pairs
