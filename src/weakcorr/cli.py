@@ -382,7 +382,7 @@ _SWEEP_COLUMNS = (
     "max_weak_value_residual",
     "error_nonincreasing",
 )
-# A sweep CSV row: four floats formatted as _fmt_float does, and the trend.
+# A sweep CSV row: g, C, error and residual in _fmt_float's format, then the trend.
 _SWEEP_ROW = "%.11e,%.11e,%.11e,%.11e,%s"
 
 
@@ -571,7 +571,7 @@ def cmd_sweep(args) -> int:
         }
         _emit(render_json(doc), args.out)
         return 0
-    # One %-format per row; adding 0.0 turns -0.0 into 0.0, as _fmt_float does.
+    # Adding 0.0 turns -0.0 into 0.0, as _fmt_float does.
     lines = [
         f"# oracle_diag={_fmt_float(oracle)}",
         ",".join(_SWEEP_COLUMNS),
