@@ -17,11 +17,11 @@ W_p are weak values of the device-table projectors.  Two backends give them:
   vectors (``BasisSet.factors``: carried by the builtin basis, factored
   once per basis read from a file): conj(F_p) * (F_p m_p^T), divided by
   its row sums, gives the weak value of each digit.  Every party's line
-  is computed at once: one gather reads all n marginals (its index table
-  is built once per n), and one numerator and one row scaling, by the
-  reciprocal row sums as for line 1, run on the (n, K, 2) stack.  The
-  table keeps each (K, d_p) line as it is; a column reads it at its digit
-  x_p.
+  is computed at once: one flat-index gather reads all n marginals (its
+  index is built once per n), and one numerator and one row scaling, by
+  the reciprocal row sums as for line 1, run on the (n, K, 2) stack; one
+  transposed copy lays it out as the (2n, K) party-line stack below.  A
+  column reads party p's line at its digit x_p.
 * ``"circuit"`` returns what the pointers read at the configured coupling
   strength, in closed form: the readout is the zero-coupling limit below
   on the damped state rho * Lambda_g (see ``weakcorr.pointer``).
@@ -51,11 +51,22 @@ The circuit backend's zero-coupling limit (``weak_value_limits``) is one
 formula for both device layouts: line 1 as above, on the dephased state
 when copies are attached, and party lines that sum line 1 over the other
 parties' digits, relabelled by a digit map: the digit x_p itself without
-copies and (mu - x_p) mod d_p with them.  Every party line of a stack is
-one matmul of line 1 by a 0/1 selector of shape (d, sum d_p), whose
-columns hold each party's digit map; it is built once per dims, layout
-and broadcast outcome, and party p's line is its d_p-column slice of the
-product.
+copies and (mu - x_p) mod d_p with them.  Every party line of a stack
+comes from one matmul by a 0/1 selector S of shape (d, sum d_p), whose
+columns hold each party's digit map; S is built once per dims, layout
+and broadcast outcome.  The product is S^T times line 1 transposed, so
+it comes out as the party-line stack below.
+
+Every table builder hands over its party lines as one stack of shape
+(..., sum d_p, K), the postselection axis innermost, and each party's
+(..., K, d_p) line is the transposed view of its d_p rows.  The row-wise
+outer product of the combination step (``_party_product``) then
+multiplies along contiguous runs of K postselections, where lines laid
+out (K, d_p) would make one party's d_p digits numpy's innermost loop:
+about 4,000 loops of two elements at n = 6.  The marginal gather reads
+the flattened matrix by one flat index, not by a (row, column) pair of
+index arrays.  Each kernel gives bit for bit what its earlier form gave
+(``tests/oracles.py``, ``ROW_KERNELS``).
 
 Matrix elements are read back from the same line-1 numerator
 (``reconstruct_matrix``): with beta_kx = <b_k|a_x>, the weak-value
@@ -80,7 +91,15 @@ the same loop on the same axis with the same operands, so every value is
 unchanged bit for bit.  ``np.einsum`` for the completeness residual is
 the one exception: the ufunc form, a broadcast product reduced over the
 postselections, gives the same bits but allocates a (K, d) temporary, and
-at n = 11 it takes about twice as long.
+at n = 11 it takes about twice as long.  The einsum runs on line 1's
+float view, (..., K, 2d) reals, against the real P: each real and each
+imaginary part times P_k, summed over k in the same order.  On the
+complex line 1 numpy first casts P to complex, and each product is then
+(P a - 0 b) + (P b + 0 a) i, which differs from P a and P b at most in
+the sign of an exact zero, and the residual takes the modulus.  So the
+bits are the same, with no cast and no complex multiply: ``_diagnostics``
+took 13 against 26 us at n = 6 and 3.5 against 12.8 ms at n = 11 (best
+of three timing runs on a shared 2-core box).
 """
 
 from __future__ import annotations
@@ -196,15 +215,16 @@ def correlation_oracle_diag(rho: DensityMatrix) -> float:
     """
     diag = rho.diagonal()
     cube = diag.reshape(rho.dims)
-    marginals = [np.add.reduce(cube, axis=axes) for axes in _other_axes(len(rho.dims))]
-    return float(np.add.reduce(np.abs(diag - _party_product(marginals)), axis=None))
+    # Each marginal as a party line of one postselection.
+    marginals = [np.add.reduce(cube, axis=axes)[None] for axes in _other_axes(len(rho.dims))]
+    return float(np.add.reduce(np.abs(diag - _party_product(marginals)[0]), axis=None))
 
 
 @functools.lru_cache(maxsize=1)
 def _other_axes(n: int) -> tuple[tuple[int, ...], ...]:
     """axes[p]: every axis of an n-party array but p's, in order.
 
-    Built once per n and kept for the last n only, like ``_marginal_rows``.
+    Built once per n and kept for the last n only, like ``_marginal_index``.
     """
     return tuple(tuple(q for q in range(n) if q != p) for p in range(n))
 
@@ -280,6 +300,10 @@ class _Lines(NamedTuple):
 
     The stacked builders lead every array with the stack axis, which
     ``table`` and ``rows`` index; the copies layout's flat pass has none.
+    Every builder computes the party lines as one (..., sum d_p, K) stack,
+    the postselections innermost, and each party's line is the transposed
+    view of its d_p rows (``_party_views``), which ``_party_product`` reads
+    back as a contiguous slice.
     """
 
     probabilities: np.ndarray  # float, shape (..., postselections)
@@ -376,29 +400,43 @@ def _scale_rows(num: np.ndarray, sums: np.ndarray, kept: np.ndarray) -> np.ndarr
 
 
 @functools.lru_cache(maxsize=1)
-def _marginal_rows(n: int) -> np.ndarray:
-    """rows[r, p, x]: the basis index of n qubits whose qubit p is x and whose
-    other qubits, first most significant, spell r; shape (2**(n-1), n, 2).
+def _marginal_index(n: int) -> np.ndarray:
+    """index[r, p, x, y]: the flat index, in a row-major n-qubit state matrix,
+    of the element at row x and column y of qubit p's 2 x 2 block, the other
+    qubits, first most significant, spelling r in both the row and the
+    column; shape (2**(n-1), n, 2, 2).
 
     Built once per n and kept for the last n only, like ``device_table``.
     """
     shift = (n - 1 - np.arange(n))[:, None]  # place value of qubit p
     r = np.arange(2 ** (n - 1))[:, None, None]
     rows = ((r >> shift) << (shift + 1)) | (np.arange(2) << shift) | (r & ((1 << shift) - 1))
-    rows.setflags(write=False)
-    return rows
+    index = (rows[..., :, None] << n) | rows[..., None, :]
+    index.setflags(write=False)
+    return index
 
 
 def _marginals(matrix: np.ndarray, n: int) -> np.ndarray:
     """Every single-qubit marginal of an n-qubit state matrix, shape (n, 2, 2).
 
-    One gather picks, for each party, the 2 x 2 block of each setting r of
-    the other qubits; summing over the leading r axis adds those blocks one
-    at a time in r order, as ``partial_trace``'s einsum does, so each
-    marginal is bitwise ``partial_trace(state, [p])``.
+    One gather of the flattened matrix picks, for each party, the 2 x 2
+    block of each setting r of the other qubits; a flat index is one
+    contiguous lookup per element, where a (row, column) pair of index
+    arrays costs several times as long (3.4 against 29 us at n = 6, best
+    of three timing runs on a shared 2-core box).
+    Summing over the leading r axis adds those blocks one at a time in r
+    order, as ``partial_trace``'s einsum does, so each marginal is bitwise
+    ``partial_trace(state, [p])``.
     """
-    rows = _marginal_rows(n)
-    return np.add.reduce(matrix[rows[..., :, None], rows[..., None, :]], axis=0)
+    return np.add.reduce(matrix.reshape(-1)[_marginal_index(n)], axis=0)
+
+
+def _party_views(stack: np.ndarray, dims: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """Party p's line, shape (..., postselections, d_p), as the transposed
+    view of its d_p rows of ``stack``, shape (..., sum d_p, postselections),
+    party p's rows starting at d_0 + ... + d_(p-1)."""
+    stops = itertools.accumulate(dims)
+    return tuple(stack[..., s - d_p : s, :].swapaxes(-1, -2) for s, d_p in zip(stops, dims))
 
 
 def _analytic_lines(state: DensityMatrix, basis_b: BasisSet) -> _Lines:
@@ -417,8 +455,10 @@ def _analytic_lines(state: DensityMatrix, basis_b: BasisSet) -> _Lines:
     low = np.minimum.reduce(sums[:, kept[0]], axis=None, initial=np.inf)
     if low < SKIP_THRESHOLD:
         raise NullPostselection(f"postselection probability {low:.3e}")
-    parties = _scale_rows(num, sums, kept[0])
-    return _Lines(probs, line0, tuple(line[None] for line in parties))
+    # One transposed copy lays the (n, K, 2) lines out as the builders'
+    # (1, 2n, K) stack, the postselections innermost.
+    stack = _scale_rows(num, sums, kept[0]).swapaxes(-1, -2).reshape(1, -1, num.shape[-2])
+    return _Lines(probs, line0, _party_views(stack, state.dims))
 
 
 @functools.lru_cache(maxsize=1)
@@ -482,12 +522,27 @@ def _check_broadcast_outcome(mu: int, dims: tuple[int, ...]) -> None:
 
 
 def _party_product(parties: Sequence[np.ndarray]) -> np.ndarray:
-    """prod_p W_p[k, x_p(i)]: the party lines' outer product along the last
-    axis, first party most significant; leading axes are carried along."""
-    product = parties[0]
+    """prod_p W_p[k, x_p(i)]: the row-wise outer product of the party lines,
+    each of shape (..., postselections, d_p), first party most significant;
+    leading axes are carried along.
+
+    The product runs on the transposed lines, (..., d_p, postselections),
+    and is returned as the transposed view of its (..., d, postselections)
+    result.  Each step multiplies every digit pair along the postselection
+    axis, so numpy's innermost loop is K long, not one party's d_p: a
+    table builder's lines are transposed views of one stack, so these are
+    contiguous slices of it (27 against 60 us at n = 6, best of three
+    timing runs on a shared 2-core box).  The parties
+    are multiplied in the same left-to-right order either way, so each
+    entry is the same product bit for bit.
+    """
+    product = parties[0].swapaxes(-1, -2)
     for line in parties[1:]:
-        product = (product[..., :, None] * line[..., None, :]).reshape(line.shape[:-1] + (-1,))
-    return product
+        line = line.swapaxes(-1, -2)
+        product = (product[..., :, None, :] * line[..., None, :, :]).reshape(
+            line.shape[:-2] + (-1, line.shape[-1])
+        )
+    return product.swapaxes(-1, -2)
 
 
 def _combine(lines: _Lines) -> tuple[np.ndarray, np.ndarray]:
@@ -511,11 +566,13 @@ def _diagnostics(lines: _Lines, diag_eff: np.ndarray) -> tuple[np.ndarray, np.nd
 
     Returns the completeness residual max_i |sum_k P_k W_joint[k, i] -
     diag_eff[i]| and the least kept probability (0.0 where every row is
-    skipped), each with the leading axes of ``lines``.
+    skipped), each with the leading axes of ``lines``.  The sum over k runs
+    on line 1's float view, each real and imaginary part times the real
+    P_k, so P is never cast to complex (see the module docstring).
     """
     probs = lines.probabilities
     kept = probs >= SKIP_THRESHOLD
-    recombined = np.einsum("...k,...ki->...i", probs, lines.joint)
+    recombined = np.einsum("...k,...ki->...i", probs, lines.joint.view(float)).view(complex)
     residuals = np.maximum.reduce(np.abs(recombined - diag_eff), axis=-1)
     least = np.minimum.reduce(
         probs, axis=-1, out=np.empty(probs.shape[:-1]), initial=np.inf, where=kept
@@ -797,8 +854,8 @@ def weak_value_limits(
     copies, where only the diagonal is read and Lambda_g is 1 there, and
     with an O(g^2) bias without them.  A basis on other dims than the
     state's raises ShapeMismatch.  A broadcast outcome that is not an
-    integer raises ImpossibleOutcome; with copies, so does one outside
-    [0, d_p) for any party, and without them its value is ignored.
+    integer, or lies outside [0, d_p) for any party, raises
+    ImpossibleOutcome in both layouts, as ``correlation`` does.
     ``weakcorr sweep`` reads the same table inside its
     coupling stack without copies (see ``_sweep``), and with them from the
     conveyed diagonal in the flat pass ``correlation`` makes
@@ -807,6 +864,7 @@ def weak_value_limits(
     if basis_b.dims != state.dims:
         raise ShapeMismatch("postselection basis does not match the state dims")
     mu = _outcome(broadcast_outcome)
+    _check_broadcast_outcome(mu, state.dims)
     if skip_broadcast:
         num = _weak_value_numerator(state.matrix[None], basis_b.matrix)
         return _party_lines(num, state.dims, None).table(0)
@@ -832,22 +890,27 @@ def _diagonal_lines(
     squared_moduli: np.ndarray, diagonals: np.ndarray, dims: tuple[int, ...], copy_outcome: int
 ) -> _Lines:
     """The copies layout's lines from state diagonals of shape (..., d): the
-    numerator |B|^2 * diag(rho), with |B|^2 given as ``squared_moduli``."""
-    num = (squared_moduli * diagonals[..., None, :]).astype(complex)
+    numerator |B|^2 * diag(rho), with |B|^2 given as ``squared_moduli``.
+
+    The numerator is laid out row-major whatever the layout of |B|^2 (a
+    basis matrix handed over column-major gives a column-major |B|^2), so
+    its row sums and the float view ``_diagnostics`` takes of line 1 run
+    the same way, and a report does not depend on the basis array's layout.
+    """
+    num = (squared_moduli * diagonals[..., None, :]).astype(complex, order="C")
     return _party_lines(num, dims, copy_outcome)
 
 
 def _party_lines(num: np.ndarray, dims: tuple[int, ...], copy_outcome: int | None) -> _Lines:
     """Line 1 and every party line from the line-1 numerator ``num``, shape
     (..., postselections, d): line 1 is ``num`` over its row sums, and the
-    party lines are one matmul of it by ``_party_selector``."""
+    party lines are one matmul by ``_party_selector``, S^T times line 1
+    transposed, which gives their stack with the postselections innermost
+    and the same bits as line 1 times S."""
     selector = _party_selector(dims, copy_outcome)
     probs, _, line0 = _line0(num)
-    # Every party line in one matmul; party p's line is its column slice.
-    lines = (line0.reshape(-1, line0.shape[-1]) @ selector).reshape(line0.shape[:-1] + (-1,))
-    stops = itertools.accumulate(dims)
-    parties = tuple(lines[..., stop - d_p : stop] for stop, d_p in zip(stops, dims))
-    return _Lines(probs, line0, parties)
+    # Every party line in one matmul, as the (..., sum d_p, K) stack.
+    return _Lines(probs, line0, _party_views(selector.T @ line0.swapaxes(-1, -2), dims))
 
 
 @functools.lru_cache(maxsize=1)

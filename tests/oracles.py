@@ -30,7 +30,12 @@ taken one table pair at a time, which the sweep's one masked max per
 block of couplings must match bit for bit, and the combination step and
 the block residual as they read through numpy's Python wrappers (sums,
 ``np.where``, ``np.cumsum``, a concatenation), which the estimator's ufunc
-methods must match bit for bit.  The circuit table's section
+methods must match bit for bit.  The kernels before the contiguous
+layouts are the two-index marginal gather, the party product with one
+party's digits innermost, the completeness sum on the complex line 1 and
+the party lines as column slices of one row-layout matmul;
+``ROW_KERNELS`` maps each estimator kernel to the form it replaced, and
+every report and kernel must match them bit for bit.  The circuit table's section
 holds the per-party reductions the selector matmul replaced, the line-1
 quotient that scaling by the reciprocal row sum replaced, the damping
 exponent built on every call, which the cached one must match bit for
@@ -83,8 +88,9 @@ from weakcorr.estimator import (
     _Lines,
     _line0,
     _party_lines,
-    _party_product,
+    _party_selector,
     _reports,
+    _scale_rows,
     _sweep,
     _weak_value_numerator,
 )
@@ -663,7 +669,7 @@ def combine_by_wrappers(lines, diag_eff):
     it bit for bit."""
     probs, joint = lines.probabilities, lines.joint
     kept = probs >= SKIP_THRESHOLD
-    terms = np.abs(joint - _party_product(lines.parties)).sum(axis=-1)
+    terms = np.abs(joint - party_product_by_rows(lines.parties)).sum(axis=-1)
     totals = np.cumsum(np.where(kept, probs * terms, 0.0), axis=-1)[..., -1]
     recombined = np.einsum("...k,...ki->...i", probs, joint)
     residuals = np.abs(recombined - diag_eff).max(axis=-1)
@@ -726,6 +732,89 @@ def damping_exponent_loop(table):
     for x, d_p in zip(table.party_digits.T, table.dims):
         differing += (2 * d // d_p) * (x[:, None] != x[None, :])
     return differing
+
+
+# -- the kernels before the contiguous layouts
+
+
+def marginal_rows(n):
+    """rows[r, p, x]: the basis index of n qubits whose qubit p is x and whose
+    other qubits, first most significant, spell r; shape (2**(n-1), n, 2)."""
+    shift = (n - 1 - np.arange(n))[:, None]
+    r = np.arange(2 ** (n - 1))[:, None, None]
+    return ((r >> shift) << (shift + 1)) | (np.arange(2) << shift) | (r & ((1 << shift) - 1))
+
+
+def marginals_by_pair_gather(matrix, n):
+    """Every single-qubit marginal, shape (n, 2, 2), from one gather by a
+    (row, column) pair of index arrays: the form the flat-index gather of
+    ``estimator._marginals`` replaced."""
+    rows = marginal_rows(n)
+    return np.add.reduce(matrix[rows[..., :, None], rows[..., None, :]], axis=0)
+
+
+def party_product_by_rows(parties):
+    """prod_p W_p[k, x_p(i)] built on the lines as given, (..., K, d_p), so
+    one party's d_p digits are numpy's innermost loop: the form the
+    postselection-innermost ``estimator._party_product`` replaced."""
+    product = parties[0]
+    for line in parties[1:]:
+        product = (product[..., :, None] * line[..., None, :]).reshape(line.shape[:-1] + (-1,))
+    return product
+
+
+def diagnostics_by_complex_einsum(lines, diag_eff):
+    """``estimator._diagnostics`` with the completeness sum taken by
+    ``np.einsum`` on the complex line 1, which casts P to complex: the form
+    the sum over line 1's float view replaced."""
+    probs = lines.probabilities
+    kept = probs >= SKIP_THRESHOLD
+    recombined = np.einsum("...k,...ki->...i", probs, lines.joint)
+    residuals = np.maximum.reduce(np.abs(recombined - diag_eff), axis=-1)
+    least = np.minimum.reduce(
+        probs, axis=-1, out=np.empty(probs.shape[:-1]), initial=np.inf, where=kept
+    )
+    least[~np.logical_or.reduce(kept, axis=-1)] = 0.0
+    return residuals, least
+
+
+def party_lines_by_row_matmul(num, dims, copy_outcome):
+    """``estimator._party_lines`` with the party lines as column slices of
+    line 1 times the selector, (..., K, sum d_p): the layout the
+    postselection-innermost stack replaced."""
+    probs, _, line0 = _line0(num)
+    lines = (line0.reshape(-1, line0.shape[-1]) @ _party_selector(dims, copy_outcome)).reshape(
+        line0.shape[:-1] + (-1,)
+    )
+    stops = np.cumsum(dims)
+    parties = tuple(lines[..., stop - d_p : stop] for stop, d_p in zip(stops, dims))
+    return _Lines(probs, line0, parties)
+
+
+def analytic_lines_by_rows(state, basis_b):
+    """``estimator._analytic_lines`` with the two-index marginal gather and
+    each party's (K, 2) line kept as its row of the scaled stack: the route
+    the flat gather and the postselection-innermost stack replaced."""
+    n = len(state.dims)
+    probs, kept, line0 = _line0(_weak_value_numerator(state.matrix[None], basis_b.matrix))
+    marginals = marginals_by_pair_gather(state.matrix, n)
+    num = _weak_value_numerator(marginals, np.stack(basis_b.factors))
+    sums = np.real(num.sum(axis=-1))
+    low = sums[:, kept[0]]
+    if low.size and low.min() < SKIP_THRESHOLD:
+        raise NullPostselection(f"postselection probability {low.min():.3e}")
+    parties = _scale_rows(num, sums, kept[0])
+    return _Lines(probs, line0, tuple(line[None] for line in parties))
+
+
+# The estimator's kernels, each with the form above that it replaced.
+ROW_KERNELS = {
+    "_marginals": marginals_by_pair_gather,
+    "_party_product": party_product_by_rows,
+    "_diagnostics": diagnostics_by_complex_einsum,
+    "_party_lines": party_lines_by_row_matmul,
+    "_analytic_lines": analytic_lines_by_rows,
+}
 
 
 # -- the copies layout through the whole conveyed matrix

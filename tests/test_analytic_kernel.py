@@ -41,7 +41,7 @@ from weakcorr.cli import load_basis, load_state
 from weakcorr.estimator import (
     _analytic_lines,
     _line0,
-    _marginal_rows,
+    _marginal_index,
     _marginals,
     _party_product,
     _weak_value_numerator,
@@ -370,13 +370,14 @@ def test_gathered_marginals_are_bitwise_partial_trace(n, mode):
 
 def test_marginal_rows_keep_one_read_only_entry():
     for n in (3, 4):
-        rows = _marginal_rows(n)
-    assert _marginal_rows.cache_info().currsize == 1
-    assert _marginal_rows(4) is rows
-    assert rows.shape == (8, 4, 2) and not rows.flags.writeable
-    # Each party's rows list every basis index once.
+        index = _marginal_index(n)
+    assert _marginal_index.cache_info().currsize == 1
+    assert _marginal_index(4) is index
+    assert index.shape == (8, 4, 2, 2) and not index.flags.writeable
+    # Each party's diagonal entries list every basis index once.
     for p in range(4):
-        assert sorted(rows[:, p].ravel().tolist()) == list(range(16))
+        diagonal = index[:, p, [0, 1], [0, 1]]
+        assert sorted((diagonal // 17).ravel().tolist()) == list(range(16))
 
 
 def assert_bitwise_report(got, want):
