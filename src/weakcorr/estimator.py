@@ -214,10 +214,10 @@ def correlation_oracle_diag(rho: DensityMatrix) -> float:
     state's diagonal summed over the other parties' digits.
     """
     diag = rho.diagonal()
-    cube = diag.reshape(rho.dims)
-    # Each marginal as a party line of one postselection.
-    marginals = [np.add.reduce(cube, axis=axes)[None] for axes in _other_axes(len(rho.dims))]
-    return float(np.add.reduce(np.abs(diag - _party_product(marginals)[0]), axis=None))
+    # A trailing axis of one postselection makes each marginal a party line.
+    cube = diag.reshape(rho.dims + (1,))
+    marginals = [np.add.reduce(cube, axis=axes) for axes in _other_axes(len(rho.dims))]
+    return float(np.add.reduce(np.abs(diag - _party_product(marginals)[:, 0]), axis=None))
 
 
 @functools.lru_cache(maxsize=1)
@@ -302,8 +302,8 @@ class _Lines(NamedTuple):
     ``table`` and ``rows`` index; the copies layout's flat pass has none.
     Every builder computes the party lines as one (..., sum d_p, K) stack,
     the postselections innermost, and each party's line is the transposed
-    view of its d_p rows (``_party_views``), which ``_party_product`` reads
-    back as a contiguous slice.
+    view of its d_p rows (``_party_views``); transposed back, each is the
+    contiguous slice ``_party_product`` reads.
     """
 
     probabilities: np.ndarray  # float, shape (..., postselections)
@@ -435,8 +435,8 @@ def _party_views(stack: np.ndarray, dims: tuple[int, ...]) -> tuple[np.ndarray, 
     """Party p's line, shape (..., postselections, d_p), as the transposed
     view of its d_p rows of ``stack``, shape (..., sum d_p, postselections),
     party p's rows starting at d_0 + ... + d_(p-1)."""
-    stops = itertools.accumulate(dims)
-    return tuple(stack[..., s - d_p : s, :].swapaxes(-1, -2) for s, d_p in zip(stops, dims))
+    lines = stack.swapaxes(-1, -2)
+    return tuple(lines[..., s - d_p : s] for s, d_p in zip(itertools.accumulate(dims), dims))
 
 
 def _analytic_lines(state: DensityMatrix, basis_b: BasisSet) -> _Lines:
@@ -521,28 +521,25 @@ def _check_broadcast_outcome(mu: int, dims: tuple[int, ...]) -> None:
         raise ImpossibleOutcome(f"outcome {mu} out of range for dimension {bad}")
 
 
-def _party_product(parties: Sequence[np.ndarray]) -> np.ndarray:
-    """prod_p W_p[k, x_p(i)]: the row-wise outer product of the party lines,
-    each of shape (..., postselections, d_p), first party most significant;
-    leading axes are carried along.
+def _party_product(lines: Sequence[np.ndarray]) -> np.ndarray:
+    """prod_p W_p[k, x_p(i)], shape (..., d, postselections), from the party
+    lines laid out with the postselections innermost, party p's of shape
+    (..., d_p, postselections), first party most significant; leading axes
+    are carried along.
 
-    The product runs on the transposed lines, (..., d_p, postselections),
-    and is returned as the transposed view of its (..., d, postselections)
-    result.  Each step multiplies every digit pair along the postselection
-    axis, so numpy's innermost loop is K long, not one party's d_p: a
-    table builder's lines are transposed views of one stack, so these are
-    contiguous slices of it (27 against 60 us at n = 6, best of three
-    timing runs on a shared 2-core box).  The parties
-    are multiplied in the same left-to-right order either way, so each
-    entry is the same product bit for bit.
+    Each step multiplies every digit pair along the postselection axis, so
+    numpy's innermost loop is K long, not one party's d_p; a table
+    builder's lines, transposed back, are contiguous slices of their stack
+    (27 against 60 us at n = 6, best of three timing runs on a shared
+    2-core box).  The parties are multiplied in the same left-to-right
+    order as on lines laid out (K, d_p), so each entry is the same product
+    bit for bit.
     """
-    product = parties[0].swapaxes(-1, -2)
-    for line in parties[1:]:
-        line = line.swapaxes(-1, -2)
-        product = (product[..., :, None, :] * line[..., None, :, :]).reshape(
-            line.shape[:-2] + (-1, line.shape[-1])
-        )
-    return product.swapaxes(-1, -2)
+    product = lines[0]
+    shape = product.shape[:-2] + (-1, product.shape[-1])
+    for line in lines[1:]:
+        product = (product[..., None, :] * line[..., None, :, :]).reshape(shape)
+    return product
 
 
 def _combine(lines: _Lines) -> tuple[np.ndarray, np.ndarray]:
@@ -554,7 +551,8 @@ def _combine(lines: _Lines) -> tuple[np.ndarray, np.ndarray]:
     probs, joint = lines.probabilities, lines.joint
     kept = probs >= SKIP_THRESHOLD
     # Skipped rows of the table are zero, so their terms are zero too.
-    terms = np.add.reduce(np.abs(joint - _party_product(lines.parties)), axis=-1)
+    product = _party_product([line.swapaxes(-1, -2) for line in lines.parties])
+    terms = np.add.reduce(np.abs(joint - product.swapaxes(-1, -2)), axis=-1)
     # A running total in row order, so C is bitwise the row-by-row sum.
     weighted = np.multiply(probs, terms, out=np.zeros(probs.shape), where=kept)
     totals = np.add.accumulate(weighted, axis=-1)[..., -1]

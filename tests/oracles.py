@@ -807,10 +807,18 @@ def analytic_lines_by_rows(state, basis_b):
     return _Lines(probs, line0, tuple(line[None] for line in parties))
 
 
+def stack_product_by_rows(lines):
+    """``party_product_by_rows`` behind the interface of
+    ``estimator._party_product``: lines of shape (..., d_p, K) in, the
+    (..., d, K) product out, computed on the lines transposed to (..., K,
+    d_p) as before the change of layout."""
+    return party_product_by_rows([line.swapaxes(-1, -2) for line in lines]).swapaxes(-1, -2)
+
+
 # The estimator's kernels, each with the form above that it replaced.
 ROW_KERNELS = {
     "_marginals": marginals_by_pair_gather,
-    "_party_product": party_product_by_rows,
+    "_party_product": stack_product_by_rows,
     "_diagnostics": diagnostics_by_complex_einsum,
     "_party_lines": party_lines_by_row_matmul,
     "_analytic_lines": analytic_lines_by_rows,

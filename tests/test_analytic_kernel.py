@@ -283,7 +283,8 @@ def test_table_arrays_are_read_only(backend, skip):
 
 def assert_product_is_dense_product(table):
     dense = np.prod(table.values[1:], axis=0)
-    assert _party_product(table.parties).tobytes() == dense.tobytes()
+    product = _party_product([line.T for line in table.parties]).T
+    assert product.tobytes() == dense.tobytes()
     return dense
 
 

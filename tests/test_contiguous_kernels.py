@@ -74,6 +74,12 @@ def assert_same_lines(got, want):
         assert_same_words(a, b)
 
 
+def product(lines):
+    """The party product of ``lines``, shape (..., K, d), as ``_combine``
+    reads it: from the contiguous slices behind the party lines."""
+    return _party_product([line.swapaxes(-1, -2) for line in lines.parties]).swapaxes(-1, -2)
+
+
 def near_negative_state(n, seed):
     """A state validation accepts whose least eigenvalue is -0.9 SPECTRAL_TOL."""
     rng = np.random.default_rng(seed)
@@ -140,7 +146,7 @@ def test_analytic_lines_are_bitwise_the_row_route(n, kind):
         got = _analytic_lines(rho, basis)
         want = analytic_lines_by_rows(rho, basis)
         assert_same_lines(got, want)
-        assert_same_words(_party_product(got.parties), party_product_by_rows(want.parties))
+        assert_same_words(product(got), party_product_by_rows(want.parties))
 
 
 def damped_stack(rho):
@@ -165,14 +171,14 @@ def test_party_lines_are_bitwise_the_row_matmul(n, kind):
         got = _party_lines(num, rho.dims, None)
         want = party_lines_by_row_matmul(num, rho.dims, None)
         assert_same_lines(got, want)
-        assert_same_words(_party_product(got.parties), party_product_by_rows(want.parties))
+        assert_same_words(product(got), party_product_by_rows(want.parties))
         assert_same_diagnostics(got, want, rho.diagonal())
     squared = hadamard_mub(n)._squared_moduli
     for mu in (0, 1):
         got = _diagonal_lines(squared, rho.diagonal(), rho.dims, mu)
         want = party_lines_by_row_matmul((squared * rho.diagonal()).astype(complex), rho.dims, mu)
         assert_same_lines(got, want)
-        assert_same_words(_party_product(got.parties), party_product_by_rows(want.parties))
+        assert_same_words(product(got), party_product_by_rows(want.parties))
         assert_same_diagnostics(got, want, rho.diagonal())
 
 
@@ -195,7 +201,7 @@ def test_qudit_party_lines_are_bitwise_the_row_matmul(copy_outcome):
     want = party_lines_by_row_matmul(num, QUDITS, copy_outcome)
     assert [line.shape[-1] for line in got.parties] == list(QUDITS)
     assert_same_lines(got, want)
-    assert_same_words(_party_product(got.parties), party_product_by_rows(want.parties))
+    assert_same_words(product(got), party_product_by_rows(want.parties))
     assert_same_diagnostics(got, want, rho.diagonal())
 
 
