@@ -420,13 +420,12 @@ def _marginals(matrix: np.ndarray, n: int) -> np.ndarray:
     """Every single-qubit marginal of an n-qubit state matrix, shape (n, 2, 2).
 
     One gather of the flattened matrix picks, for each party, the 2 x 2
-    block of each setting r of the other qubits; a flat index is one
-    contiguous lookup per element, where a (row, column) pair of index
-    arrays costs several times as long (3.4 against 29 us at n = 6, best
-    of three timing runs on a shared 2-core box).
-    Summing over the leading r axis adds those blocks one at a time in r
-    order, as ``partial_trace``'s einsum does, so each marginal is bitwise
-    ``partial_trace(state, [p])``.
+    block of each setting r of the other qubits.  A flat index is one
+    lookup per element, where a (row, column) pair of index arrays costs
+    several times as long (3.4 against 29 us at n = 6, best of three
+    timing runs on a shared 2-core box).  Summing over the leading r axis
+    adds those blocks one at a time in r order, as ``partial_trace``'s
+    einsum does, so each marginal is bitwise ``partial_trace(state, [p])``.
     """
     return np.add.reduce(matrix.reshape(-1)[_marginal_index(n)], axis=0)
 
@@ -530,7 +529,7 @@ def _party_product(lines: Sequence[np.ndarray]) -> np.ndarray:
     Each step multiplies every digit pair along the postselection axis, so
     numpy's innermost loop is K long, not one party's d_p; a table
     builder's lines, transposed back, are contiguous slices of their stack
-    (27 against 60 us at n = 6, best of three timing runs on a shared
+    (25 against 52 us at n = 6, best of three timing runs on a shared
     2-core box).  The parties are multiplied in the same left-to-right
     order as on lines laid out (K, d_p), so each entry is the same product
     bit for bit.

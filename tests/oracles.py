@@ -35,9 +35,10 @@ layouts are the two-index marginal gather, the party product with one
 party's digits innermost, the completeness sum on the complex line 1 and
 the party lines as column slices of one row-layout matmul;
 ``ROW_KERNELS`` maps each estimator kernel to the form it replaced, and
-every report and kernel must match them bit for bit.  The circuit table's section
-holds the per-party reductions the selector matmul replaced, the line-1
-quotient that scaling by the reciprocal row sum replaced, the damping
+every report and kernel must match them bit for bit.  The circuit
+table's section holds the per-party reductions the selector matmul
+replaced, the line-1 quotient that scaling by the reciprocal row sum
+replaced, the damping
 exponent built on every call, which the cached one must match bit for
 bit, and the damping with one scalar ``np.exp`` per coupling, which the
 one ``np.exp`` over a block's couplings must match bit for bit.  The copies report by matrix is the route the flat pass from the

@@ -23,7 +23,12 @@ REMOVED = {
     "weakcorr": ["AncillaPair", "PostselectionTerm", "reconstruct_element"],
     "weakcorr.cli": ["convey", "dump_state"],
     "weakcorr.conveyance": ["AncillaPair", "OUTCOME_TOL"],
-    "weakcorr.estimator": ["PostselectionTerm", "reconstruct_element", "_limits_lines"],
+    "weakcorr.estimator": [
+        "PostselectionTerm",
+        "reconstruct_element",
+        "_limits_lines",
+        "_marginal_rows",
+    ],
     "weakcorr.pointer": ["POSTSELECTION_TOL"],
 }
 REMOVED_METHODS = {
