@@ -47,7 +47,6 @@ from .bases import (
     is_mutually_unbiased,
 )
 from .estimator import (
-    _copies_reports,
     _marginals,
     _sweep,
     correlation,
@@ -228,6 +227,9 @@ def load_state(path: str) -> DensityMatrix:
                 raise errors.ParseFailure(
                     f'decomposition weight "p" must be a number, got {p!r}'
                 )
+            # JSON's NaN, Infinity and -Infinity read as floats; a weight must be finite.
+            if type(p) is float and not math.isfinite(p):
+                raise errors.ParseFailure(f'decomposition weight "p" must be finite, got {p!r}')
             if p <= 0:
                 raise errors.InvariantViolation(
                     f"decomposition weights must be positive, got {p!r}"
@@ -517,8 +519,8 @@ def cmd_sweep(args) -> int:
     straight from the arrays of each block of couplings
     (``estimator._sweep``, where the blocks and the limit row are set out):
     no report, and none of the diagnostics only a report holds, is built.
-    With copies the one flat pass of ``correlation`` gives one C for every
-    g, with residual 0.0, since its table is the limit.
+    With copies one ``correlation`` call gives one C for every g, with
+    residual 0.0, since its table is the limit.
     """
     try:
         g_list = [float(v) for v in args.g_list.split(",") if v.strip()]
@@ -554,7 +556,9 @@ def cmd_sweep(args) -> int:
             correlations += block.totals.tolist()
             residuals += block.residuals.tolist()
     else:
-        (report,) = _copies_reports(rho, rc.mode, cfgs[:1], basis, nu, mu)
+        report = correlation(
+            rho, "circuit", rc.mode, cfgs[0], postselection=basis, outcomes=nu, broadcast_outcome=mu
+        )
         oracle = report.oracle_diag
         correlations, residuals = [report.C] * len(cfgs), [0.0] * len(cfgs)
 

@@ -27,25 +27,26 @@ W_p are weak values of the device-table projectors.  Two backends give them:
   on the damped state rho * Lambda_g (see ``weakcorr.pointer``).
 
 ``correlation_sweep`` reads one state at many coupling strengths, doing
-once what does not depend on g.  The combination step works over
-trailing axes in two parts: ``_combine`` turns lines into the terms and
-C, and ``_diagnostics`` into the completeness residual and the least kept
-probability, which only a report holds.  Without copies the table
-builders take a leading stack axis, and one block body (``_direct_lines``)
-reads the damped states of a stack of couplings: ``correlation`` runs it
-once, on a stack of its one coupling, and a sweep once per block of
-couplings.  A no-copies sweep (``_sweep``) yields blocks, not reports:
-each holds its couplings, lines, terms and C, and with ``residuals`` the
-distance of each coupling's table from the zero-coupling limit (the block
-size and the limit row are set out at ``_BLOCK_ELEMENTS`` and
-``_sweep``).  ``correlation_sweep`` turns each block into reports
-(``_reports``, which adds the diagnostics); ``weakcorr sweep`` reads C
-and the residuals from the blocks' arrays and builds no report.  The
-analytic backend and ``weak_value_limits`` read a stack of one undamped
-state.  With copies nothing depends on g: ``correlation`` and the sweep
-make one flat pass (``_copies_reports``) from the conveyed diagonal,
-which is conveyed without building any (d, d) matrix, through 2-D lines
-to one report, with no stack axis and no generator.
+once what does not depend on g.  Every report, of either backend and
+layout and of each sweep row, is built by one constructor (``_report``)
+from one state's lines: ``_combine`` turns them into the terms and C,
+``_diagnostics`` into the completeness residual and the least kept
+probability.  ``correlation`` builds the lines of its layout and calls
+it.  Without copies the table builders take a leading stack axis, and one
+block body (``_direct_lines``) reads the damped states of a stack of
+couplings: ``correlation`` runs it once, on a stack of one coupling, and
+a sweep once per block of couplings.  A no-copies sweep (``_sweep``)
+yields blocks, not reports: each holds its couplings and lines, reads C
+from them, and with ``residuals`` holds the distance of each coupling's
+table from the zero-coupling limit (the block size and the limit row are
+set out at ``_BLOCK_ELEMENTS`` and ``_sweep``).  ``correlation_sweep``
+turns each row of a block into a report; ``weakcorr sweep`` reads C and
+the residuals from the blocks and builds no report.  The analytic
+backend and ``weak_value_limits`` read a stack of one undamped state.
+With copies nothing depends on g, and the lines come flat, with no stack
+axis, from the conveyed diagonal, which is conveyed without building any
+(d, d) matrix: the sweep's first report is ``correlation``'s, and the
+others differ from it in g and sigma only.
 
 The circuit backend's zero-coupling limit (``weak_value_limits``) is one
 formula for both device layouts: line 1 as above, on the dephased state
@@ -58,15 +59,16 @@ and broadcast outcome.  The product is S^T times line 1 transposed, so
 it comes out as the party-line stack below.
 
 Every table builder hands over its party lines as one stack of shape
-(..., sum d_p, K), the postselection axis innermost, and each party's
-(..., K, d_p) line is the transposed view of its d_p rows.  The row-wise
-outer product of the combination step (``_party_product``) then
-multiplies along contiguous runs of K postselections, where lines laid
-out (K, d_p) would make one party's d_p digits numpy's innermost loop:
-about 4,000 loops of two elements at n = 6.  The marginal gather reads
-the flattened matrix by one flat index, not by a (row, column) pair of
-index arrays.  Each kernel gives bit for bit what its earlier form gave
-(``tests/oracles.py``, ``ROW_KERNELS``).
+(..., sum d_p, K), the postselections innermost, and the combination
+step and the sweep residual read that stack itself: the row-wise outer
+product (``_party_product``) multiplies each party's d_p rows along
+contiguous runs of K postselections, where lines laid out (K, d_p)
+would make one party's d_p digits numpy's innermost loop, about 4,000
+loops of two elements at n = 6.  Each party's (..., K, d_p) line, the
+transposed view of its rows, is made only for a ``WeakValueTable``.  The
+marginal gather reads the flattened matrix by one flat index, not by a
+(row, column) pair of index arrays.  Each kernel gives bit for bit what
+its earlier form gave (``tests/oracles.py``, ``ROW_KERNELS``).
 
 Matrix elements are read back from the same line-1 numerator
 (``reconstruct_matrix``): with beta_kx = <b_k|a_x>, the weak-value
@@ -298,41 +300,60 @@ class CorrelationReport:
 class _Lines(NamedTuple):
     """Weak-value lines of one state, or of a stack of states along leading axes.
 
-    The stacked builders lead every array with the stack axis, which
-    ``table`` and ``rows`` index; the copies layout's flat pass has none.
-    Every builder computes the party lines as one (..., sum d_p, K) stack,
-    the postselections innermost, and each party's line is the transposed
-    view of its d_p rows (``_party_views``); transposed back, each is the
-    contiguous slice ``_party_product`` reads.
+    Line 1 is held as is and every party line in one (..., sum d_p, K)
+    stack, the postselections innermost, party p's d_p rows starting at
+    d_0 + ... + d_(p-1).  One state's lines have no leading axes and make
+    one report (``_report``, the one constructor of every report); ``row``
+    and ``rows`` index a stack.
     """
 
     probabilities: np.ndarray  # float, shape (..., postselections)
     joint: np.ndarray  # complex, shape (..., postselections, columns)
-    parties: tuple[np.ndarray, ...]  # complex, party p's shape (..., postselections, d_p)
+    stack: np.ndarray  # complex, shape (..., sum d_p, postselections)
+    dims: tuple[int, ...]  # the parties' dimensions d_p
 
-    def table(self, s: int) -> WeakValueTable:
-        """The table of the stack's state s."""
-        return WeakValueTable(
-            self.joint[s], tuple(line[s] for line in self.parties), self.probabilities[s]
-        )
+    @property
+    def parties(self) -> tuple[np.ndarray, ...]:
+        """Party p's line, shape (..., postselections, d_p), as the
+        transposed view of its rows of the stack."""
+        lines = self.stack.swapaxes(-1, -2)
+        return tuple(lines[..., rows] for rows in _party_rows(self.dims))
+
+    def row(self, s: int | slice) -> _Lines:
+        """The stack's state s, or the states of the slice s, as views."""
+        return _Lines(self.probabilities[s], self.joint[s], self.stack[s], self.dims)
 
     def rows(self, start: int, stop: int | None) -> _Lines:
         """The stack's states start to stop, as views."""
-        rows = slice(start, stop)
-        parties = tuple(line[rows] for line in self.parties)
-        return _Lines(self.probabilities[rows], self.joint[rows], parties)
+        return self.row(slice(start, stop))
+
+    def table(self, s: int) -> WeakValueTable:
+        """The table of the stack's state s."""
+        row = self.row(s)
+        return WeakValueTable(row.joint, row.parties, row.probabilities)
+
+
+@functools.lru_cache(maxsize=1)
+def _party_rows(dims: tuple[int, ...]) -> tuple[slice, ...]:
+    """Party p's rows of a party-line stack: d_p rows from d_0 + ... + d_(p-1)
+    on.  Built once per dims and kept for the last dims only, like
+    ``device_table``."""
+    return tuple(slice(s - d_p, s) for s, d_p in zip(itertools.accumulate(dims), dims))
 
 
 class _Block(NamedTuple):
-    """Couplings read together: their stacked lines, terms and C, one row
-    per coupling, and each table's residual against the zero-coupling
-    limit, or None when the sweep reads no limit."""
+    """Couplings read together: their stacked lines, one row per coupling,
+    and each table's residual against the zero-coupling limit, or None
+    when the sweep reads no limit."""
 
     cfgs: tuple[PointerConfig, ...]
     lines: _Lines
-    terms: np.ndarray  # float, shape (couplings, postselections)
-    totals: np.ndarray  # float, shape (couplings,)
     residuals: np.ndarray | None  # float, shape (couplings,)
+
+    @property
+    def totals(self) -> np.ndarray:
+        """C of each coupling, shape (couplings,)."""
+        return _combine(self.lines)[1]
 
 
 class _Sweep(NamedTuple):
@@ -350,17 +371,16 @@ class _Sweep(NamedTuple):
 def _residuals(lines: _Lines, limit: _Lines) -> np.ndarray:
     """max |W - W_0| of each state of the stack against the one-state
     ``limit``, over line 1 and every party line, on the rows neither skips;
-    0.0 where every row is skipped."""
+    0.0 where every row is skipped.  One masked max over line 1 and one
+    over the party-line stack, whose postselections run along its last axis."""
     kept = (lines.probabilities >= SKIP_THRESHOLD) & (limit.probabilities >= SKIP_THRESHOLD)
-    new, old = (lines.joint, *lines.parties), (limit.joint, *limit.parties)
-    stops = list(itertools.accumulate(line.shape[-1] for line in new))
-    # Every pair's difference side by side in one buffer, then one masked max.
-    differences = np.empty(lines.joint.shape[:-1] + (stops[-1],), complex)
-    for a, b, start, stop in zip(new, old, [0, *stops], stops):
-        np.subtract(a, b, out=differences[..., start:stop])
-    return np.maximum.reduce(
-        np.abs(differences), axis=(-2, -1), initial=0.0, where=kept[..., None]
+    joint = np.maximum.reduce(
+        np.abs(lines.joint - limit.joint), axis=(-2, -1), initial=0.0, where=kept[..., None]
     )
+    stack = np.maximum.reduce(
+        np.abs(lines.stack - limit.stack), axis=(-2, -1), initial=0.0, where=kept[..., None, :]
+    )
+    return np.maximum(joint, stack)
 
 
 def _require_qubits(rho: DensityMatrix) -> int:
@@ -430,14 +450,6 @@ def _marginals(matrix: np.ndarray, n: int) -> np.ndarray:
     return np.add.reduce(matrix.reshape(-1)[_marginal_index(n)], axis=0)
 
 
-def _party_views(stack: np.ndarray, dims: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-    """Party p's line, shape (..., postselections, d_p), as the transposed
-    view of its d_p rows of ``stack``, shape (..., sum d_p, postselections),
-    party p's rows starting at d_0 + ... + d_(p-1)."""
-    lines = stack.swapaxes(-1, -2)
-    return tuple(lines[..., s - d_p : s] for s, d_p in zip(itertools.accumulate(dims), dims))
-
-
 def _analytic_lines(state: DensityMatrix, basis_b: BasisSet) -> _Lines:
     """The analytic table of ``state``, as a stack of one."""
     probs, kept, line0 = _line0(_weak_value_numerator(state.matrix[None], basis_b.matrix))
@@ -457,7 +469,7 @@ def _analytic_lines(state: DensityMatrix, basis_b: BasisSet) -> _Lines:
     # One transposed copy lays the (n, K, 2) lines out as the builders'
     # (1, 2n, K) stack, the postselections innermost.
     stack = _scale_rows(num, sums, kept[0]).swapaxes(-1, -2).reshape(1, -1, num.shape[-2])
-    return _Lines(probs, line0, _party_views(stack, state.dims))
+    return _Lines(probs, line0, stack, state.dims)
 
 
 @functools.lru_cache(maxsize=1)
@@ -527,12 +539,11 @@ def _party_product(lines: Sequence[np.ndarray]) -> np.ndarray:
     are carried along.
 
     Each step multiplies every digit pair along the postselection axis, so
-    numpy's innermost loop is K long, not one party's d_p; a table
-    builder's lines, transposed back, are contiguous slices of their stack
-    (25 against 52 us at n = 6, best of three timing runs on a shared
-    2-core box).  The parties are multiplied in the same left-to-right
-    order as on lines laid out (K, d_p), so each entry is the same product
-    bit for bit.
+    numpy's innermost loop is K long, not one party's d_p; each party's
+    rows of a party-line stack are contiguous (25 against 52 us at n = 6,
+    best of three timing runs on a shared 2-core box).  The parties are
+    multiplied in the same left-to-right order as on lines laid out (K,
+    d_p), so each entry is the same product bit for bit.
     """
     product = lines[0]
     shape = product.shape[:-2] + (-1, product.shape[-1])
@@ -547,10 +558,10 @@ def _combine(lines: _Lines) -> tuple[np.ndarray, np.ndarray]:
     Returns the per-postselection terms and C, each with the leading axes
     of ``lines``: the stacked builders' stack axis, or none.
     """
-    probs, joint = lines.probabilities, lines.joint
+    probs, joint, stack = lines.probabilities, lines.joint, lines.stack
     kept = probs >= SKIP_THRESHOLD
     # Skipped rows of the table are zero, so their terms are zero too.
-    product = _party_product([line.swapaxes(-1, -2) for line in lines.parties])
+    product = _party_product([stack[..., rows, :] for rows in _party_rows(lines.dims)])
     terms = np.add.reduce(np.abs(joint - product.swapaxes(-1, -2)), axis=-1)
     # A running total in row order, so C is bitwise the row-by-row sum.
     weighted = np.multiply(probs, terms, out=np.zeros(probs.shape), where=kept)
@@ -578,79 +589,34 @@ def _diagnostics(lines: _Lines, diag_eff: np.ndarray) -> tuple[np.ndarray, np.nd
     return residuals, least
 
 
-def _reports(
-    block: _Block,
-    labels: tuple[str, ...],
+def _report(
+    lines: _Lines,
     diag_eff: np.ndarray,
+    cfg: PointerConfig,
+    labels: tuple[str, ...],
     oracle_diag: float,
     **settings,
-) -> list[CorrelationReport]:
-    """Report s from row s of ``block``, at its configuration s.
+) -> CorrelationReport:
+    """The report of one state's ``lines``, read at configuration ``cfg``.
 
-    The diagnostics run once for the whole block; each report holds its
-    row's slices.
+    Every report is built here: the terms and C, the diagnostics against
+    the effective diagonal ``diag_eff``, and the table; ``settings`` are
+    the remaining report fields.
     """
-    residuals, least = _diagnostics(block.lines, diag_eff)
-    rows = zip(block.cfgs, block.totals.tolist(), residuals.tolist(), least.tolist(), strict=True)
-    return [
-        CorrelationReport(
-            C=total,
-            g=cfg.g,
-            sigma=cfg.sigma,
-            table=block.lines.table(s),
-            terms=block.terms[s],
-            labels=labels,
-            oracle_diag=oracle_diag,
-            max_completeness_residual=residual,
-            min_postselection_probability=low,
-            **settings,
-        )
-        for s, (cfg, total, residual, low) in enumerate(rows)
-    ]
-
-
-def _copies_reports(
-    rho: DensityMatrix,
-    mode: str,
-    cfgs: Sequence[PointerConfig],
-    postselection: BasisSet | None,
-    outcomes: Sequence[int] | None,
-    broadcast_outcome: int,
-) -> list[CorrelationReport]:
-    """The copies layout's report at each configuration of ``cfgs``.
-
-    One flat pass from the conveyed diagonal: line 1 is |B|^2 * diag over
-    its row sums, the party lines are its product with the selector, and
-    the combination step runs on these 2-D arrays.  The readout is exact
-    at every g, so the reports after the first differ from it in g and
-    sigma only.  The argument checks, the conveyance and the oracle value
-    run even for an empty ``cfgs``.
-    """
-    basis_b, outcomes, mu = _prepare(rho, postselection, outcomes, broadcast_outcome)
-    diagonal = _conveyed_diagonal(rho, outcomes, mode)
-    oracle_diag = correlation_oracle_diag(rho)
-    if not cfgs:
-        return []
-    lines = _diagonal_lines(basis_b._squared_moduli, diagonal, rho.dims, mu)
     terms, total = _combine(lines)
-    residual, least = _diagnostics(lines, diagonal)
-    first = CorrelationReport(
+    residual, least = _diagnostics(lines, diag_eff)
+    return CorrelationReport(
         C=float(total),
-        backend="circuit",
-        mode=mode,
-        g=cfgs[0].g,
-        sigma=cfgs[0].sigma,
-        outcomes=outcomes,
-        broadcast_outcome=mu,
-        skip_broadcast=False,
+        g=cfg.g,
+        sigma=cfg.sigma,
         table=WeakValueTable(lines.joint, lines.parties, lines.probabilities),
         terms=terms,
-        labels=basis_b.labels,
+        labels=labels,
         oracle_diag=oracle_diag,
         max_completeness_residual=float(residual),
         min_postselection_probability=float(least),
+        **settings,
     )
-    return [first, *(replace(first, g=c.g, sigma=c.sigma) for c in cfgs[1:])]
 
 
 def correlation(
@@ -693,26 +659,32 @@ def correlation(
     if backend not in ("analytic", "circuit"):
         raise ShapeMismatch(f"unknown backend {backend!r}")
     cfg = cfg or _DEFAULT_POINTER
-    if backend == "circuit" and not skip_broadcast:
-        return _copies_reports(rho, mode, [cfg], postselection, outcomes, broadcast_outcome)[0]
     basis_b, outcomes, mu = _prepare(rho, postselection, outcomes, broadcast_outcome)
-    state = convey(rho, outcomes, mode).state
-    if backend == "analytic":
-        lines = _analytic_lines(state, basis_b)
+    oracle_diag = correlation_oracle_diag(rho)
+    if backend == "circuit" and not skip_broadcast:
+        # The copies lines come flat, with no stack axis, from the diagonal.
+        diag_eff = _conveyed_diagonal(rho, outcomes, mode)
+        lines = _diagonal_lines(basis_b._squared_moduli, diag_eff, rho.dims, mu)
     else:
-        lines = _direct_lines(state.matrix, basis_b.matrix, rho.dims, [cfg])
-    (report,) = _reports(
-        _Block((cfg,), lines, *_combine(lines), None),
+        state = convey(rho, outcomes, mode).state
+        diag_eff = state.diagonal()
+        if backend == "analytic":
+            stacked = _analytic_lines(state, basis_b)
+        else:
+            stacked = _direct_lines(state.matrix, basis_b.matrix, rho.dims, [cfg])
+        lines = stacked.row(0)
+    return _report(
+        lines,
+        diag_eff,
+        cfg,
         basis_b.labels,
-        state.diagonal(),
-        correlation_oracle_diag(rho),
+        oracle_diag,
         backend=backend,
         mode=mode,
         outcomes=outcomes,
         broadcast_outcome=mu,
         skip_broadcast=bool(skip_broadcast),
     )
-    return report
 
 
 def correlation_sweep(
@@ -731,14 +703,25 @@ def correlation_sweep(
     What does not depend on g is computed once, when this is called: the
     argument checks, the conveyed state (its diagonal only, with copies)
     and the oracle value.  With copies nothing depends on g, so every
-    report is built then, from one table; without them the rest is
-    computed when the iterator reaches it, one block of couplings at a
-    time (the rule is at ``_sweep``), each block's reports at once.
+    report is built then: the first by ``correlation``, which runs even
+    for an empty ``cfgs``, and the others as copies of it at their g and
+    sigma.  Without them the rest is computed when the iterator reaches
+    it, one block of couplings at a time (the rule is at ``_sweep``), and
+    each report from its row of the block.
     """
     cfgs = tuple(cfgs)
     if not skip_broadcast:
-        reports = _copies_reports(rho, mode, cfgs, postselection, outcomes, broadcast_outcome)
-        return iter(reports)
+        first = correlation(
+            rho,
+            "circuit",
+            mode,
+            cfgs[0] if cfgs else None,
+            postselection=postselection,
+            outcomes=outcomes,
+            broadcast_outcome=broadcast_outcome,
+        )
+        reports = [first, *(replace(first, g=c.g, sigma=c.sigma) for c in cfgs[1:])]
+        return iter(reports[: len(cfgs)])
     sweep = _sweep(
         rho,
         mode,
@@ -756,11 +739,11 @@ def correlation_sweep(
         skip_broadcast=True,
     )
     diag_eff = sweep.state.diagonal()
-    reports = (
-        _reports(block, sweep.labels, diag_eff, sweep.oracle_diag, **settings)
+    return (
+        _report(block.lines.row(s), diag_eff, cfg, sweep.labels, sweep.oracle_diag, **settings)
         for block in sweep.blocks
+        for s, cfg in enumerate(block.cfgs)
     )
-    return itertools.chain.from_iterable(reports)
 
 
 def _sweep(
@@ -781,8 +764,9 @@ def _sweep(
     body ``correlation`` runs on one coupling, ``_direct_lines``: the limit
     formula on the damped states rho * Lambda_g, Lambda_g = a_g ** D
     stacked along a leading coupling axis with a_g = exp(-g^2 / (8
-    sigma^2)); then ``_combine``, once.  The diagnostics a report adds are
-    not computed here.  One block is held at a time.
+    sigma^2)).  A block reads C by one ``_combine`` on request
+    (``_Block.totals``); the diagnostics a report adds are not computed
+    here.  One block is held at a time.
 
     With ``residuals`` a block's residuals are max |W_g - W_0| over line 1
     and every party line, on the rows neither table skips, W_0 being the
@@ -790,8 +774,8 @@ def _sweep(
     otherwise they are None.  The limit is one more row of the coupling
     stack, read first with damping base a = 1, so Lambda = 1 and
     rho * Lambda is rho bit for bit; it counts toward the block size,
-    is yielded in no block, and each block's residuals come from one
-    masked max against it.
+    is yielded in no block, and each block's residuals come from two
+    masked maxima against it (``_residuals``).
     """
     basis_b, outcomes, mu = _prepare(rho, postselection, outcomes, broadcast_outcome)
     state = convey(rho, outcomes, mode).state
@@ -808,8 +792,7 @@ def _sweep(
                 limit, lines, block = lines.rows(0, 1), lines.rows(1, None), block[1:]
                 if not block:  # from n = 8 on the limit has a block to itself
                     continue
-            distances = _residuals(lines, limit) if residuals else None
-            yield _Block(block, lines, *_combine(lines), distances)
+            yield _Block(block, lines, _residuals(lines, limit) if residuals else None)
 
     oracle_diag = correlation_oracle_diag(rho)
     return _Sweep(basis_b.labels, outcomes, mu, state, oracle_diag, blocks())
@@ -855,8 +838,7 @@ def weak_value_limits(
     ImpossibleOutcome in both layouts, as ``correlation`` does.
     ``weakcorr sweep`` reads the same table inside its
     coupling stack without copies (see ``_sweep``), and with them from the
-    conveyed diagonal in the flat pass ``correlation`` makes
-    (``_copies_reports``).
+    conveyed diagonal, as ``correlation`` does.
     """
     if basis_b.dims != state.dims:
         raise ShapeMismatch("postselection basis does not match the state dims")
@@ -907,7 +889,7 @@ def _party_lines(num: np.ndarray, dims: tuple[int, ...], copy_outcome: int | Non
     selector = _party_selector(dims, copy_outcome)
     probs, _, line0 = _line0(num)
     # Every party line in one matmul, as the (..., sum d_p, K) stack.
-    return _Lines(probs, line0, _party_views(selector.T @ line0.swapaxes(-1, -2), dims))
+    return _Lines(probs, line0, selector.T @ line0.swapaxes(-1, -2), dims)
 
 
 @functools.lru_cache(maxsize=1)

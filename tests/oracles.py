@@ -26,7 +26,7 @@ bit.  The next section holds two paths the package must also match bit
 for bit: the analytic party lines read one marginal at a time through
 the package's partial trace and divided row by row, and the conveyance that relabels on every
 call, the identity relabel included.  The last is the sweep residual
-taken one table pair at a time, which the sweep's one masked max per
+taken one table pair at a time, which the sweep's two masked maxima per
 block of couplings must match bit for bit, and the combination step and
 the block residual as they read through numpy's Python wrappers (sums,
 ``np.where``, ``np.cumsum``, a concatenation), which the estimator's ufunc
@@ -41,11 +41,12 @@ replaced, the line-1 quotient that scaling by the reciprocal row sum
 replaced, the damping
 exponent built on every call, which the cached one must match bit for
 bit, and the damping with one scalar ``np.exp`` per coupling, which the
-one ``np.exp`` over a block's couplings must match bit for bit.  The copies report by matrix is the route the flat pass from the
-conveyed diagonal replaced: the whole conveyed matrix, the limit formula
-on a stack of one and the stacked combination step, which the flat pass
-must match bit for bit; its limit formula goes through ``_limits_lines``,
-the one dispatcher over both layouts that the estimator's no-copies
+one ``np.exp`` over a block's couplings must match bit for bit.  The
+copies report by matrix is the route the flat lines from the conveyed
+diagonal replaced: the whole conveyed matrix, the limit formula on a
+stack of one and the stacked combination step, which the report from the
+flat lines must match bit for bit; its limit formula goes through
+``_limits_lines``, the one dispatcher over both layouts that the estimator's no-copies
 block body and ``weak_value_limits`` replaced.  ``dump_state`` writes the
 dense state files the command-line tests read, and ``oracle_csv_rows_loop``
 is the per-element loop that ``weakcorr oracle --format csv`` replaced
@@ -83,14 +84,15 @@ from weakcorr.cli import _SWEEP_COLUMNS, _csv_row, _fmt_float, render_json
 from weakcorr.errors import NullPostselection, UnbiasednessViolation
 from weakcorr.estimator import (
     SKIP_THRESHOLD,
-    _Block,
+    CorrelationReport,
     _combine,
+    _diagnostics,
     _diagonal_lines,
     _Lines,
     _line0,
     _party_lines,
     _party_selector,
-    _reports,
+    _report,
     _scale_rows,
     _sweep,
     _weak_value_numerator,
@@ -530,9 +532,11 @@ def sweep_pairs(rho, mode, cfgs, *, residuals, skip_broadcast=False, **kwargs):
     pairs = []
     diag_eff = sweep.state.diagonal()
     for block in sweep.blocks:
-        reports = _reports(block, sweep.labels, diag_eff, sweep.oracle_diag, **settings)
-        distances = block.residuals.tolist() if residuals else [None] * len(reports)
-        pairs.extend(zip(reports, distances, strict=True))
+        distances = block.residuals.tolist() if residuals else [None] * len(block.cfgs)
+        for s, (cfg, distance) in enumerate(zip(block.cfgs, distances, strict=True)):
+            lines = block.lines.row(s)
+            report = _report(lines, diag_eff, cfg, sweep.labels, sweep.oracle_diag, **settings)
+            pairs.append((report, distance))
     return pairs
 
 
@@ -605,6 +609,14 @@ def correlation_oracle_diag_kron(rho):
 # -- the per-party and always-relabelling paths
 
 
+def lines_of_parties(probs, line0, parties):
+    """The estimator's lines holding the party lines ``parties``, party p's
+    of shape (..., K, d_p), as their (..., sum d_p, K) stack: a copy, so
+    every value is the party line's bit for bit."""
+    stack = np.concatenate([line.swapaxes(-1, -2) for line in parties], axis=-2)
+    return _Lines(probs, line0, stack, tuple(line.shape[-1] for line in parties))
+
+
 def rows_by_division(num, kept):
     """Each kept row of ``num`` divided by its sum, the other rows +0.0: the
     quotient that the party lines' masked reciprocal scaling replaced.
@@ -628,7 +640,7 @@ def analytic_lines_per_party(state, basis_b):
         rows_by_division(_weak_value_numerator(partial_trace(state, [p]).matrix[None], f), kept)
         for p, f in enumerate(basis_b.factors)
     )
-    return _Lines(probs, line0, parties)
+    return lines_of_parties(probs, line0, parties)
 
 
 def convey_relabel_always(rho, outcomes, mode):
@@ -680,8 +692,9 @@ def combine_by_wrappers(lines, diag_eff):
 
 def residuals_by_concatenation(lines, limit):
     """Each stacked state's sweep residual from one concatenation of every
-    line pair's difference: the body the one preallocated buffer of
-    ``estimator._residuals`` replaced, which must match it bit for bit."""
+    line pair's difference, the party lines one by one: the body that the
+    two masked maxima of ``estimator._residuals``, over line 1 and over the
+    party-line stack, replaced, which must match it bit for bit."""
     kept = (lines.probabilities >= SKIP_THRESHOLD) & (limit.probabilities >= SKIP_THRESHOLD)
     pairs = zip((lines.joint, *lines.parties), (limit.joint, *limit.parties))
     differences = np.concatenate([a - b for a, b in pairs], axis=-1)
@@ -789,7 +802,7 @@ def party_lines_by_row_matmul(num, dims, copy_outcome):
     )
     stops = np.cumsum(dims)
     parties = tuple(lines[..., stop - d_p : stop] for stop, d_p in zip(stops, dims))
-    return _Lines(probs, line0, parties)
+    return lines_of_parties(probs, line0, parties)
 
 
 def analytic_lines_by_rows(state, basis_b):
@@ -805,7 +818,7 @@ def analytic_lines_by_rows(state, basis_b):
     if low.size and low.min() < SKIP_THRESHOLD:
         raise NullPostselection(f"postselection probability {low.min():.3e}")
     parties = _scale_rows(num, sums, kept[0])
-    return _Lines(probs, line0, tuple(line[None] for line in parties))
+    return lines_of_parties(probs, line0, tuple(line[None] for line in parties))
 
 
 def stack_product_by_rows(lines):
@@ -849,7 +862,7 @@ def _limits_lines(
 def copies_report_by_matrix(
     rho, mode, cfg, *, postselection=None, outcomes=None, broadcast_outcome=0
 ):
-    """The circuit backend's copies report by the route the flat pass from
+    """The circuit backend's copies report by the route the flat lines from
     the conveyed diagonal replaced: the whole conveyed matrix, the limit
     formula on a stack of one, and the stacked combination step."""
     n = len(rho.dims)
@@ -857,18 +870,24 @@ def copies_report_by_matrix(
     outcomes = tuple(outcomes) if outcomes is not None else (0,) * (n - 1)
     state = convey(rho, outcomes, mode).state
     lines = _limits_lines(state.matrix[None], basis_b.matrix, rho.dims, broadcast_outcome)
-    (report,) = _reports(
-        _Block((cfg,), lines, *_combine(lines), None),
-        basis_b.labels,
-        state.diagonal(),
-        correlation_oracle_diag(rho),
+    (terms,), (total,) = _combine(lines)
+    (residual,), (least,) = _diagnostics(lines, state.diagonal())
+    return CorrelationReport(
+        C=float(total),
         backend="circuit",
         mode=mode,
+        g=cfg.g,
+        sigma=cfg.sigma,
         outcomes=outcomes,
         broadcast_outcome=broadcast_outcome,
         skip_broadcast=False,
+        table=lines.table(0),
+        terms=terms,
+        labels=basis_b.labels,
+        oracle_diag=correlation_oracle_diag(rho),
+        max_completeness_residual=float(residual),
+        min_postselection_probability=float(least),
     )
-    return report
 
 
 # -- state files

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -616,6 +617,13 @@ def dense_state(*head):
         (
             {"dims": [2], "terms": [{"p": 1.0, "amplitudes": ["1", ZERO]}]},
             "amplitude must be a [re, im] pair, got '1'",
+        ),
+        *(
+            (
+                {"dims": [2], "terms": [{"p": p, "amplitudes": [[1.0, 0.0], ZERO]}]},
+                f'decomposition weight "p" must be finite, got {p!r}',
+            )
+            for p in (math.nan, math.inf, -math.inf)
         ),
     ],
 )

@@ -21,13 +21,16 @@ MODULES = ["weakcorr"] + [
 # Names no module may define or export any more.
 REMOVED = {
     "weakcorr": ["AncillaPair", "PostselectionTerm", "reconstruct_element"],
-    "weakcorr.cli": ["convey", "dump_state"],
+    "weakcorr.cli": ["convey", "dump_state", "_copies_reports"],
     "weakcorr.conveyance": ["AncillaPair", "OUTCOME_TOL"],
     "weakcorr.estimator": [
         "PostselectionTerm",
         "reconstruct_element",
         "_limits_lines",
         "_marginal_rows",
+        "_copies_reports",
+        "_reports",
+        "_party_views",
     ],
     "weakcorr.pointer": ["POSTSELECTION_TOL"],
 }

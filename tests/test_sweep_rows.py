@@ -5,6 +5,8 @@ straight from the arrays of ``estimator._sweep``'s blocks and builds no
 report; its bytes must be what the row loop over ``correlation_sweep``'s
 reports prints (``oracles.sweep_report_by_reports``), in both formats,
 modes and layouts, and also with the report classes patched to raise.
+With copies the command reads its one C from one call of the public
+``correlation``.
 The block's damping takes one ``np.exp`` over its stacked exponents,
 which must give each coupling's Lambda bitwise as one scalar ``np.exp``
 per coupling did.  A broadcast outcome outside [0, 2) is refused on every
@@ -19,7 +21,14 @@ import pytest
 from oracles import damping_by_scalar_exps, dump_state, sweep_report_by_reports
 from test_analytic_kernel import SWEEP_G
 
-from weakcorr import PointerConfig, correlation, correlation_sweep, estimator, random_density_matrix
+from weakcorr import (
+    PointerConfig,
+    cli,
+    correlation,
+    correlation_sweep,
+    estimator,
+    random_density_matrix,
+)
 from weakcorr.cli import main
 from weakcorr.errors import ImpossibleOutcome
 from weakcorr.estimator import _damping, _damping_exponent
@@ -88,10 +97,30 @@ def test_no_copies_sweep_builds_no_report(n, tmp_path, monkeypatch):
     rho, argv, kwargs = sweep_case(tmp_path, n, "idealized", True, False)
     sigma = PointerConfig.sigma
     want = {fmt: reference_bytes(rho, argv, fmt, "idealized", sigma, kwargs) for fmt in FORMATS}
-    for name in ("CorrelationReport", "WeakValueTable", "_reports", "_diagnostics"):
+    for name in ("CorrelationReport", "WeakValueTable", "_report", "_diagnostics"):
         monkeypatch.setattr(estimator, name, refuse)
     for fmt in FORMATS:
         assert sweep_bytes(argv, fmt, tmp_path) == want[fmt], fmt
+
+
+@pytest.mark.parametrize("relabel", [False, True])
+def test_copies_sweep_is_one_correlation_call(relabel, tmp_path, monkeypatch):
+    rho, argv, kwargs = sweep_case(tmp_path, 4, "literal", False, relabel)
+    sigma = PointerConfig.sigma
+    want = {fmt: reference_bytes(rho, argv, fmt, "literal", sigma, kwargs) for fmt in FORMATS}
+    seen = []
+
+    def spy(*args, **kw):
+        seen.append(args)
+        return correlation(*args, **kw)
+
+    # The name the command calls, and the estimator's own.
+    monkeypatch.setattr(cli, "correlation", spy)
+    monkeypatch.setattr(estimator, "correlation", spy)
+    for fmt in FORMATS:
+        seen.clear()
+        assert sweep_bytes(argv, fmt, tmp_path) == want[fmt], fmt
+        assert len(seen) == 1, fmt
 
 
 # -- the damping base

@@ -103,9 +103,9 @@ def test_a_stack_row_with_every_row_skipped(n):
     basis = hadamard_mub(n)
     real = _direct_lines(rho.matrix, basis.matrix, rho.dims, [None, CFGS[0]])
     limit = real.rows(0, 1)
-    arrays = (real.probabilities, real.joint, *real.parties)
+    arrays = (real.probabilities, real.joint, real.stack)
     stacked = [np.stack([a[1], np.zeros_like(a[1])]) for a in arrays]
-    lines = _Lines(stacked[0], stacked[1], tuple(stacked[2:]))
+    lines = _Lines(*stacked, real.dims)
     diag = rho.diagonal()
     got = combined(lines, diag)
     assert_same_bytes(got, combine_by_wrappers(lines, diag))
