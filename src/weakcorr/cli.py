@@ -146,6 +146,8 @@ def _read_json(path: str):
             ) from None
         except ValueError as exc:  # not UTF-8, or an integer beyond int_max_str_digits
             raise errors.ParseFailure(str(exc)) from None
+        except RecursionError:
+            raise errors.ParseFailure("nested too deeply") from None
 
 
 # The types of a JSON number; a JSON boolean is not one, although bool
@@ -759,9 +761,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _setup_logging() -> None:
-    """Set the level WEAKCORR_LOG names; WARNING for anything not a level name."""
+    """Set the package logger to the level WEAKCORR_LOG names (WARNING for
+    anything else) on each call, and only when it differs: setting a level
+    clears every logger's cache.  ``basicConfig`` installs the handler once."""
     level = logging.getLevelName(os.environ.get("WEAKCORR_LOG", "WARNING").upper())
-    logging.basicConfig(level=level if isinstance(level, int) else logging.WARNING)
+    level = level if isinstance(level, int) else logging.WARNING
+    logging.basicConfig()
+    if LOG.level != level:
+        LOG.setLevel(level)
 
 
 def main(argv=None) -> int:

@@ -27,26 +27,27 @@ W_p are weak values of the device-table projectors.  Two backends give them:
   on the damped state rho * Lambda_g (see ``weakcorr.pointer``).
 
 ``correlation_sweep`` reads one state at many coupling strengths, doing
-once what does not depend on g.  Every report, of either backend and
-layout and of each sweep row, is built by one constructor (``_report``)
-from one state's lines: ``_combine`` turns them into the terms and C,
-``_diagnostics`` into the completeness residual and the least kept
-probability.  ``correlation`` builds the lines of its layout and calls
-it.  Without copies the table builders take a leading stack axis, and one
-block body (``_direct_lines``) reads the damped states of a stack of
-couplings: ``correlation`` runs it once, on a stack of one coupling, and
-a sweep once per block of couplings.  A no-copies sweep (``_sweep``)
-yields blocks, not reports: each holds its couplings and lines, reads C
-from them, and with ``residuals`` holds the distance of each coupling's
-table from the zero-coupling limit (the block size and the limit row are
-set out at ``_BLOCK_ELEMENTS`` and ``_sweep``).  ``correlation_sweep``
-turns each row of a block into a report; ``weakcorr sweep`` reads C and
-the residuals from the blocks and builds no report.  The analytic
-backend and ``weak_value_limits`` read a stack of one undamped state.
-With copies nothing depends on g, and the lines come flat, with no stack
-axis, from the conveyed diagonal, which is conveyed without building any
-(d, d) matrix: the sweep's first report is ``correlation``'s, and the
-others differ from it in g and sigma only.
+once what does not depend on g.  Every table builder returns a
+``WeakValueTable``, a sweep block holds one, and a report holds its
+builder's table or a row view of it.  Every report, of either backend
+and layout and of each sweep row, is built by one constructor
+(``_report``) from one state's table: ``_combine`` turns it into the
+terms and C, ``_diagnostics`` into the completeness residual and the
+least kept probability.  Without copies the table builders take a
+leading stack axis, and one block body (``_direct_lines``) reads the
+damped states of a stack of couplings: ``correlation`` runs it once, on
+a stack of one coupling, and a sweep once per block of couplings.  A
+no-copies sweep (``_sweep``) yields blocks, not reports: each holds its
+couplings and table, reads C from it, and with ``residuals`` holds the
+distance of each coupling's table from the zero-coupling limit (the
+block size and the limit row are set out at ``_BLOCK_ELEMENTS`` and
+``_sweep``).  ``correlation_sweep`` turns each row of a block into a
+report; ``weakcorr sweep`` reads C and the residuals from the blocks and
+builds no report.  The analytic backend and ``weak_value_limits`` read a
+stack of one undamped state.  With copies nothing depends on g, and the
+table comes flat, with no stack axis, from the conveyed diagonal, which
+is conveyed without building any (d, d) matrix: the sweep's first report
+is ``correlation``'s, and the others differ from it in g and sigma only.
 
 The circuit backend's zero-coupling limit (``weak_value_limits``) is one
 formula for both device layouts: line 1 as above, on the dephased state
@@ -65,10 +66,11 @@ product (``_party_product``) multiplies each party's d_p rows along
 contiguous runs of K postselections, where lines laid out (K, d_p)
 would make one party's d_p digits numpy's innermost loop, about 4,000
 loops of two elements at n = 6.  Each party's (..., K, d_p) line, the
-transposed view of its rows, is made only for a ``WeakValueTable``.  The
-marginal gather reads the flattened matrix by one flat index, not by a
-(row, column) pair of index arrays.  Each kernel gives bit for bit what
-its earlier form gave (``tests/oracles.py``, ``ROW_KERNELS``).
+transposed view of its rows, is made only when read
+(``WeakValueTable.parties``).  The marginal gather reads the flattened
+matrix by one flat index, not by a (row, column) pair of index arrays.
+Each kernel gives bit for bit what its earlier form gave
+(``tests/oracles.py``, ``ROW_KERNELS``).
 
 Matrix elements are read back from the same line-1 numerator
 (``reconstruct_matrix``): with beta_kx = <b_k|a_x>, the weak-value
@@ -233,23 +235,37 @@ def _other_axes(n: int) -> tuple[tuple[int, ...], ...]:
 
 @dataclass(frozen=True)
 class WeakValueTable:
-    """Weak values of line 1 and of each party's line, plus probabilities.
+    """Weak values of line 1 and of every party line, plus probabilities,
+    of one state or of a stack of states along leading axes.
 
-    ``joint`` holds one weak value per (postselection, column); party p's
-    line holds one per (postselection, digit), and the columns read it at
-    their digit x_p.  Rows of skipped postselections (probability below
-    SKIP_THRESHOLD) are zero.  For a complete postselection basis the
-    probabilities sum to one and sum_k P_k joint[k, i] = <a_i| rho_eff |a_i>
-    for the state the table was built from.
+    ``joint`` holds one weak value per (postselection, column).  The party
+    lines are one (..., sum d_p, K) ``stack``, the postselections innermost,
+    party p's d_p rows from d_0 + ... + d_(p-1) on; ``parties`` views each
+    as (..., K, d_p), and a column reads it at its digit x_p.  Skipped rows
+    (probability below SKIP_THRESHOLD) are zero.  For a complete
+    postselection basis the probabilities sum to one and sum_k P_k
+    joint[k, i] = <a_i| rho_eff |a_i>.  Every array, and every array it is
+    a view of, is read-only once the table is made.
     """
 
-    joint: np.ndarray  # complex, shape (postselections, columns)
-    parties: tuple[np.ndarray, ...]  # complex, party p's shape (postselections, d_p)
-    probabilities: np.ndarray  # float, shape (postselections,)
+    probabilities: np.ndarray  # float, shape (..., postselections)
+    joint: np.ndarray  # complex, shape (..., postselections, columns)
+    stack: np.ndarray  # complex, shape (..., sum d_p, postselections)
+    dims: tuple[int, ...]  # the parties' dimensions d_p
 
     def __post_init__(self):
-        for array in (self.joint, *self.parties, self.probabilities):
-            array.setflags(write=False)
+        # A view of a read-only array is read-only, so a row stops at once.
+        for array in (self.probabilities, self.joint, self.stack):
+            while isinstance(array, np.ndarray) and array.flags.writeable:
+                array.setflags(write=False)
+                array = array.base
+
+    @property
+    def parties(self) -> tuple[np.ndarray, ...]:
+        """Party p's line, shape (..., postselections, d_p), as the
+        transposed view of its rows of the stack."""
+        lines = self.stack.swapaxes(-1, -2)
+        return tuple(lines[..., rows] for rows in _party_rows(self.dims))
 
     @property
     def skipped(self) -> tuple[int, ...]:
@@ -257,11 +273,23 @@ class WeakValueTable:
 
     @property
     def values(self) -> np.ndarray:
-        """The dense (lines, postselections, columns) table, built on each access."""
-        digits = digit_table([line.shape[1] for line in self.parties]).T
+        """One state's dense (lines, postselections, columns) table, built on each access."""
+        digits = digit_table(self.dims).T
         dense = np.stack([self.joint, *(line[:, x] for line, x in zip(self.parties, digits))])
         dense.setflags(write=False)
         return dense
+
+    def row(self, s: int | slice) -> WeakValueTable:
+        """The stack's state s, or the states of the slice s, as views."""
+        return WeakValueTable(self.probabilities[s], self.joint[s], self.stack[s], self.dims)
+
+
+@functools.lru_cache(maxsize=1)
+def _party_rows(dims: tuple[int, ...]) -> tuple[slice, ...]:
+    """Party p's rows of a party-line stack: d_p rows from d_0 + ... + d_(p-1)
+    on.  Built once per dims and kept for the last dims only, like
+    ``device_table``."""
+    return tuple(slice(s - d_p, s) for s, d_p in zip(itertools.accumulate(dims), dims))
 
 
 @dataclass(frozen=True)
@@ -297,57 +325,13 @@ class CorrelationReport:
         return self.table.skipped
 
 
-class _Lines(NamedTuple):
-    """Weak-value lines of one state, or of a stack of states along leading axes.
-
-    Line 1 is held as is and every party line in one (..., sum d_p, K)
-    stack, the postselections innermost, party p's d_p rows starting at
-    d_0 + ... + d_(p-1).  One state's lines have no leading axes and make
-    one report (``_report``, the one constructor of every report); ``row``
-    and ``rows`` index a stack.
-    """
-
-    probabilities: np.ndarray  # float, shape (..., postselections)
-    joint: np.ndarray  # complex, shape (..., postselections, columns)
-    stack: np.ndarray  # complex, shape (..., sum d_p, postselections)
-    dims: tuple[int, ...]  # the parties' dimensions d_p
-
-    @property
-    def parties(self) -> tuple[np.ndarray, ...]:
-        """Party p's line, shape (..., postselections, d_p), as the
-        transposed view of its rows of the stack."""
-        lines = self.stack.swapaxes(-1, -2)
-        return tuple(lines[..., rows] for rows in _party_rows(self.dims))
-
-    def row(self, s: int | slice) -> _Lines:
-        """The stack's state s, or the states of the slice s, as views."""
-        return _Lines(self.probabilities[s], self.joint[s], self.stack[s], self.dims)
-
-    def rows(self, start: int, stop: int | None) -> _Lines:
-        """The stack's states start to stop, as views."""
-        return self.row(slice(start, stop))
-
-    def table(self, s: int) -> WeakValueTable:
-        """The table of the stack's state s."""
-        row = self.row(s)
-        return WeakValueTable(row.joint, row.parties, row.probabilities)
-
-
-@functools.lru_cache(maxsize=1)
-def _party_rows(dims: tuple[int, ...]) -> tuple[slice, ...]:
-    """Party p's rows of a party-line stack: d_p rows from d_0 + ... + d_(p-1)
-    on.  Built once per dims and kept for the last dims only, like
-    ``device_table``."""
-    return tuple(slice(s - d_p, s) for s, d_p in zip(itertools.accumulate(dims), dims))
-
-
 class _Block(NamedTuple):
-    """Couplings read together: their stacked lines, one row per coupling,
+    """Couplings read together: their stacked table, one row per coupling,
     and each table's residual against the zero-coupling limit, or None
     when the sweep reads no limit."""
 
     cfgs: tuple[PointerConfig, ...]
-    lines: _Lines
+    lines: WeakValueTable
     residuals: np.ndarray | None  # float, shape (couplings,)
 
     @property
@@ -368,7 +352,7 @@ class _Sweep(NamedTuple):
     blocks: Iterator[_Block]
 
 
-def _residuals(lines: _Lines, limit: _Lines) -> np.ndarray:
+def _residuals(lines: WeakValueTable, limit: WeakValueTable) -> np.ndarray:
     """max |W - W_0| of each state of the stack against the one-state
     ``limit``, over line 1 and every party line, on the rows neither skips;
     0.0 where every row is skipped.  One masked max over line 1 and one
@@ -450,7 +434,7 @@ def _marginals(matrix: np.ndarray, n: int) -> np.ndarray:
     return np.add.reduce(matrix.reshape(-1)[_marginal_index(n)], axis=0)
 
 
-def _analytic_lines(state: DensityMatrix, basis_b: BasisSet) -> _Lines:
+def _analytic_lines(state: DensityMatrix, basis_b: BasisSet) -> WeakValueTable:
     """The analytic table of ``state``, as a stack of one."""
     probs, kept, line0 = _line0(_weak_value_numerator(state.matrix[None], basis_b.matrix))
     # Party p's line: weak values of |v><v| on its marginal, postselected on
@@ -469,7 +453,7 @@ def _analytic_lines(state: DensityMatrix, basis_b: BasisSet) -> _Lines:
     # One transposed copy lays the (n, K, 2) lines out as the builders'
     # (1, 2n, K) stack, the postselections innermost.
     stack = _scale_rows(num, sums, kept[0]).swapaxes(-1, -2).reshape(1, -1, num.shape[-2])
-    return _Lines(probs, line0, stack, state.dims)
+    return WeakValueTable(probs, line0, stack, state.dims)
 
 
 @functools.lru_cache(maxsize=1)
@@ -552,7 +536,7 @@ def _party_product(lines: Sequence[np.ndarray]) -> np.ndarray:
     return product
 
 
-def _combine(lines: _Lines) -> tuple[np.ndarray, np.ndarray]:
+def _combine(lines: WeakValueTable) -> tuple[np.ndarray, np.ndarray]:
     """The combination step, on the trailing axes of ``lines``.
 
     Returns the per-postselection terms and C, each with the leading axes
@@ -569,7 +553,7 @@ def _combine(lines: _Lines) -> tuple[np.ndarray, np.ndarray]:
     return terms, totals
 
 
-def _diagnostics(lines: _Lines, diag_eff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _diagnostics(lines: WeakValueTable, diag_eff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """A report's checks of ``lines``, on their trailing axes.
 
     Returns the completeness residual max_i |sum_k P_k W_joint[k, i] -
@@ -590,26 +574,26 @@ def _diagnostics(lines: _Lines, diag_eff: np.ndarray) -> tuple[np.ndarray, np.nd
 
 
 def _report(
-    lines: _Lines,
+    table: WeakValueTable,
     diag_eff: np.ndarray,
     cfg: PointerConfig,
     labels: tuple[str, ...],
     oracle_diag: float,
     **settings,
 ) -> CorrelationReport:
-    """The report of one state's ``lines``, read at configuration ``cfg``.
+    """The report of one state's ``table``, read at configuration ``cfg``.
 
-    Every report is built here: the terms and C, the diagnostics against
-    the effective diagonal ``diag_eff``, and the table; ``settings`` are
-    the remaining report fields.
+    Every report is built here, holding the table it is given: the terms
+    and C, and the diagnostics against the effective diagonal
+    ``diag_eff``; ``settings`` are the remaining report fields.
     """
-    terms, total = _combine(lines)
-    residual, least = _diagnostics(lines, diag_eff)
+    terms, total = _combine(table)
+    residual, least = _diagnostics(table, diag_eff)
     return CorrelationReport(
         C=float(total),
         g=cfg.g,
         sigma=cfg.sigma,
-        table=WeakValueTable(lines.joint, lines.parties, lines.probabilities),
+        table=table,
         terms=terms,
         labels=labels,
         oracle_diag=oracle_diag,
@@ -662,19 +646,18 @@ def correlation(
     basis_b, outcomes, mu = _prepare(rho, postselection, outcomes, broadcast_outcome)
     oracle_diag = correlation_oracle_diag(rho)
     if backend == "circuit" and not skip_broadcast:
-        # The copies lines come flat, with no stack axis, from the diagonal.
+        # The copies table comes flat, with no stack axis, from the diagonal.
         diag_eff = _conveyed_diagonal(rho, outcomes, mode)
-        lines = _diagonal_lines(basis_b._squared_moduli, diag_eff, rho.dims, mu)
+        table = _diagonal_lines(basis_b._squared_moduli, diag_eff, rho.dims, mu)
     else:
         state = convey(rho, outcomes, mode).state
         diag_eff = state.diagonal()
         if backend == "analytic":
-            stacked = _analytic_lines(state, basis_b)
+            table = _analytic_lines(state, basis_b).row(0)
         else:
-            stacked = _direct_lines(state.matrix, basis_b.matrix, rho.dims, [cfg])
-        lines = stacked.row(0)
+            table = _direct_lines(state.matrix, basis_b.matrix, rho.dims, [cfg]).row(0)
     return _report(
-        lines,
+        table,
         diag_eff,
         cfg,
         basis_b.labels,
@@ -789,7 +772,7 @@ def _sweep(
             block = rows[start : start + size]
             lines = _direct_lines(state.matrix, basis_b.matrix, rho.dims, block)
             if block[0] is None:
-                limit, lines, block = lines.rows(0, 1), lines.rows(1, None), block[1:]
+                limit, lines, block = lines.row(slice(1)), lines.row(slice(1, None)), block[1:]
                 if not block:  # from n = 8 on the limit has a block to itself
                     continue
             yield _Block(block, lines, _residuals(lines, limit) if residuals else None)
@@ -846,9 +829,9 @@ def weak_value_limits(
     _check_broadcast_outcome(mu, state.dims)
     if skip_broadcast:
         num = _weak_value_numerator(state.matrix[None], basis_b.matrix)
-        return _party_lines(num, state.dims, None).table(0)
+        return _party_lines(num, state.dims, None).row(0)
     diagonals = state.diagonal()[None]
-    return _diagonal_lines(basis_b._squared_moduli, diagonals, state.dims, mu).table(0)
+    return _diagonal_lines(basis_b._squared_moduli, diagonals, state.dims, mu).row(0)
 
 
 def _direct_lines(
@@ -856,7 +839,7 @@ def _direct_lines(
     basis_matrix: np.ndarray,
     dims: tuple[int, ...],
     cfgs: Sequence[PointerConfig | None],
-) -> _Lines:
+) -> WeakValueTable:
     """The no-copies lines of the state ``matrix`` at each configuration of
     ``cfgs``, stacked along a leading axis: the limit formula on the damped
     states matrix * Lambda_g, with the postselection vectors stacked as the
@@ -867,7 +850,7 @@ def _direct_lines(
 
 def _diagonal_lines(
     squared_moduli: np.ndarray, diagonals: np.ndarray, dims: tuple[int, ...], copy_outcome: int
-) -> _Lines:
+) -> WeakValueTable:
     """The copies layout's lines from state diagonals of shape (..., d): the
     numerator |B|^2 * diag(rho), with |B|^2 given as ``squared_moduli``.
 
@@ -880,7 +863,9 @@ def _diagonal_lines(
     return _party_lines(num, dims, copy_outcome)
 
 
-def _party_lines(num: np.ndarray, dims: tuple[int, ...], copy_outcome: int | None) -> _Lines:
+def _party_lines(
+    num: np.ndarray, dims: tuple[int, ...], copy_outcome: int | None
+) -> WeakValueTable:
     """Line 1 and every party line from the line-1 numerator ``num``, shape
     (..., postselections, d): line 1 is ``num`` over its row sums, and the
     party lines are one matmul by ``_party_selector``, S^T times line 1
@@ -889,7 +874,7 @@ def _party_lines(num: np.ndarray, dims: tuple[int, ...], copy_outcome: int | Non
     selector = _party_selector(dims, copy_outcome)
     probs, _, line0 = _line0(num)
     # Every party line in one matmul, as the (..., sum d_p, K) stack.
-    return _Lines(probs, line0, selector.T @ line0.swapaxes(-1, -2), dims)
+    return WeakValueTable(probs, line0, selector.T @ line0.swapaxes(-1, -2), dims)
 
 
 @functools.lru_cache(maxsize=1)

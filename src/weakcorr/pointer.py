@@ -66,7 +66,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PointerConfig:
-    """Coupling strength and initial Gaussian position spread of the pointers."""
+    """Coupling strength and initial Gaussian position spread of the pointers.
+
+    Both are positive and finite, and the damping rate g^2 / (8 sigma^2) is
+    defined in floats: 8 sigma^2 is nonzero, and finite where g^2 is not."""
 
     g: float = 1e-3
     sigma: float = 1.0 / math.sqrt(2.0)
@@ -75,6 +78,9 @@ class PointerConfig:
         for name, value in (("g", self.g), ("sigma", self.sigma)):
             if not (0.0 < value < math.inf):
                 raise InvariantViolation(f"{name} must be positive and finite, got {value}")
+        spread = 8.0 * self.sigma * self.sigma
+        if spread == 0.0 or spread == self.g * self.g == math.inf:
+            raise InvariantViolation(f"g^2 / (8 sigma^2) is undefined for {self}")
 
 
 @dataclass(frozen=True)

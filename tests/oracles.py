@@ -85,10 +85,10 @@ from weakcorr.errors import NullPostselection, UnbiasednessViolation
 from weakcorr.estimator import (
     SKIP_THRESHOLD,
     CorrelationReport,
+    WeakValueTable,
     _combine,
     _diagnostics,
     _diagonal_lines,
-    _Lines,
     _line0,
     _party_lines,
     _party_selector,
@@ -614,7 +614,7 @@ def lines_of_parties(probs, line0, parties):
     of shape (..., K, d_p), as their (..., sum d_p, K) stack: a copy, so
     every value is the party line's bit for bit."""
     stack = np.concatenate([line.swapaxes(-1, -2) for line in parties], axis=-2)
-    return _Lines(probs, line0, stack, tuple(line.shape[-1] for line in parties))
+    return WeakValueTable(probs, line0, stack, tuple(line.shape[-1] for line in parties))
 
 
 def rows_by_division(num, kept):
@@ -847,7 +847,7 @@ def _limits_lines(
     basis_matrix: np.ndarray,
     dims: tuple[int, ...],
     copy_outcome: int | None,
-) -> _Lines:
+) -> WeakValueTable:
     """The limit formula of ``weak_value_limits`` on each state matrix of the
     stack ``matrices``, shape (stack, d, d), with the postselection vectors
     stacked as the rows of ``basis_matrix``, for parties of dimensions
@@ -881,7 +881,7 @@ def copies_report_by_matrix(
         outcomes=outcomes,
         broadcast_outcome=broadcast_outcome,
         skip_broadcast=False,
-        table=lines.table(0),
+        table=lines.row(0),
         terms=terms,
         labels=basis_b.labels,
         oracle_diag=correlation_oracle_diag(rho),

@@ -104,7 +104,7 @@ def test_qudit_circuit_table_matches_staged_readout(dims, seed):
         cfg = PointerConfig(g)
         for skip, mu in layouts(dims):
             damped = rho.matrix * _damping(exponent, [cfg])
-            got = _limits_lines(damped, basis.matrix, dims, None if skip else mu).table(0)
+            got = _limits_lines(damped, basis.matrix, dims, None if skip else mu).row(0)
             assert_matches_staged(got, staged_circuit_table(rho, basis, table, cfg, mu, skip))
 
 

@@ -210,6 +210,19 @@ def test_log_level_env_var():
     assert shown["DEBUG"].stdout == shown["WARNING"].stdout
 
 
+def test_log_level_env_var_applies_to_each_main_call(monkeypatch, caplog):
+    # In this process a handler is already on the root logger, so only the
+    # package logger's own level decides, and each main() call sets it.
+    argv = ["run", "--state", RANDOM7, "--config", CFG_DIRECT, "--format", "csv"]
+    shown = []
+    for level in ("DEBUG", "WARNING"):
+        monkeypatch.setenv("WEAKCORR_LOG", level)
+        caplog.clear()
+        assert main(argv) == 0
+        shown.append("run: dims=(2, 2, 2)" in caplog.text)
+    assert shown == [True, False]
+
+
 @pytest.mark.parametrize("name", ["basic_format", "nonsense"])
 def test_log_names_that_are_not_levels_fall_back_to_warning(name):
     # A child process, so logging.basicConfig runs on a root logger with no
@@ -440,6 +453,20 @@ def test_g_and_sigma_must_be_finite_numbers(tmp_path, capsys, config, flags, fie
     code, out, err = run_cli(capsys, "run", "--state", GHZ, "--config", str(cfg), *flags)
     assert (code, out) == (2, "")
     assert err == f"error: parse-failure: {field} must be a finite number\n"
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("run", ("--sigma", "1e-200")),
+        ("run", ("--g", "1e200", "--sigma", "1e200")),
+        ("sweep", ("--sigma", "1e-200", "--g-list", "0.1,0.01")),
+    ],
+)
+def test_undefined_damping_rate_exits_3(capsys, command, flags):
+    code, out, err = run_cli(capsys, command, "--state", GHZ, "--config", CFG_DIRECT, *flags)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: invariant-violation: g^2 / (8 sigma^2) is undefined")
 
 
 def test_usage_error_exits_2(capsys):
@@ -763,6 +790,22 @@ def long_literal_exits_2(capsys, *argv):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: parse-failure: ") and "4300" in err
+
+
+@pytest.mark.parametrize("kind", ["state", "config", "basis"])
+def test_deeply_nested_json_exits_2(tmp_path, capsys, kind):
+    # json recurses once per bracket and raises RecursionError.
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"postselection_basis": str(deep)}))
+    argv = {
+        "state": ["--state", str(deep)],
+        "config": ["--state", GHZ, "--config", str(deep)],
+        "basis": ["--state", GHZ, "--config", str(cfg)],
+    }[kind]
+    code, out, err = run_cli(capsys, "run", *argv)
+    assert (code, out, err) == (2, "", "error: parse-failure: nested too deeply\n")
 
 
 def test_state_file_with_overlong_integer_exits_2(tmp_path, capsys):

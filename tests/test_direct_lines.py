@@ -73,7 +73,7 @@ def limit_cases():
 def test_limits_are_bitwise_the_dispatcher(rho, basis, skip, mu, monkeypatch):
     state = convey(rho, (0,) * (len(rho.dims) - 1), "literal").state
     want = _limits_lines(state.matrix[None], basis.matrix, state.dims, None if skip else mu)
-    want = want.table(0)
+    want = want.row(0)
     # The limit is the undamped table: it builds neither D nor Lambda.
     monkeypatch.setattr(estimator, "_damping_exponent", refuse)
     monkeypatch.setattr(estimator, "_damping", refuse)

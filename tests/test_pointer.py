@@ -12,6 +12,8 @@ from weakcorr import (
     PointerConfig,
     broadcast,
     convey,
+    correlation,
+    correlation_sweep,
     couple_all,
     device_table,
     extract_weak_value,
@@ -46,6 +48,32 @@ def test_pointer_config_validation():
         PointerConfig(g=math.inf)
     with pytest.raises(InvariantViolation):
         PointerConfig(sigma=math.inf)
+
+
+@pytest.mark.parametrize("g, sigma", [(0.1, 1e-200), (1e200, 1e200)])
+def test_pointer_config_with_undefined_damping_rate_raises(g, sigma):
+    # 8 sigma^2 underflows to zero, or overflows along with g^2.
+    with pytest.raises(InvariantViolation, match="undefined"):
+        PointerConfig(g, sigma)
+
+
+# Each extreme config with a config whose damping base exp(-g^2 / (8 sigma^2))
+# is the same float: 0.0 for the first, 1.0 for the others.
+EXTREME_CONFIGS = [
+    ((1e170, 1.0), (1e3, 1.0)),
+    ((1e-200, 1.0), (1e-30, 1.0)),
+    ((0.1, 1e200), (1e-30, 1.0)),
+]
+
+
+@pytest.mark.parametrize("extreme, plain", EXTREME_CONFIGS)
+def test_extreme_configs_with_a_defined_damping_rate_keep_their_correlation(extreme, plain):
+    rho = random_density_matrix((2,) * 3, 11)
+    cfgs = [PointerConfig(*extreme), PointerConfig(*plain)]
+    got, want = (correlation(rho, "circuit", cfg=c, skip_broadcast=True).C for c in cfgs)
+    assert math.isfinite(got) and got > 0.0 and got == want
+    swept = correlation_sweep(rho, "idealized", cfgs, skip_broadcast=True)
+    assert [r.C for r in swept] == [want, want]
 
 
 def test_couple_all_single_qubit_shift_indicators():

@@ -31,6 +31,7 @@ REMOVED = {
         "_copies_reports",
         "_reports",
         "_party_views",
+        "_Lines",
     ],
     "weakcorr.pointer": ["POSTSELECTION_TOL"],
 }

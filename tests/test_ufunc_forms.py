@@ -19,12 +19,12 @@ from oracles import combine_by_wrappers, residuals_by_concatenation
 
 from weakcorr import PointerConfig, convey, ghz, hadamard_mub, ket2dm, random_density_matrix
 from weakcorr.estimator import (
+    WeakValueTable,
     _analytic_lines,
     _combine,
     _diagnostics,
     _diagonal_lines,
     _direct_lines,
-    _Lines,
     _residuals,
 )
 
@@ -60,7 +60,7 @@ def test_no_copies_block_with_the_limit_row(n, mode):
     for rho in states(n):
         state = conveyed(rho, mode)
         block = _direct_lines(state.matrix, basis.matrix, rho.dims, [None, *CFGS])
-        limit, lines = block.rows(0, 1), block.rows(1, None)
+        limit, lines = block.row(slice(1)), block.row(slice(1, None))
         diag = state.diagonal()
         assert_same_bytes(combined(lines, diag), combine_by_wrappers(lines, diag))
         assert_same_bytes([_residuals(lines, limit)], [residuals_by_concatenation(lines, limit)])
@@ -102,10 +102,10 @@ def test_a_stack_row_with_every_row_skipped(n):
     rho = random_density_matrix((2,) * n, 2_400 + n)
     basis = hadamard_mub(n)
     real = _direct_lines(rho.matrix, basis.matrix, rho.dims, [None, CFGS[0]])
-    limit = real.rows(0, 1)
+    limit = real.row(slice(1))
     arrays = (real.probabilities, real.joint, real.stack)
     stacked = [np.stack([a[1], np.zeros_like(a[1])]) for a in arrays]
-    lines = _Lines(*stacked, real.dims)
+    lines = WeakValueTable(*stacked, real.dims)
     diag = rho.diagonal()
     got = combined(lines, diag)
     assert_same_bytes(got, combine_by_wrappers(lines, diag))
