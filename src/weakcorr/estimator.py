@@ -110,7 +110,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -218,10 +218,10 @@ def correlation_oracle_diag(rho: DensityMatrix) -> float:
     state's diagonal summed over the other parties' digits.
     """
     diag = rho.diagonal()
-    # A trailing axis of one postselection makes each marginal a party line.
-    cube = diag.reshape(rho.dims + (1,))
+    cube = diag.reshape(rho.dims)
     marginals = [np.add.reduce(cube, axis=axes) for axes in _other_axes(len(rho.dims))]
-    return float(np.add.reduce(np.abs(diag - _party_product(marginals)[:, 0]), axis=None))
+    product = functools.reduce(np.multiply.outer, marginals).reshape(-1)
+    return float(np.add.reduce(np.abs(diag - product), axis=None))
 
 
 @functools.lru_cache(maxsize=1)
@@ -292,6 +292,30 @@ def _party_rows(dims: tuple[int, ...]) -> tuple[slice, ...]:
     return tuple(slice(s - d_p, s) for s, d_p in zip(itertools.accumulate(dims), dims))
 
 
+class _OracleDiag:
+    """The ``oracle_diag`` field of a report: the value it was given, or,
+    when it was given none, ``correlation_oracle_diag(report.rho)``
+    computed on the first read and kept on the report.
+
+    A data descriptor as a dataclass field default: the class reads the
+    default (None, the value to compute) through ``__get__`` and the
+    generated ``__init__`` stores through ``__set__``.  The report is
+    frozen, so both write its ``__dict__`` directly.
+    """
+
+    def __get__(self, report, owner=None):
+        if report is None:
+            return None
+        cache = report.__dict__
+        if "oracle_diag" not in cache:
+            cache["oracle_diag"] = correlation_oracle_diag(report.rho)
+        return cache["oracle_diag"]
+
+    def __set__(self, report, value):
+        if value is not None:
+            report.__dict__["oracle_diag"] = value
+
+
 @dataclass(frozen=True)
 class CorrelationReport:
     """Correlation value with the evidence used to compute it.
@@ -300,6 +324,14 @@ class CorrelationReport:
     postselection k (zero on skipped rows), ``labels`` the postselection
     labels and ``table.probabilities`` the postselection probabilities; the
     rows in ``skipped`` are those below SKIP_THRESHOLD.
+
+    ``rho`` is the input state, not the conveyed one.  ``oracle_diag`` is
+    ``correlation_oracle_diag(rho)``, the density-matrix reference the
+    circuit backend is checked against; the protocol never reads it to
+    obtain C.  A report built without it computes it from ``rho`` when the
+    field is first read (``dataclasses.replace`` reads it too) and keeps
+    it.  Two threads reading it first at once may both compute it; each
+    stores the same float, so every read sees one value.
     """
 
     C: float
@@ -313,9 +345,10 @@ class CorrelationReport:
     table: WeakValueTable
     terms: np.ndarray  # float, shape (postselections,)
     labels: tuple[str, ...]
-    oracle_diag: float
     max_completeness_residual: float
     min_postselection_probability: float
+    rho: DensityMatrix = field(repr=False)
+    oracle_diag: float = _OracleDiag()
 
     def __post_init__(self):
         self.terms.setflags(write=False)
@@ -578,14 +611,16 @@ def _report(
     diag_eff: np.ndarray,
     cfg: PointerConfig,
     labels: tuple[str, ...],
-    oracle_diag: float,
+    rho: DensityMatrix,
     **settings,
 ) -> CorrelationReport:
     """The report of one state's ``table``, read at configuration ``cfg``.
 
     Every report is built here, holding the table it is given: the terms
     and C, and the diagnostics against the effective diagonal
-    ``diag_eff``; ``settings`` are the remaining report fields.
+    ``diag_eff``; ``rho`` is the input state.  ``settings`` are the
+    remaining report fields, ``oracle_diag`` among them where it is
+    already known.
     """
     terms, total = _combine(table)
     residual, least = _diagnostics(table, diag_eff)
@@ -596,9 +631,9 @@ def _report(
         table=table,
         terms=terms,
         labels=labels,
-        oracle_diag=oracle_diag,
         max_completeness_residual=float(residual),
         min_postselection_probability=float(least),
+        rho=rho,
         **settings,
     )
 
@@ -627,7 +662,10 @@ def correlation(
     line-1 particles and no copies are made.  The circuit backend reports
     what :func:`correlation_sweep` reports at ``cfg``; without copies it
     runs the sweep's block body once, on a block of this one coupling,
-    with no sweep between.
+    with no sweep between.  The report's ``oracle_diag`` is not computed
+    here: the report computes it from ``rho`` when it is first read (see
+    ``CorrelationReport``), so a caller that never reads it never pays
+    for it.
 
     With copies the circuit backend reads the conveyed state's diagonal
     only, at every g.  The device of party p reads its copy, whose digit
@@ -644,7 +682,6 @@ def correlation(
         raise ShapeMismatch(f"unknown backend {backend!r}")
     cfg = cfg or _DEFAULT_POINTER
     basis_b, outcomes, mu = _prepare(rho, postselection, outcomes, broadcast_outcome)
-    oracle_diag = correlation_oracle_diag(rho)
     if backend == "circuit" and not skip_broadcast:
         # The copies table comes flat, with no stack axis, from the diagonal.
         diag_eff = _conveyed_diagonal(rho, outcomes, mode)
@@ -661,7 +698,7 @@ def correlation(
         diag_eff,
         cfg,
         basis_b.labels,
-        oracle_diag,
+        rho,
         backend=backend,
         mode=mode,
         outcomes=outcomes,
@@ -685,10 +722,11 @@ def correlation_sweep(
     Report i equals ``correlation(rho, "circuit", mode, cfgs[i], ...)``.
     What does not depend on g is computed once, when this is called: the
     argument checks, the conveyed state (its diagonal only, with copies)
-    and the oracle value.  With copies nothing depends on g, so every
-    report is built then: the first by ``correlation``, which runs even
-    for an empty ``cfgs``, and the others as copies of it at their g and
-    sigma.  Without them the rest is computed when the iterator reaches
+    and, without copies, the oracle value.  With copies nothing depends on
+    g, so every report is built then: the first by ``correlation``, which
+    runs even for an empty ``cfgs``, and the others as copies of it at
+    their g and sigma, which read its oracle value once and carry it.
+    Without them the rest is computed when the iterator reaches
     it, one block of couplings at a time (the rule is at ``_sweep``), and
     each report from its row of the block.
     """
@@ -720,10 +758,11 @@ def correlation_sweep(
         outcomes=sweep.outcomes,
         broadcast_outcome=sweep.broadcast_outcome,
         skip_broadcast=True,
+        oracle_diag=sweep.oracle_diag,
     )
     diag_eff = sweep.state.diagonal()
     return (
-        _report(block.lines.row(s), diag_eff, cfg, sweep.labels, sweep.oracle_diag, **settings)
+        _report(block.lines.row(s), diag_eff, cfg, sweep.labels, rho, **settings)
         for block in sweep.blocks
         for s, cfg in enumerate(block.cfgs)
     )

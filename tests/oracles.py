@@ -535,7 +535,9 @@ def sweep_pairs(rho, mode, cfgs, *, residuals, skip_broadcast=False, **kwargs):
         distances = block.residuals.tolist() if residuals else [None] * len(block.cfgs)
         for s, (cfg, distance) in enumerate(zip(block.cfgs, distances, strict=True)):
             lines = block.lines.row(s)
-            report = _report(lines, diag_eff, cfg, sweep.labels, sweep.oracle_diag, **settings)
+            report = _report(
+                lines, diag_eff, cfg, sweep.labels, rho, oracle_diag=sweep.oracle_diag, **settings
+            )
             pairs.append((report, distance))
     return pairs
 
@@ -887,6 +889,7 @@ def copies_report_by_matrix(
         oracle_diag=correlation_oracle_diag(rho),
         max_completeness_residual=float(residual),
         min_postselection_probability=float(least),
+        rho=rho,
     )
 
 
