@@ -23,5 +23,5 @@ def test_every_gate_passes_the_real_result_and_trips_on_perturbed_ones(tmp_path,
         assert check.FAILED == []
     finally:
         for name in set(sys.modules) - before:
-            if BENCHMARKS in Path(getattr(sys.modules[name], "__file__", None) or "/").parents:
+            if Path(getattr(sys.modules[name], "__file__", None) or "").parent == BENCHMARKS:
                 del sys.modules[name]
