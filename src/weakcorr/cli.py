@@ -46,15 +46,9 @@ from .bases import (
     hadamard_mub,
     is_mutually_unbiased,
 )
-from .estimator import (
-    _marginals,
-    _sweep,
-    correlation,
-    correlation_oracle_diag,
-    reconstruct_matrix,
-)
+from .estimator import _sweep, correlation, correlation_oracle_diag, reconstruct_matrix
 from .pointer import PointerConfig
-from .qcore import DensityMatrix, PureState, trace_distance
+from .qcore import DensityMatrix, PureState, partial_trace, trace_distance
 
 LOG = logging.getLogger("weakcorr")
 
@@ -691,7 +685,7 @@ def cmd_oracle(args) -> int:
         ]
         _emit("\n".join(lines) + "\n", args.out)
         return 0
-    product = functools.reduce(np.kron, _marginals(rho.matrix, n))
+    product = functools.reduce(np.kron, (partial_trace(rho, [p]).matrix for p in range(n)))
     # A tensor product of the checked state's marginals is a density matrix.
     marginals = DensityMatrix._trusted(rho.dims, product)
     doc = {

@@ -30,7 +30,9 @@ copies layout reads, is built from the input diagonal alone
 (``_conveyed_diagonal``), with the same checks and relabel as
 :func:`convey`.
 :func:`strong_couple_and_measure` remains the gate-level building block the
-tests check both maps against.
+tests check both maps against.  Every outcome they take passes the
+package's one outcome rule, ``qcore._outcome``, against the dimension of
+the subsystem it labels.
 """
 
 from __future__ import annotations
@@ -110,10 +112,7 @@ def strong_couple_and_measure(
         raise ShapeMismatch(
             f"control dim {joint.dims[control]} != target dim {joint.dims[target]}"
         )
-    l = joint.dims[target]
-    outcome = _outcome(outcome)
-    if not 0 <= outcome < l:
-        raise ImpossibleOutcome(f"outcome {outcome} out of range for dimension {l}")
+    outcome = _outcome(outcome, joint.dims[target])
     perm = _controlled_shift_perm(joint.dims, control, target)
     coupled = _relabel(joint.matrix, perm)
     sel = np.flatnonzero(digit_table(joint.dims)[:, target] == outcome)
@@ -186,8 +185,7 @@ def _conveyance_relabel(
     for l, v in zip(dims, outcomes):
         if mode == "literal" and l < 2:
             raise BadDimension(f"ancilla dimension must be >= 2, got {l}")
-        if not 0 <= v < l:
-            raise ImpossibleOutcome(f"outcome {v} out of range for dimension {l}")
+        _outcome(v, l)
 
     # x -> (x + nu) mod l and x -> (nu - x) mod l fix every label only for
     # nu = 0, the second only on qubits.
@@ -231,8 +229,7 @@ def broadcast(rho: DensityMatrix, party: int, outcome: int) -> ConveyanceRecord:
     outcome = _outcome(outcome)
     if l < 2:
         raise BadDimension(f"ancilla dimension must be >= 2, got {l}")
-    if not 0 <= outcome < l:
-        raise ImpossibleOutcome(f"outcome {outcome} out of range for dimension {l}")
+    _outcome(outcome, l)
     copy = (outcome - digit_table(rho.dims)[:, party]) % l
     rows = np.arange(rho.dim) * l + copy
     matrix = np.zeros((rho.dim * l, rho.dim * l), dtype=complex)

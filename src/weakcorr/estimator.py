@@ -117,13 +117,7 @@ import numpy as np
 
 from .bases import BasisSet, device_table, hadamard_mub
 from .conveyance import _conveyed_diagonal, convey
-from .errors import (
-    BadDimension,
-    ImpossibleOutcome,
-    NullPostselection,
-    ShapeMismatch,
-    UnbiasednessViolation,
-)
+from .errors import BadDimension, NullPostselection, ShapeMismatch, UnbiasednessViolation
 from .pointer import PointerConfig
 from .qcore import SKIP_THRESHOLD, DensityMatrix, PureState, _outcome, as_operator, digit_table
 
@@ -508,14 +502,15 @@ def _damping_exponent(dims: tuple[int, ...]) -> np.ndarray:
 
 def _damping(exponent: np.ndarray, cfgs: Sequence[PointerConfig | None]) -> np.ndarray:
     """Lambda_g = a_g ** D with a_g = exp(-g^2 / (8 sigma^2)), the pointer
-    overlaps, stacked along a leading axis with one entry per configuration.
+    overlaps, stacked along a leading axis with one entry per configuration;
+    each rate is the configuration's ``damping_rate``.
 
     A configuration of None is the zero-coupling limit: its exponent is
     0.0, so a = 1.0 and its Lambda is exactly 1.  One ``np.exp`` over the
     stacked exponents gives each a_g bitwise as one scalar ``np.exp`` per
     configuration does.
     """
-    rates = [0.0 if c is None else -(c.g * c.g) / (8.0 * c.sigma * c.sigma) for c in cfgs]
+    rates = [0.0 if c is None else -c.damping_rate for c in cfgs]
     return np.exp(rates)[:, None, None] ** exponent
 
 
@@ -528,25 +523,16 @@ def _prepare(
     """Argument checks, postselection basis, conveyance outcomes and the
     broadcast outcome; the callers convey the state, or only its diagonal.
 
-    The broadcast outcome is checked against every party's dimension in
-    every layout, also where it is not read, so no report holds an outcome
-    no measurement gives.
+    Every outcome is read by ``qcore._outcome``; the broadcast outcome is
+    checked against every party's dimension in every layout, also where it
+    is not read, so no report holds an outcome no measurement gives.
     """
     n = _require_qubits(rho)
     basis_b = postselection or hadamard_mub(n)
     if basis_b.dims != rho.dims:
         raise ShapeMismatch("postselection basis does not match the state dims")
     outcomes = tuple(map(_outcome, outcomes if outcomes is not None else [0] * (n - 1)))
-    mu = _outcome(broadcast_outcome)
-    _check_broadcast_outcome(mu, rho.dims)
-    return basis_b, outcomes, mu
-
-
-def _check_broadcast_outcome(mu: int, dims: tuple[int, ...]) -> None:
-    """Raise ImpossibleOutcome unless 0 <= mu < d_p for every party p."""
-    if not 0 <= mu < min(dims):
-        bad = next(l for l in dims if not 0 <= mu < l)
-        raise ImpossibleOutcome(f"outcome {mu} out of range for dimension {bad}")
+    return basis_b, outcomes, _outcome(broadcast_outcome, *rho.dims)
 
 
 def _party_product(lines: Sequence[np.ndarray]) -> np.ndarray:
@@ -654,10 +640,9 @@ def correlation(
     ``outcomes`` lists the conveyance measurement results, one per conveyed
     party (zeros by default); ``broadcast_outcome`` is the shared result of
     the three local copy measurements, used only by the circuit backend
-    when ``skip_broadcast`` is false.  Every outcome is read with
-    ``operator.index``: one that is not an integer, such as 1.7, raises
-    ImpossibleOutcome, and so does a broadcast outcome outside [0, 2), in
-    every layout, including those that do not read it.  With
+    when ``skip_broadcast`` is false.  Every outcome passes the package's
+    one outcome rule (``qcore._outcome``), the broadcast outcome in every
+    layout, including those that do not read it.  With
     ``skip_broadcast`` the single-party devices couple directly to the
     line-1 particles and no copies are made.  The circuit backend reports
     what :func:`correlation_sweep` reports at ``cfg``; without copies it
@@ -855,17 +840,15 @@ def weak_value_limits(
     state rho * Lambda_g (see ``weakcorr.pointer``): exact at every g with
     copies, where only the diagonal is read and Lambda_g is 1 there, and
     with an O(g^2) bias without them.  A basis on other dims than the
-    state's raises ShapeMismatch.  A broadcast outcome that is not an
-    integer, or lies outside [0, d_p) for any party, raises
-    ImpossibleOutcome in both layouts, as ``correlation`` does.
+    state's raises ShapeMismatch.  The broadcast outcome passes the
+    outcome rule for every party in both layouts, as in ``correlation``.
     ``weakcorr sweep`` reads the same table inside its
     coupling stack without copies (see ``_sweep``), and with them from the
     conveyed diagonal, as ``correlation`` does.
     """
     if basis_b.dims != state.dims:
         raise ShapeMismatch("postselection basis does not match the state dims")
-    mu = _outcome(broadcast_outcome)
-    _check_broadcast_outcome(mu, state.dims)
+    mu = _outcome(broadcast_outcome, *state.dims)
     if skip_broadcast:
         num = _weak_value_numerator(state.matrix[None], basis_b.matrix)
         return _party_lines(num, state.dims, None).row(0)
@@ -926,12 +909,12 @@ def _party_selector(dims: tuple[int, ...], copy_outcome: int | None) -> np.ndarr
     (mu - x_p) mod d_p with them, mu being the broadcast outcome and the
     map its own inverse.  So line 1 times S is every party line at once.
     Complex, so the product is one complex matmul, and read-only; kept for
-    the last (dims, outcome) only, like ``device_table``.  An outcome
-    outside [0, d_p) for any party raises ImpossibleOutcome.
+    the last (dims, outcome) only, like ``device_table``.  The outcome
+    passes the outcome rule for every party.
     """
     digits = device_table(dims).party_digits
     if copy_outcome is not None:
-        _check_broadcast_outcome(copy_outcome, dims)
+        _outcome(copy_outcome, *dims)
         digits = (copy_outcome - digits) % np.array(dims)
     offsets = np.add.accumulate((0,) + dims[:-1])
     selector = np.zeros((len(digits), sum(dims)), dtype=complex)

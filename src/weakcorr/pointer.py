@@ -69,7 +69,9 @@ class PointerConfig:
     """Coupling strength and initial Gaussian position spread of the pointers.
 
     Both are positive and finite, and the damping rate g^2 / (8 sigma^2) is
-    defined in floats: 8 sigma^2 is nonzero, and finite where g^2 is not."""
+    defined in floats: 8 sigma^2 is nonzero, and finite where g^2 is not.
+    The rate is computed here, once, and read as ``damping_rate``; it is an
+    attribute, not a field, so it is no constructor argument or config key."""
 
     g: float = 1e-3
     sigma: float = 1.0 / math.sqrt(2.0)
@@ -81,6 +83,7 @@ class PointerConfig:
         spread = 8.0 * self.sigma * self.sigma
         if spread == 0.0 or spread == self.g * self.g == math.inf:
             raise InvariantViolation(f"g^2 / (8 sigma^2) is undefined for {self}")
+        object.__setattr__(self, "damping_rate", self.g * self.g / spread)
 
 
 @dataclass(frozen=True)
@@ -191,7 +194,7 @@ def postselect_and_read(
     s_bra = bs.shifts[bs.bras].astype(float)
     differing = np.abs(s_ket - s_bra).sum(axis=(1, 2))
     g, sigma = cfg.g, cfg.sigma
-    damp = np.exp(-(g * g) / (8.0 * sigma * sigma)) ** differing
+    damp = np.exp(-cfg.damping_rate) ** differing
     base = factor * damp
 
     prob = float(np.real(np.sum(base)))

@@ -72,14 +72,22 @@ def _dims_tuple(dims) -> tuple[int, ...]:
     return out
 
 
-def _outcome(value) -> int:
-    """A measurement outcome as an int; a value that is not an integer
+def _outcome(value, *dims: int) -> int:
+    """A measurement outcome as an int, in [0, l) for each l in ``dims``.
+
+    The package's one outcome rule: a value that is not an integer
     (``operator.index`` refuses it, as it refuses 1.7 or 1.0) raises
-    ImpossibleOutcome instead of being truncated."""
+    ImpossibleOutcome instead of being truncated, and so does one outside
+    the range, naming the first dimension it falls outside.
+    """
     try:
-        return operator.index(value)
+        outcome = operator.index(value)
     except TypeError:
         raise ImpossibleOutcome(f"outcome {value!r} is not an integer") from None
+    for l in dims:
+        if not 0 <= outcome < l:
+            raise ImpossibleOutcome(f"outcome {outcome} out of range for dimension {l}")
+    return outcome
 
 
 def as_operator(matrix, dim: int | None = None) -> np.ndarray:

@@ -198,6 +198,23 @@ def test_run_skip_broadcast_and_outcomes_config(tmp_path, capsys):
     assert doc["correlation"] == pytest.approx(1.5, abs=1e-6)
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_conveyance_outcomes_alone_default_the_broadcast_outcome_to_0(tmp_path, capsys, command):
+    reports = {}
+    for outcomes in ([1, 0], [1, 0, 0], [1, 0, 1]):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"backend": "circuit", "outcomes": outcomes}))
+        argv = [command, "--state", RANDOM7, "--config", str(cfg), "--format", "json"]
+        if command == "sweep":
+            argv += ["--g-list", "0.1,0.01"]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        reports[len(outcomes), outcomes[-1]] = out
+    assert reports[2, 0] == reports[3, 0] != reports[3, 1]
+    if command == "run":
+        assert json.loads(reports[2, 0])["broadcast_outcome"] == 0
+
+
 def test_log_level_env_var():
     # A child process, so logging.basicConfig runs on a root logger with no
     # handler; in this process pytest's capture handler is already on it,
@@ -853,6 +870,165 @@ def test_basis_file_with_unnormalised_vector_exits_3(tmp_path, capsys):
     cfg.write_text(json.dumps({"postselection_basis": str(path)}))
     code, out, _ = run_cli(capsys, "run", "--state", GHZ, "--config", str(cfg))
     assert code == 3 and out == ""
+
+
+HADAMARD3 = json.loads((FIXTURES / "basis_hadamard3.json").read_text())
+QUDIT_STATE = dump_state(weakcorr.maximally_mixed((3, 2)))
+
+
+def config_with_basis(basis):
+    """A config whose postselection basis is the file basis.json holding ``basis``."""
+    return {"cfg.json": {"postselection_basis": "basis.json"}, "basis.json": basis}
+
+
+def config_with(**settings):
+    return {"cfg.json": settings}
+
+
+# Each case: the files it writes (a dict is written as JSON), the command
+# line, the exit code and the message.  GHZ is the state unless a case
+# writes state.json.
+REJECTIONS = {
+    "config not an object": (
+        {"cfg.json": [1]}, "run", 2, "parse-failure: config file must contain a JSON object"
+    ),
+    "config backend": (
+        config_with(backend="quantum"),
+        "run",
+        2,
+        "parse-failure: backend must be \"analytic\" or \"circuit\", got 'quantum'",
+    ),
+    "config mode": (
+        config_with(mode="wired"),
+        "sweep",
+        2,
+        "parse-failure: mode must be \"literal\" or \"idealized\", got 'wired'",
+    ),
+    "config basis not a string": (
+        config_with(postselection_basis=3),
+        "run",
+        2,
+        "parse-failure: postselection_basis must be a string",
+    ),
+    "config skip_broadcast not a boolean": (
+        config_with(skip_broadcast=1), "run", 2, "parse-failure: skip_broadcast must be a boolean"
+    ),
+    **{
+        f"config {count} outcomes on {command}": (
+            config_with(outcomes=[0] * count),
+            command,
+            2,
+            "parse-failure: outcomes must list 2 conveyance results plus optionally one "
+            f"broadcast result, got {count} values",
+        )
+        for count in (1, 4)
+        for command in ("run", "sweep")
+    },
+    "sweep enumerate": (
+        config_with(outcomes="enumerate"),
+        "sweep",
+        2,
+        'parse-failure: sweep requires explicit outcomes, not "enumerate"',
+    ),
+    "basis not an object": (
+        config_with_basis([]), "run", 2, "parse-failure: basis file must contain a JSON object"
+    ),
+    "basis on other dims": (
+        config_with_basis({**HADAMARD3, "dims": [2, 4]}),
+        "run",
+        3,
+        "shape-mismatch: basis dims (2, 4) do not match state dims (2, 2, 2)",
+    ),
+    "basis vector count": (
+        config_with_basis({**HADAMARD3, "vectors": HADAMARD3["vectors"][:7]}),
+        "run",
+        2,
+        'parse-failure: "vectors" must hold 8 vectors',
+    ),
+    "basis vector length": (
+        config_with_basis({**HADAMARD3, "vectors": [v[:7] for v in HADAMARD3["vectors"]]}),
+        "run",
+        2,
+        "parse-failure: every basis vector needs 8 [re, im] pairs",
+    ),
+    "state not an object": (
+        {"state.json": []}, "run", 2, "parse-failure: state file must contain a JSON object"
+    ),
+    **{
+        f"state dims {dims!r}": (
+            {"state.json": {"dims": dims, "entries": []}},
+            "oracle",
+            2,
+            'parse-failure: "dims" must be a non-empty list of integers >= 2',
+        )
+        for dims in ([], [1, 2], [2.0, 2], "22", None)
+    },
+    "state without entries or terms": (
+        {"state.json": {"dims": [2, 2]}},
+        "run",
+        2,
+        'parse-failure: state file needs either "entries" or "terms"',
+    ),
+    "state with empty terms": (
+        {"state.json": {"dims": [2, 2], "terms": []}},
+        "run",
+        2,
+        'parse-failure: "terms" must be a non-empty list',
+    ),
+    "term without p": (
+        {"state.json": {"dims": [2], "terms": [{"amplitudes": [[1, 0], [0, 0]]}]}},
+        "run",
+        2,
+        'parse-failure: each term needs "p" and "amplitudes"',
+    ),
+    "term without amplitudes": (
+        {"state.json": {"dims": [2], "terms": [{"p": 1}]}},
+        "run",
+        2,
+        'parse-failure: each term needs "p" and "amplitudes"',
+    ),
+    "term amplitude count": (
+        {"state.json": {"dims": [2], "terms": [{"p": 1, "amplitudes": [[1, 0]]}]}},
+        "run",
+        2,
+        'parse-failure: "amplitudes" must hold 2 [re, im] pairs',
+    ),
+    "builtin basis on qudits": (
+        {"state.json": QUDIT_STATE},
+        "run",
+        3,
+        "bad-dimension: the builtin basis requires qubit parties",
+    ),
+    "oracle on qudits": (
+        {"state.json": QUDIT_STATE},
+        "oracle",
+        3,
+        "bad-dimension: the reconstruction oracle requires qubit parties",
+    ),
+    **{
+        f"one qubit on {command}": (
+            {"state.json": dump_state(weakcorr.maximally_mixed((2,)))},
+            command,
+            3,
+            "bad-dimension: correlation needs at least two parties",
+        )
+        for command in ("run", "sweep")
+    },
+}
+
+
+@pytest.mark.parametrize("case", REJECTIONS)
+def test_input_rejections_exit_with_their_code(tmp_path, monkeypatch, capsys, case):
+    files, command, code, message = REJECTIONS[case]
+    monkeypatch.chdir(tmp_path)
+    for name, doc in files.items():
+        Path(name).write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    argv = [command, "--state", "state.json" if "state.json" in files else GHZ]
+    if command != "oracle" and "cfg.json" in files:
+        argv += ["--config", "cfg.json"]
+    if command == "sweep":
+        argv += ["--g-list", "0.1,0.01"]
+    assert run_cli(capsys, *argv) == (code, "", f"error: {message}\n")
 
 
 # -- state file round trip

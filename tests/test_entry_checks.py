@@ -1,0 +1,206 @@
+"""The argument checks of the library entry points.
+
+Every measurement outcome, wherever it enters, passes one rule
+(``qcore._outcome``): it is an integer in [0, d_p).  Each entry point keeps
+its own error types, messages and order of checks around that rule.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from weakcorr import (
+    PointerConfig,
+    bell_state,
+    broadcast,
+    convey,
+    correlation,
+    correlation_sweep,
+    hadamard_mub,
+    ket,
+    ket2dm,
+    maximally_mixed,
+    random_density_matrix,
+    strong_couple_and_measure,
+    tensor_product,
+    weak_value_limits,
+)
+from weakcorr.cli import main
+from weakcorr.errors import BadDimension, BadSubsystem, ImpossibleOutcome, ShapeMismatch
+
+QUBITS = random_density_matrix((2, 2, 2), 1)
+QUTRITS = random_density_matrix((3, 3), 2)
+CFGS = [PointerConfig(0.05)]
+GHZ = str(Path(__file__).parent / "fixtures" / "ghz3.json")
+
+
+def sweep_reports(**kwargs):
+    return list(correlation_sweep(QUBITS, "literal", CFGS, **kwargs))
+
+
+# entry -> (the dimension the outcome is checked against, call with the outcome)
+ENTRIES = {
+    "analytic outcomes": (2, lambda v: correlation(QUBITS, outcomes=[0, v])),
+    "analytic broadcast": (2, lambda v: correlation(QUBITS, broadcast_outcome=v)),
+    "copies outcomes": (2, lambda v: correlation(QUBITS, "circuit", outcomes=[v, 0])),
+    "copies broadcast": (2, lambda v: correlation(QUBITS, "circuit", broadcast_outcome=v)),
+    "no-copies outcomes": (
+        2,
+        lambda v: correlation(QUBITS, "circuit", outcomes=[v, 0], skip_broadcast=True),
+    ),
+    "no-copies broadcast": (
+        2,
+        lambda v: correlation(QUBITS, "circuit", broadcast_outcome=v, skip_broadcast=True),
+    ),
+    "copies sweep outcomes": (2, lambda v: sweep_reports(outcomes=[0, v])),
+    "copies sweep broadcast": (2, lambda v: sweep_reports(broadcast_outcome=v)),
+    "no-copies sweep outcomes": (
+        2,
+        lambda v: sweep_reports(outcomes=[v, 0], skip_broadcast=True),
+    ),
+    "no-copies sweep broadcast": (
+        2,
+        lambda v: sweep_reports(broadcast_outcome=v, skip_broadcast=True),
+    ),
+    "copies limits": (2, lambda v: weak_value_limits(QUBITS, hadamard_mub(3), v)),
+    "no-copies limits": (2, lambda v: weak_value_limits(QUBITS, hadamard_mub(3), v, True)),
+    "literal convey": (3, lambda v: convey(QUTRITS, [v], "literal")),
+    "idealized convey": (3, lambda v: convey(QUTRITS, [v], "idealized")),
+    "broadcast": (3, lambda v: broadcast(QUTRITS, 1, v)),
+    "strong coupling": (
+        3,
+        lambda v: strong_couple_and_measure(
+            tensor_product(QUTRITS, ket2dm(bell_state(3))), 0, 2, v
+        ),
+    ),
+}
+
+
+def assert_refused(call, error, message):
+    """``call()`` raises exactly ``error`` with exactly ``message``."""
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
+    assert str(info.value) == f"{error.code}: {message}"
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+@pytest.mark.parametrize("case", ["non-integer", "negative", "d_p"])
+def test_every_outcome_entry_point_keeps_the_one_rule(entry, case):
+    d, call = ENTRIES[entry]
+    value, message = {
+        "non-integer": (1.5, "outcome 1.5 is not an integer"),
+        "negative": (-1, f"outcome -1 out of range for dimension {d}"),
+        "d_p": (d, f"outcome {d} out of range for dimension {d}"),
+    }[case]
+    assert_refused(lambda: call(value), ImpossibleOutcome, message)
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("skip", [False, True])
+@pytest.mark.parametrize("at", [0, 2])  # a conveyance result, the broadcast result
+@pytest.mark.parametrize(
+    "value, code, message",
+    [
+        (1.5, 2, 'parse-failure: outcomes must be a list of integers or "enumerate"'),
+        (-1, 3, "impossible-outcome: outcome -1 out of range for dimension 2"),
+        (2, 3, "impossible-outcome: outcome 2 out of range for dimension 2"),
+    ],
+)
+def test_the_command_line_keeps_the_one_rule(
+    tmp_path, capsys, command, skip, at, value, code, message
+):
+    outcomes = [0, 0, 0]
+    outcomes[at] = value
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(
+        json.dumps(
+            {"backend": "circuit", "mode": "literal", "outcomes": outcomes, "skip_broadcast": skip}
+        )
+    )
+    argv = [command, "--state", GHZ, "--config", str(cfg)]
+    if command == "sweep":
+        argv += ["--g-list", "0.1,0.01"]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+NOT_AN_INTEGER = "outcome 1.5 is not an integer"
+NO_ANCILLA = "ancilla dimension must be >= 2, got 1"
+
+
+def test_convey_reads_every_outcome_before_counting_them():
+    assert_refused(lambda: convey(QUBITS, [1.5, 0, 9]), ImpossibleOutcome, NOT_AN_INTEGER)
+    assert_refused(lambda: convey(QUBITS, [0, 0, 9]), ShapeMismatch, "expected 2 outcomes, got 3")
+    assert_refused(
+        lambda: convey(QUBITS, [9, 0], "wired"), ShapeMismatch, "unknown conveyance mode 'wired'"
+    )
+
+
+def test_a_dimension_one_party_is_refused_before_its_outcome_range():
+    # A party of dimension 1 has no ancilla pair to measure: literal conveyance
+    # and broadcast refuse it before checking the outcome's range, and
+    # broadcast still reads a non-integer outcome first.
+    rho = maximally_mixed((1, 2))
+    assert_refused(lambda: convey(rho, [1], "literal"), BadDimension, NO_ANCILLA)
+    assert_refused(
+        lambda: convey(rho, [1], "idealized"),
+        ImpossibleOutcome,
+        "outcome 1 out of range for dimension 1",
+    )
+    assert_refused(lambda: broadcast(rho, 0, 1), BadDimension, NO_ANCILLA)
+    assert_refused(lambda: broadcast(rho, 0, 1.5), ImpossibleOutcome, NOT_AN_INTEGER)
+
+
+def test_correlation_checks_the_broadcast_outcome_before_the_conveyance_range():
+    # Both are read as integers first; the conveyance results are range-checked
+    # only when the state is conveyed.
+    assert_refused(
+        lambda: correlation(QUBITS, outcomes=[1.5, 0], broadcast_outcome=0.5),
+        ImpossibleOutcome,
+        NOT_AN_INTEGER,
+    )
+    assert_refused(
+        lambda: correlation(QUBITS, outcomes=[7, 0], broadcast_outcome=5),
+        ImpossibleOutcome,
+        "outcome 5 out of range for dimension 2",
+    )
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: correlation(QUBITS, "quantum"), ShapeMismatch, "unknown backend 'quantum'"),
+        (
+            lambda: correlation(maximally_mixed((2,))),
+            BadDimension,
+            "correlation needs at least two parties",
+        ),
+        (
+            lambda: correlation(QUBITS, postselection=hadamard_mub(2)),
+            ShapeMismatch,
+            "postselection basis does not match the state dims",
+        ),
+        (
+            lambda: convey(ket2dm(ket("0")), []),
+            ShapeMismatch,
+            "conveyance needs at least two parties",
+        ),
+        (lambda: broadcast(QUBITS, 3, 0), BadSubsystem, "party 3 out of range for 3 subsystems"),
+        (lambda: broadcast(QUBITS, -1, 0), BadSubsystem, "party -1 out of range for 3 subsystems"),
+        (
+            lambda: strong_couple_and_measure(QUBITS, 3, 0, 0),
+            BadSubsystem,
+            "control 3 / target 0 out of range",
+        ),
+        (
+            lambda: strong_couple_and_measure(QUBITS, 0, -1, 1.5),
+            BadSubsystem,
+            "control 0 / target -1 out of range",
+        ),
+    ],
+)
+def test_library_rejections_name_the_bad_argument(call, error, message):
+    assert_refused(call, error, message)

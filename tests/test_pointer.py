@@ -76,6 +76,18 @@ def test_extreme_configs_with_a_defined_damping_rate_keep_their_correlation(extr
     assert [r.C for r in swept] == [want, want]
 
 
+@pytest.mark.parametrize(
+    "g, sigma", [(1e-3, 1.0 / math.sqrt(2.0)), (0.05, 0.3), *(e for e, _ in EXTREME_CONFIGS)]
+)
+def test_pointer_config_computes_its_damping_rate_once_outside_its_fields(g, sigma):
+    # The rate every damping reads; not a field, so no constructor argument
+    # and no config key of the command line.
+    cfg = PointerConfig(g, sigma)
+    assert cfg.damping_rate == g * g / (8.0 * sigma * sigma)
+    assert [f.name for f in dataclasses.fields(cfg)] == ["g", "sigma"]
+    assert dataclasses.replace(cfg, sigma=0.5).damping_rate == g * g / 2.0
+
+
 def test_couple_all_single_qubit_shift_indicators():
     table = device_table([2])
     bs = couple_all(ket2dm(ket("0")), table)

@@ -32,6 +32,7 @@ REMOVED = {
         "_reports",
         "_party_views",
         "_Lines",
+        "_check_broadcast_outcome",
     ],
     "weakcorr.pointer": ["POSTSELECTION_TOL"],
 }
@@ -93,3 +94,37 @@ def test_no_module_imports_a_name_it_never_uses(name):
     tree = ast.parse((SRC / name).read_text())
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(set(imported_names(tree)) - used - exported_names(tree)) == []
+
+
+
+# Each rule of a classical protocol setting, and the one function that may
+# write it: the outcome range check, and the damping rate g^2 / (8 sigma^2),
+# whose 8 is no other constant of the package.
+ONE_PLACE_RULES = {
+    "outcome range": (
+        lambda node: isinstance(node, ast.Raise)
+        and "ImpossibleOutcome" in ast.unparse(node)
+        and "out of range for dimension" in ast.unparse(node),
+        ("qcore.py", "_outcome"),
+    ),
+    "damping rate": (
+        lambda node: isinstance(node, ast.Constant)
+        and type(node.value) in (int, float)
+        and node.value == 8,
+        ("pointer.py", "__post_init__"),
+    ),
+}
+
+
+@pytest.mark.parametrize("rule", ONE_PLACE_RULES)
+def test_each_setting_rule_is_written_in_one_place(rule):
+    matches, place = ONE_PLACE_RULES[rule]
+    found = [
+        (path.name, func.name)
+        for path in sorted(SRC.glob("*.py"))
+        for func in ast.walk(ast.parse(path.read_text()))
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if matches(node)
+    ]
+    assert found == [place]
