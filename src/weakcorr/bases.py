@@ -33,7 +33,7 @@ from .errors import (
     NonFactorablePostselection,
     ShapeMismatch,
 )
-from .qcore import PureState, STRUCT_TOL, _dims_tuple, digit_table
+from .qcore import PureState, SPECTRAL_TOL, STRUCT_TOL, _dims_tuple, _integer, digit_table
 
 __all__ = [
     "BasisSet",
@@ -156,16 +156,16 @@ def computational_basis(dims) -> BasisSet:
     Kept for the last dims only; the entry holds the 16 d^2 byte identity
     matrix, 16 * 4^n bytes for n qubits, until a call with other dims.
     """
-    return _computational_basis(tuple(int(d) for d in dims))
+    return _computational_basis(_dims_tuple(dims))
 
 
 @functools.lru_cache(maxsize=1)
 def _computational_basis(dims: tuple[int, ...]) -> BasisSet:
-    d = math.prod(_dims_tuple(dims))
+    d = math.prod(dims)
     return BasisSet._trusted(dims, np.eye(d, dtype=complex), _labels(dims))
 
 
-@functools.lru_cache(maxsize=1)
+@functools.lru_cache(maxsize=1, typed=True)  # 2.0 never hits the entry of np.int64(2)
 def hadamard_mub(n_qubits: int) -> BasisSet:
     """Product basis of (|0> +- |1>)/sqrt(2) factors, one vector per sign word.
 
@@ -180,9 +180,9 @@ def hadamard_mub(n_qubits: int) -> BasisSet:
     32 n 2^n bytes of factors and, once the copies layout has read them,
     8 * 4^n bytes of squared moduli, until a call with another n.
     """
-    if n_qubits < 1:
-        raise BadSize(f"need at least one qubit, got {n_qubits}")
-    n = int(n_qubits)
+    n = _integer(n_qubits, BadSize, "qubit count")
+    if n < 1:
+        raise BadSize(f"need at least one qubit, got {n}")
     dims = (2,) * n
     scale = 1.0 / math.sqrt(2**n)
     bits = digit_table(dims)
@@ -200,13 +200,13 @@ def hadamard_mub(n_qubits: int) -> BasisSet:
     return basis
 
 
-def is_mutually_unbiased(b1: BasisSet, b2: BasisSet, tol: float = 1e-12) -> bool:
-    """True iff every cross overlap satisfies |<u|v>|^2 = 1/d within ``tol``."""
+def is_mutually_unbiased(b1: BasisSet, b2: BasisSet) -> bool:
+    """True iff every cross overlap satisfies |<u|v>|^2 = 1/d within STRUCT_TOL."""
     if b1.dims != b2.dims:
         raise ShapeMismatch(f"dims differ: {b1.dims} vs {b2.dims}")
     d = math.prod(b1.dims)
     overlaps = np.abs(b1.matrix.conj() @ b2.matrix.T) ** 2
-    return bool(np.max(np.abs(overlaps - 1.0 / d)) <= tol)
+    return bool(np.max(np.abs(overlaps - 1.0 / d)) <= STRUCT_TOL)
 
 
 def product_factors(rows: np.ndarray, dims) -> list[np.ndarray]:
@@ -218,14 +218,14 @@ def product_factors(rows: np.ndarray, dims) -> list[np.ndarray]:
     the largest-magnitude entry of each factor but the last is rotated to
     be real and nonnegative.  Raises :class:`NonFactorablePostselection`
     when any row is entangled across any cut (second singular value above
-    1e-10).
+    SPECTRAL_TOL).
     """
     rest = np.asarray(rows, dtype=complex)
     k = rest.shape[0]
     factors = []
     for d in dims[:-1]:
         u, s, vh = np.linalg.svd(rest.reshape(k, d, -1), full_matrices=False)
-        if s.shape[1] > 1 and np.max(s[:, 1]) > 1e-10:
+        if s.shape[1] > 1 and np.max(s[:, 1]) > SPECTRAL_TOL:
             raise NonFactorablePostselection(
                 "state is entangled across a cut "
                 f"(residual singular value {np.max(s[:, 1]):.3e})"
@@ -264,7 +264,7 @@ class DeviceTable:
     labels: tuple[str, ...]
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
+        dims = _dims_tuple(self.dims)
         digits = np.array(self.party_digits, dtype=int)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "party_digits", digits)
@@ -292,7 +292,7 @@ def device_table(dims) -> DeviceTable:
     Kept for the last dims only; the entry holds the 8 d n byte digit table
     and d labels.
     """
-    return _device_table(tuple(int(d) for d in dims))
+    return _device_table(_dims_tuple(dims))
 
 
 @functools.lru_cache(maxsize=1)

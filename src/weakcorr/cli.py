@@ -66,21 +66,19 @@ __all__ = ["main", "load_state", "load_basis", "render_tables"]
 # serialization helpers
 
 
+# Every float a report prints, each template below built from it.  Each
+# printed value has 0.0 added first, which turns -0.0 into 0.0.
+_FLOAT = "%.11e"
+
+
 def _fmt_float(x: float) -> str:
-    x = float(x)
-    if x == 0.0:
-        x = 0.0  # normalize -0.0
-    return f"{x:.11e}"
+    return _FLOAT % (float(x) + 0.0)
 
 
 def _pair_lines(row: np.ndarray, pad: str) -> str:
-    """The entries of a complex row as "[re, im]" lines after ``pad``, in one pass.
-
-    Each number is formatted as ``_fmt_float`` does; adding 0.0 turns -0.0
-    into 0.0.
-    """
+    """The entries of a complex row as "[re, im]" lines after ``pad``, in one pass."""
     parts = np.ascontiguousarray(row, dtype=complex).view(float) + 0.0
-    return ",\n".join([f"{pad}[%.11e, %.11e]"] * len(row)) % tuple(parts.tolist())
+    return ",\n".join([f"{pad}[{_FLOAT}, {_FLOAT}]"] * len(row)) % tuple(parts.tolist())
 
 
 def _render(value, indent: int = 0) -> str:
@@ -328,7 +326,7 @@ def load_basis(name_or_path: str, dims) -> BasisSet:
         raise errors.ParseFailure("basis file must contain a JSON object")
     bdims = _parse_dims(doc)
     if tuple(bdims) != tuple(dims):
-        raise errors.ShapeMismatch(
+        raise errors.ParseFailure(
             f"basis dims {bdims} do not match state dims {tuple(dims)}"
         )
     vectors = doc.get("vectors")
@@ -380,8 +378,10 @@ _SWEEP_COLUMNS = (
     "max_weak_value_residual",
     "error_nonincreasing",
 )
-# A sweep CSV row: g, C, error and residual in _fmt_float's format, then the trend.
-_SWEEP_ROW = "%.11e,%.11e,%.11e,%.11e,%s"
+# A run CSV row (k, label, probability, term, skipped) and a sweep CSV row
+# (g, C, error, residual, trend), booleans in lower case.
+_TERM_ROW = ",".join(["%d", "%s", _FLOAT, _FLOAT, "%s"])
+_SWEEP_ROW = ",".join([_FLOAT] * 4 + ["%s"])
 
 
 def _term_rows(report) -> list[tuple]:
@@ -389,12 +389,6 @@ def _term_rows(report) -> list[tuple]:
     skipped = set(report.skipped)
     rows = zip(report.labels, report.table.probabilities.tolist(), report.terms.tolist())
     return [(k + 1, label, p, t, k in skipped) for k, (label, p, t) in enumerate(rows)]
-
-
-def _csv_row(row) -> str:
-    """A report row as one CSV line: floats as _fmt_float, booleans in lower case."""
-    cells = [str(v).lower() if isinstance(v, bool) else v for v in row]
-    return ",".join(_fmt_float(v) if isinstance(v, float) else str(v) for v in cells)
 
 
 def _run_block(report) -> dict:
@@ -437,7 +431,10 @@ def _run_csv(reports) -> str:
             + f" correlation={_fmt_float(report.C)}"
         )
         lines.append(",".join(_TERM_COLUMNS))
-        lines.extend(map(_csv_row, _term_rows(report)))
+        lines.extend(
+            _TERM_ROW % (k, label, p + 0.0, t + 0.0, str(s).lower())
+            for k, label, p, t, s in _term_rows(report)
+        )
     return "\n".join(lines) + "\n"
 
 
@@ -571,7 +568,6 @@ def cmd_sweep(args) -> int:
         }
         _emit(render_json(doc), args.out)
         return 0
-    # Adding 0.0 turns -0.0 into 0.0, as _fmt_float does.
     lines = [
         f"# oracle_diag={_fmt_float(oracle)}",
         ",".join(_SWEEP_COLUMNS),
@@ -591,7 +587,7 @@ def render_tables(n: int, fmt: str = "text") -> str:
     recon_ok = np.array_equal(
         np.ravel_multi_index(table.party_digits.T, table.dims), np.arange(table.n_columns)
     )
-    mub_ok = is_mutually_unbiased(comp, mub, tol=1e-12)
+    mub_ok = is_mutually_unbiased(comp, mub)
 
     sign_rows = np.where(mub.matrix.real > 0, "+", "-").tolist()
 
@@ -669,15 +665,14 @@ def cmd_oracle(args) -> int:
     residual = float(np.max(error))
 
     if args.format == "csv":
-        # One row per element, one %-format per matrix row.  %d prints the
-        # float indices as integers; adding 0.0 turns -0.0 into 0.0, as
-        # _fmt_float does.
+        # One row per element, one %-format per matrix row; %d prints the
+        # float indices as integers.
         i, j = np.indices((d, d)) + 1.0
         table = np.stack(
             [i, j, direct.real, direct.imag, rebuilt.real, rebuilt.imag, error],
             axis=-1,
         ) + 0.0
-        block = "\n".join([",".join(["%d"] * 2 + ["%.11e"] * 5)] * d)
+        block = "\n".join([",".join(["%d"] * 2 + [_FLOAT] * 5)] * d)
         lines = [
             "i,j,direct_re,direct_im,reconstructed_re,reconstructed_im,abs_residual",
             *(block % tuple(row.ravel().tolist()) for row in table),

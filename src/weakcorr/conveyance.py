@@ -48,6 +48,7 @@ from .qcore import (
     SKIP_THRESHOLD,
     DensityMatrix,
     PureState,
+    _integer,
     _outcome,
     _place_values,
     digit_table,
@@ -73,7 +74,7 @@ class ConveyanceRecord:
 
 def bell_state(dim: int) -> PureState:
     """The aligned ancilla pair (1/sqrt(l)) sum_m |m>|m>."""
-    l = int(dim)
+    l = _integer(dim, BadDimension, "ancilla dimension")
     if l < 2:
         raise BadDimension(f"ancilla dimension must be >= 2, got {l}")
     amp = np.zeros(l * l, dtype=complex)

@@ -155,8 +155,9 @@ def weak_value_pure(psi_in: PureState, psi_fin: PureState, operator) -> complex:
         )
     a = as_operator(operator, psi_in.dim)
     overlap = complex(psi_fin.amplitudes.conj() @ psi_in.amplitudes)
-    if abs(overlap) <= 1e-14:
-        raise NullPostselection(f"|<fin|in>| = {abs(overlap):.3e}")
+    prob = abs(overlap) ** 2
+    if prob < SKIP_THRESHOLD:
+        raise NullPostselection(f"postselection probability {prob:.3e}")
     return complex(psi_fin.amplitudes.conj() @ a @ psi_in.amplitudes) / overlap
 
 

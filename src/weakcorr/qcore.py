@@ -63,8 +63,21 @@ __all__ = [
 ]
 
 
+def _integer(value, error: type, what: str) -> int:
+    """``value`` as an int, by the one integer rule: 1.7 and 1.0 raise ``error``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{what} {value!r} is not an integer") from None
+
+
 def _dims_tuple(dims) -> tuple[int, ...]:
-    out = tuple(map(int, dims))
+    try:
+        out = tuple(map(operator.index, dims))
+    except TypeError:
+        for d in dims:  # names the offender; the accepted path calls no helper
+            _integer(d, ShapeMismatch, "subsystem dimension")
+        raise
     if not out:
         raise ShapeMismatch("at least one subsystem is required")
     if min(out) < 1:
@@ -75,15 +88,11 @@ def _dims_tuple(dims) -> tuple[int, ...]:
 def _outcome(value, *dims: int) -> int:
     """A measurement outcome as an int, in [0, l) for each l in ``dims``.
 
-    The package's one outcome rule: a value that is not an integer
-    (``operator.index`` refuses it, as it refuses 1.7 or 1.0) raises
-    ImpossibleOutcome instead of being truncated, and so does one outside
-    the range, naming the first dimension it falls outside.
+    The package's one outcome rule: a value that is not an integer raises
+    ImpossibleOutcome (:func:`_integer`), and so does one outside the
+    range, naming the first dimension it falls outside.
     """
-    try:
-        outcome = operator.index(value)
-    except TypeError:
-        raise ImpossibleOutcome(f"outcome {value!r} is not an integer") from None
+    outcome = _integer(value, ImpossibleOutcome, "outcome")
     for l in dims:
         if not 0 <= outcome < l:
             raise ImpossibleOutcome(f"outcome {outcome} out of range for dimension {l}")
@@ -233,7 +242,7 @@ def tensor_product(a, b):
 def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
     """Reduced state on the subsystems listed in ``keep``, in that order."""
     n = len(rho.dims)
-    keep = [int(k) for k in keep]
+    keep = [_integer(k, BadSubsystem, "subsystem index") for k in keep]
     if not keep:
         raise BadSubsystem("keep list must not be empty")
     if len(set(keep)) != len(keep):

@@ -17,7 +17,8 @@ reconstruction is the per-postselection sum the reconstruction identity
 replaced, the circuit sweep is the one-call-per-g loop
 ``correlation_sweep`` replaced, ``sweep_pairs`` pairs each of its reports
 with the residual read from the same block, and ``sweep_rows_by_reports``
-(with ``sweep_report_by_reports``, its printed form) is the row loop over
+(with ``sweep_report_by_reports``, its printed form through the per-cell
+``_csv_row`` that the ``cli`` row templates replaced) is the row loop over
 those reports that ``weakcorr sweep`` replaced by reading the blocks'
 arrays, whose bytes must match.  The two diagonal oracles are the
 marginal-by-marginal loop ``correlation_oracle_diag`` replaced and the
@@ -80,7 +81,7 @@ from weakcorr import (
     tensor_product,
     weak_value_limits,
 )
-from weakcorr.cli import _SWEEP_COLUMNS, _csv_row, _fmt_float, render_json
+from weakcorr.cli import _SWEEP_COLUMNS, _fmt_float, render_json
 from weakcorr.errors import NullPostselection, UnbiasednessViolation
 from weakcorr.estimator import (
     SKIP_THRESHOLD,
@@ -561,6 +562,14 @@ def sweep_rows_by_reports(rho, mode, cfgs, *, skip_broadcast=False, **kwargs):
         rows.append((report.g, report.C, err, max_difference(report.table, limits), trend))
         prev_err = err
     return report.oracle_diag, rows
+
+
+def _csv_row(row) -> str:
+    """A report row as one CSV line, cell by cell: floats as ``_fmt_float``,
+    booleans in lower case; the per-cell form the ``cli`` row templates
+    replaced."""
+    cells = [str(v).lower() if isinstance(v, bool) else v for v in row]
+    return ",".join(_fmt_float(v) if isinstance(v, float) else str(v) for v in cells)
 
 
 def sweep_report_by_reports(state_path, fmt, rho, mode, g_list, sigma, **kwargs):

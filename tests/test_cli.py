@@ -936,8 +936,8 @@ REJECTIONS = {
     "basis on other dims": (
         config_with_basis({**HADAMARD3, "dims": [2, 4]}),
         "run",
-        3,
-        "shape-mismatch: basis dims (2, 4) do not match state dims (2, 2, 2)",
+        2,
+        "parse-failure: basis dims (2, 4) do not match state dims (2, 2, 2)",
     ),
     "basis vector count": (
         config_with_basis({**HADAMARD3, "vectors": HADAMARD3["vectors"][:7]}),

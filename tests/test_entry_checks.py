@@ -2,32 +2,49 @@
 
 Every measurement outcome, wherever it enters, passes one rule
 (``qcore._outcome``): it is an integer in [0, d_p).  Each entry point keeps
-its own error types, messages and order of checks around that rule.
+its own error types, messages and order of checks around that rule.  Every
+size and subsystem index is read by the integer rule under it
+(``qcore._integer``): a value that is not an integer is refused, not
+truncated, and a numpy integer is accepted.
 """
 
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from weakcorr import (
+    BasisSet,
+    DensityMatrix,
     PointerConfig,
+    PureState,
     bell_state,
     broadcast,
+    computational_basis,
     convey,
     correlation,
     correlation_sweep,
+    device_table,
     hadamard_mub,
     ket,
     ket2dm,
     maximally_mixed,
+    partial_trace,
     random_density_matrix,
     strong_couple_and_measure,
     tensor_product,
     weak_value_limits,
 )
 from weakcorr.cli import main
-from weakcorr.errors import BadDimension, BadSubsystem, ImpossibleOutcome, ShapeMismatch
+from weakcorr.errors import (
+    BadDimension,
+    BadSize,
+    BadSubsystem,
+    ImpossibleOutcome,
+    ShapeMismatch,
+)
+from weakcorr.qcore import digit_table
 
 QUBITS = random_density_matrix((2, 2, 2), 1)
 QUTRITS = random_density_matrix((3, 3), 2)
@@ -125,6 +142,93 @@ def test_the_command_line_keeps_the_one_rule(
     assert main(argv) == code
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+# entry -> (its error type, what it calls the value, call with a size or
+# index v, what that call returns at v = 2, or v = 0 for an index).  Each
+# size entry reads v as one party's dimension or as the qubit count;
+# partial_trace reads it as the subsystem it keeps.
+SIZE_ENTRIES = {
+    "DensityMatrix": (
+        ShapeMismatch,
+        "subsystem dimension",
+        lambda v: DensityMatrix((v, 2), np.eye(4) / 4).dims,
+        (2, 2),
+    ),
+    "PureState": (
+        ShapeMismatch,
+        "subsystem dimension",
+        lambda v: PureState((v,), [1, 0]).dims,
+        (2,),
+    ),
+    "BasisSet": (
+        ShapeMismatch,
+        "subsystem dimension",
+        lambda v: BasisSet((v,), np.eye(2), ["0", "1"]).dims,
+        (2,),
+    ),
+    "computational_basis": (
+        ShapeMismatch,
+        "subsystem dimension",
+        lambda v: computational_basis((v, 2)).dims,
+        (2, 2),
+    ),
+    "device_table": (
+        ShapeMismatch,
+        "subsystem dimension",
+        lambda v: device_table((v, 2)).dims,
+        (2, 2),
+    ),
+    "digit_table": (
+        ShapeMismatch,
+        "subsystem dimension",
+        lambda v: digit_table((v, 2)).shape,
+        (4, 2),
+    ),
+    "random_density_matrix": (
+        ShapeMismatch,
+        "subsystem dimension",
+        lambda v: random_density_matrix((v, 2), 0).dims,
+        (2, 2),
+    ),
+    "maximally_mixed": (
+        ShapeMismatch,
+        "subsystem dimension",
+        lambda v: maximally_mixed((v, 2)).dims,
+        (2, 2),
+    ),
+    "hadamard_mub": (BadSize, "qubit count", lambda v: hadamard_mub(v).dims, (2, 2)),
+    "bell_state": (BadDimension, "ancilla dimension", lambda v: bell_state(v).dims, (2, 2)),
+    "partial_trace": (
+        BadSubsystem,
+        "subsystem index",
+        lambda v: partial_trace(QUBITS, [v]).dims,
+        (2,),
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", SIZE_ENTRIES)
+@pytest.mark.parametrize("whole", [False, True])  # 2.0 is refused as 1.0 is for an outcome
+def test_every_size_and_index_is_read_by_the_integer_rule(entry, whole):
+    error, what, call, _ = SIZE_ENTRIES[entry]
+    value = (0.0 if whole else 0.5) if entry == "partial_trace" else (2.0 if whole else 2.5)
+    assert_refused(lambda: call(value), error, f"{what} {value!r} is not an integer")
+
+
+@pytest.mark.parametrize("entry", SIZE_ENTRIES)
+def test_every_size_and_index_accepts_a_numpy_integer(entry):
+    _, _, call, accepted = SIZE_ENTRIES[entry]
+    read = call(np.int64(0 if entry == "partial_trace" else 2))
+    assert read == accepted
+    assert all(type(v) is int for v in read)
+
+
+def test_a_cached_size_is_read_before_its_cache_entry():
+    # A cache key 2.0 equals np.int64(2): hadamard_mub's cache is typed, so
+    # 2.0 never returns the entry that np.int64(2) left.
+    hadamard_mub(np.int64(2))
+    assert_refused(lambda: hadamard_mub(2.0), BadSize, "qubit count 2.0 is not an integer")
 
 
 NOT_AN_INTEGER = "outcome 1.5 is not an integer"

@@ -7,6 +7,8 @@ one-element references raise.  The state diag(p, 1/4, 1/4, 1/2 - p)
 postselected on |00> has probability p exactly, with no rounding.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -19,13 +21,16 @@ from weakcorr import (
     correlation,
     couple_all,
     device_table,
+    ket,
+    ket2dm,
     postselect_and_read,
     strong_couple_and_measure,
+    weak_value_pure,
 )
 from weakcorr import conveyance, estimator, pointer, qcore
 from weakcorr.errors import ImpossibleOutcome, NullPostselection
 from weakcorr.estimator import SKIP_THRESHOLD
-from weakcorr.qcore import DensityMatrix
+from weakcorr.qcore import DensityMatrix, PureState
 
 BASIS = computational_basis((2, 2))
 TABLE = device_table((2, 2))
@@ -81,15 +86,25 @@ def test_one_element_references_follow_the_rule(scale):
     # Control 0 is never set, so the target keeps its label: outcome 1 of
     # the target has probability p.
     joint = DensityMatrix((2, 2), np.diag([1 - p, p, 0, 0]).astype(complex))
+    # |<fin|0>|^2 is p up to rounding, so the pure form is left out at the
+    # threshold itself: no float near 1e-7 squares to exactly 1e-14.
+    zero, fin, p0 = ket("0"), PureState((2,), [math.sqrt(p), math.sqrt(1 - p)]), np.diag([1, 0])
     if scale < 1:
         with pytest.raises(NullPostselection):
             analytic_weak_value(rho, projector(TABLE, 0, 0), b)
+        with pytest.raises(NullPostselection):
+            weak_value_pure(zero, fin, p0)
+        with pytest.raises(NullPostselection):
+            analytic_weak_value(ket2dm(zero), p0, fin)
         with pytest.raises(NullPostselection):
             postselect_and_read(bs, b, CFG)
         with pytest.raises(ImpossibleOutcome):
             strong_couple_and_measure(joint, control=0, target=1, outcome=1)
         return
     assert analytic_weak_value(rho, projector(TABLE, 0, 0), b) == pytest.approx(1.0, abs=1e-12)
+    if scale > 1:
+        assert weak_value_pure(zero, fin, p0) == pytest.approx(1.0, abs=1e-12)
+        assert analytic_weak_value(ket2dm(zero), p0, fin) == pytest.approx(1.0, abs=1e-12)
     assert postselect_and_read(bs, b, CFG).postselection_probability == p
     record = strong_couple_and_measure(joint, control=0, target=1, outcome=1)
     assert record.probability == p

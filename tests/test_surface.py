@@ -21,7 +21,7 @@ MODULES = ["weakcorr"] + [
 # Names no module may define or export any more.
 REMOVED = {
     "weakcorr": ["AncillaPair", "PostselectionTerm", "reconstruct_element"],
-    "weakcorr.cli": ["convey", "dump_state", "_copies_reports"],
+    "weakcorr.cli": ["convey", "dump_state", "_copies_reports", "_csv_row"],
     "weakcorr.conveyance": ["AncillaPair", "OUTCOME_TOL"],
     "weakcorr.estimator": [
         "PostselectionTerm",
@@ -44,6 +44,7 @@ REMOVED_METHODS = {
 REMOVED_PARAMETERS = {
     "bell_state": ["variant"],
     "broadcast": ["variant"],
+    "is_mutually_unbiased": ["tol"],
     "weak_value_limits": ["table"],
 }
 
@@ -128,3 +129,78 @@ def test_each_setting_rule_is_written_in_one_place(rule):
         if matches(node)
     ]
     assert found == [place]
+
+
+def located(matches):
+    """(file, scope) of every node of ``src/`` that ``matches``.  The scope
+    is the innermost enclosing function, or else the name that a
+    module-level or class-level assignment binds."""
+
+    def visit(name, node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, ast.FunctionDef):
+                inner = child.name
+            elif scope is None and isinstance(child, ast.Assign):
+                inner = ast.unparse(child.targets[0])
+            elif scope is None and isinstance(child, ast.AnnAssign):
+                inner = ast.unparse(child.target)
+            if matches(child):
+                yield name, inner
+            yield from visit(name, child, inner)
+
+    for path in sorted(SRC.glob("*.py")):
+        yield from visit(path.name, ast.parse(path.read_text()), None)
+
+
+# Each rule for a kind of number, and the places that may write it.
+NUMBER_RULES = {
+    # The printed float format: one constant every report template is built from.
+    "float format": (
+        lambda node: isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and ".11e" in node.value,
+        [("cli.py", "_FLOAT")],
+    ),
+    # Tolerances: qcore's three constants, the reconstruction's zero test,
+    # the decomposition weights' sum and the normalization floor.
+    "small float literal": (
+        lambda node: isinstance(node, ast.Constant)
+        and type(node.value) is float
+        and 0 < node.value < 1e-6,
+        [
+            ("cli.py", "load_state"),
+            ("estimator.py", "reconstruct_matrix"),
+            ("qcore.py", "STRUCT_TOL"),
+            ("qcore.py", "SPECTRAL_TOL"),
+            ("qcore.py", "SKIP_THRESHOLD"),
+            ("qcore.py", "normalized"),
+        ],
+    ),
+    # operator.index: the integer reader, and the accepted path of a dims read.
+    "integer read": (
+        lambda node: isinstance(node, ast.Attribute)
+        and node.attr == "index"
+        and ast.unparse(node.value) == "operator",
+        [("qcore.py", "_integer"), ("qcore.py", "_dims_tuple")],
+    ),
+    # int() only where it converts a number the package computed or already
+    # checked (a rendered integer, a config outcome, two products of dims),
+    # and in ket's parse of a label's digit.
+    "int conversion": (
+        lambda node: isinstance(node, ast.Call) and ast.unparse(node.func) == "int",
+        [
+            ("cli.py", "_render"),
+            ("cli.py", "_split_outcomes"),
+            ("pointer.py", "line1_dim"),
+            ("pointer.py", "postselect_and_read"),
+            ("qcore.py", "ket"),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("rule", NUMBER_RULES)
+def test_each_number_rule_has_its_one_home(rule):
+    matches, places = NUMBER_RULES[rule]
+    assert list(located(matches)) == places
