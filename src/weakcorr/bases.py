@@ -29,6 +29,7 @@ import numpy as np
 
 from .errors import (
     BadSize,
+    BadSubsystem,
     InvariantViolation,
     NonFactorablePostselection,
     ShapeMismatch,
@@ -256,7 +257,8 @@ class DeviceTable:
     Line 0 holds the joint rank-1 projector |i><i| of each column i; line
     j >= 1 holds the projector of party j-1 onto the digit that column
     assigns to it, ``party_digits[i, j-1]``.  The tensor product of lines
-    1..n reconstructs line 0 column by column.
+    1..n reconstructs line 0 column by column.  After the shape, each digit
+    is read by the integer rule (``qcore._integer``) and checked in [0, d_p).
     """
 
     dims: tuple[int, ...]
@@ -265,13 +267,21 @@ class DeviceTable:
 
     def __post_init__(self):
         dims = _dims_tuple(self.dims)
-        digits = np.array(self.party_digits, dtype=int)
+        digits = np.array(self.party_digits)
+        if digits.shape != (math.prod(dims), len(dims)):
+            raise ShapeMismatch("party digit table does not match dims")
+        if digits.dtype.kind not in "iu":
+            for value in digits.reshape(-1).tolist():
+                _integer(value, BadSubsystem, "party digit")
+        outside = np.argwhere((digits < 0) | (digits >= np.array(dims)))
+        if outside.size:
+            i, p = outside[0]
+            raise BadSubsystem(f"digit {digits[i, p]} out of range for dimension {dims[p]}")
+        digits = digits.astype(int, copy=False)
+        digits.setflags(write=False)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "party_digits", digits)
         object.__setattr__(self, "labels", tuple(self.labels))
-        if digits.shape != (math.prod(dims), len(dims)):
-            raise ShapeMismatch("party digit table does not match dims")
-        digits.setflags(write=False)
 
     @property
     def n_parties(self) -> int:

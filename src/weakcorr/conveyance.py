@@ -207,7 +207,7 @@ def _conveyed_diagonal(rho: DensityMatrix, outcomes: Sequence[int], mode: str) -
     checks, built without the matrix: the literal mask keeps every diagonal
     element and the relabel permutes them."""
     _, perm = _conveyance_relabel(rho.dims, outcomes, mode)
-    diagonal = rho.diagonal()
+    diagonal = rho.matrix.diagonal().real
     return diagonal if perm is None else diagonal[perm.argsort()]
 
 

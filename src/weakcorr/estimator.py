@@ -85,25 +85,23 @@ P_k = SKIP_THRESHOLD it is computed.  Weak values are generally complex;
 the bracket above uses the complex modulus.
 
 Per-call code reaches numpy through ufuncs, their ``reduce`` and
-``accumulate`` methods and ndarray attributes only, not through numpy
-functions or methods that run Python code first (``np.sum``, ``np.real``,
-``np.where``, ``np.stack``, and ``ndarray.sum``, ``.max`` or ``.any``,
-which call into ``numpy._core._methods``).  At the sizes one call
-handles at small n, tens to thousands of elements, such a wrapper's
-Python frames cost as much as the C loop it reaches; the ufunc form runs
-the same loop on the same axis with the same operands, so every value is
-unchanged bit for bit.  ``np.einsum`` for the completeness residual is
-the one exception: the ufunc form, a broadcast product reduced over the
-postselections, gives the same bits but allocates a (K, d) temporary, and
-at n = 11 it takes about twice as long.  The einsum runs on line 1's
-float view, (..., K, 2d) reals, against the real P: each real and each
-imaginary part times P_k, summed over k in the same order.  On the
-complex line 1 numpy first casts P to complex, and each product is then
-(P a - 0 b) + (P b + 0 a) i, which differs from P a and P b at most in
-the sign of an exact zero, and the residual takes the modulus.  So the
-bits are the same, with no cast and no complex multiply: ``_diagnostics``
-took 13 against 26 us at n = 6 and 3.5 against 12.8 ms at n = 11 (best
-of three timing runs on a shared 2-core box).
+``accumulate`` methods and ndarray attributes only, never through a numpy
+function or method that runs Python code first (``np.sum``, ``np.where``,
+``np.stack``, the einsum wrapper, and ``ndarray.sum``, ``.max`` or
+``.any``, which call into ``numpy._core._methods``).  At the sizes one
+call handles at small n such a wrapper's Python frames cost as much as
+the C loop it reaches, and a call pays once for each distinct kernel it
+runs; the ufunc form runs the same loop on the same axis with the same
+operands, so every value is unchanged bit for bit.  The completeness sum
+is one broadcast product reduced over k on line 1's float view, (..., K,
+2d) reals, against the real P: each real and imaginary part times P_k,
+added in k order, as the einsum it replaced added them.  On the complex
+line 1 numpy would cast P to complex, and (P a - 0 b) + (P b + 0 a) i
+differs from P a and P b at most in the sign of an exact zero, which the
+modulus drops.  The trade is a (K, 2d) float temporary: timed warm alone
+(best of three, shared 2-core box) the sum took 4.2 against 0.9 ms for
+the einsum at n = 10 and 27 against 7.9 ms at n = 11, where a whole call
+takes 0.23-0.84 s and its traced peak did not move (225-320 MiB).
 """
 
 from __future__ import annotations
@@ -475,7 +473,7 @@ def _analytic_lines(state: DensityMatrix, basis_b: BasisSet) -> WeakValueTable:
     marginals = _marginals(state.matrix, len(state.dims))
     num = _weak_value_numerator(marginals, basis_b._stacked_factors)
     sums = np.add.reduce(num, axis=-1).real
-    low = np.minimum.reduce(sums[:, kept[0]], axis=None, initial=np.inf)
+    low = np.minimum.reduce(sums, axis=None, initial=np.inf, where=kept[0])
     if low < SKIP_THRESHOLD:
         raise NullPostselection(f"postselection probability {low:.3e}")
     # One transposed copy lays the (n, K, 2) lines out as the builders'
@@ -560,15 +558,16 @@ def _combine(lines: WeakValueTable) -> tuple[np.ndarray, np.ndarray]:
     """The combination step, on the trailing axes of ``lines``.
 
     Returns the per-postselection terms and C, each with the leading axes
-    of ``lines``: the stacked builders' stack axis, or none.
+    of ``lines``: the stacked builders' stack axis, or none.  P_k needs no
+    mask: a skipped row is scaled by zero (``_scale_rows``), so its term is
+    +0 and adds a zero to the running total, whose bits it leaves as they are.
     """
     probs, joint, stack = lines.probabilities, lines.joint, lines.stack
-    kept = probs >= SKIP_THRESHOLD
     # Skipped rows of the table are zero, so their terms are zero too.
     product = _party_product([stack[..., rows, :] for rows in _party_rows(lines.dims)])
     terms = np.add.reduce(np.abs(joint - product.swapaxes(-1, -2)), axis=-1)
     # A running total in row order, so C is bitwise the row-by-row sum.
-    weighted = np.multiply(probs, terms, out=np.zeros(probs.shape), where=kept)
+    weighted = probs * terms
     totals = np.add.accumulate(weighted, axis=-1)[..., -1]
     return terms, totals
 
@@ -577,19 +576,16 @@ def _diagnostics(lines: WeakValueTable, diag_eff: np.ndarray) -> tuple[np.ndarra
     """A report's checks of ``lines``, on their trailing axes.
 
     Returns the completeness residual max_i |sum_k P_k W_joint[k, i] -
-    diag_eff[i]| and the least kept probability (0.0 where every row is
-    skipped), each with the leading axes of ``lines``.  The sum over k runs
-    on line 1's float view, each real and imaginary part times the real
-    P_k, so P is never cast to complex (see the module docstring).
+    diag_eff[i]| and the least kept probability, each with the leading
+    axes of ``lines``.  The least kept probability is inf where every row
+    is skipped; ``_report`` reads that as 0.0.  The sum over k runs on line
+    1's float view, each real and imaginary part times the real P_k, so P
+    is never cast to complex (see the module docstring).
     """
     probs = lines.probabilities
-    kept = probs >= SKIP_THRESHOLD
-    recombined = np.einsum("...k,...ki->...i", probs, lines.joint.view(float)).view(complex)
+    recombined = np.add.reduce(probs[..., None] * lines.joint.view(float), axis=-2).view(complex)
     residuals = np.maximum.reduce(np.abs(recombined - diag_eff), axis=-1)
-    least = np.minimum.reduce(
-        probs, axis=-1, out=np.empty(probs.shape[:-1]), initial=np.inf, where=kept
-    )
-    least[~np.logical_or.reduce(kept, axis=-1)] = 0.0
+    least = np.minimum.reduce(probs, axis=-1, initial=np.inf, where=probs >= SKIP_THRESHOLD)
     return residuals, least
 
 
@@ -619,7 +615,7 @@ def _report(
         terms=terms,
         labels=labels,
         max_completeness_residual=float(residual),
-        min_postselection_probability=float(least),
+        min_postselection_probability=float(least) if least < np.inf else 0.0,
         rho=rho,
         **settings,
     )
@@ -674,7 +670,7 @@ def correlation(
         table = _diagonal_lines(basis_b._squared_moduli, diag_eff, rho.dims, mu)
     else:
         state = convey(rho, outcomes, mode).state
-        diag_eff = state.diagonal()
+        diag_eff = state.matrix.diagonal().real
         if backend == "analytic":
             table = _analytic_lines(state, basis_b).row(0)
         else:
@@ -746,7 +742,7 @@ def correlation_sweep(
         skip_broadcast=True,
         oracle_diag=sweep.oracle_diag,
     )
-    diag_eff = sweep.state.diagonal()
+    diag_eff = sweep.state.matrix.diagonal().real
     return (
         _report(block.lines.row(s), diag_eff, cfg, sweep.labels, rho, **settings)
         for block in sweep.blocks
@@ -877,12 +873,13 @@ def _diagonal_lines(
     """The copies layout's lines from state diagonals of shape (..., d): the
     numerator |B|^2 * diag(rho), with |B|^2 given as ``squared_moduli``.
 
-    The numerator is laid out row-major whatever the layout of |B|^2 (a
-    basis matrix handed over column-major gives a column-major |B|^2), so
+    The product goes into a row-major complex ``out`` whatever the layout
+    of |B|^2 (a column-major basis matrix gives a column-major |B|^2), so
     its row sums and the float view ``_diagnostics`` takes of line 1 run
     the same way, and a report does not depend on the basis array's layout.
     """
-    num = (squared_moduli * diagonals[..., None, :]).astype(complex, order="C")
+    out = np.empty(diagonals.shape[:-1] + squared_moduli.shape, complex)
+    num = np.multiply(squared_moduli, diagonals[..., None, :], out=out)
     return _party_lines(num, dims, copy_outcome)
 
 

@@ -313,7 +313,10 @@ def ket(label: str, dims=None) -> PureState:
         raise ShapeMismatch(f"label {label!r} does not match {len(dims)} subsystems")
     index = 0
     for ch, d in zip(label, dims):
-        digit = int(ch)
+        try:
+            digit = int(ch)
+        except ValueError:
+            raise BadSubsystem(f"label character {ch!r} is not a digit") from None
         if digit >= d:
             raise BadSubsystem(f"digit {digit} out of range for dimension {d}")
         index = index * d + digit

@@ -17,6 +17,7 @@ import pytest
 from weakcorr import (
     BasisSet,
     DensityMatrix,
+    DeviceTable,
     PointerConfig,
     PureState,
     bell_state,
@@ -308,3 +309,45 @@ def test_correlation_checks_the_broadcast_outcome_before_the_conveyance_range():
 )
 def test_library_rejections_name_the_bad_argument(call, error, message):
     assert_refused(call, error, message)
+
+
+@pytest.mark.parametrize(
+    "digits, message",
+    [
+        ([[0.7], [1.9]], "party digit 0.7 is not an integer"),
+        ([[1.0], [0]], "party digit 1.0 is not an integer"),
+        ([[5], [-3]], "digit 5 out of range for dimension 2"),
+        ([[0], [-3]], "digit -3 out of range for dimension 2"),
+    ],
+)
+def test_a_device_table_reads_each_digit_by_the_integer_rule_and_its_range(digits, message):
+    assert_refused(lambda: DeviceTable((2,), digits, ("0", "1")), BadSubsystem, message)
+
+
+def test_a_device_table_checks_its_shape_before_its_digits():
+    assert_refused(
+        lambda: DeviceTable((2,), [[0.7]], ("0",)),
+        ShapeMismatch,
+        "party digit table does not match dims",
+    )
+
+
+def test_a_device_table_accepts_integer_digits():
+    table = device_table((2, 3))
+    again = DeviceTable((2, 3), np.array(table.party_digits, dtype=np.int64), table.labels)
+    assert again.party_digits.dtype == table.party_digits.dtype == np.dtype(int)
+    assert again.party_digits.tolist() == digit_table((2, 3)).tolist()
+    mixed = DeviceTable((3,), [[np.int64(2)], [0], [1]], "abc")
+    assert mixed.party_digits.tolist() == [[2], [0], [1]]
+
+
+@pytest.mark.parametrize("label, character", [("x", "x"), ("-1", "-"), ("0a", "a")])
+def test_ket_names_a_label_character_that_is_not_a_digit(label, character):
+    message = f"label character {character!r} is not a digit"
+    assert_refused(lambda: ket(label), BadSubsystem, message)
+
+
+def test_ket_reads_every_digit_label_as_before():
+    assert ket("01").amplitudes.tolist() == [0, 1, 0, 0]
+    assert np.flatnonzero(ket("21", (3, 2)).amplitudes).tolist() == [5]
+    assert_refused(lambda: ket("2"), BadSubsystem, "digit 2 out of range for dimension 2")

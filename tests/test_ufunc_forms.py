@@ -2,14 +2,16 @@
 
 ``estimator._combine`` (terms and C), ``estimator._diagnostics``
 (completeness residual and least kept probability) and
-``estimator._residuals`` reach numpy through ufunc methods only, the
-completeness residual's ``np.einsum`` apart; together they must give bit
-for bit what their bodies through numpy's Python wrappers gave
+``estimator._residuals`` reach numpy through ufuncs and their methods
+only; together they must give bit for bit what their bodies through
+numpy's Python wrappers and ``np.einsum`` gave
 (``oracles.combine_by_wrappers`` and
 ``oracles.residuals_by_concatenation``) on every shape the package hands
 them: a stacked no-copies block with the limit row, an analytic stack of
 one, the flat copies lines, tables with skipped rows, and a stack row
-whose every row is skipped.
+whose every row is skipped.  On that last row alone the least kept
+probability differs: ``_diagnostics`` reads inf and ``_report`` turns it
+into 0.0, the value the wrappers gave.
 """
 
 import numpy as np
@@ -25,6 +27,7 @@ from weakcorr.estimator import (
     _diagnostics,
     _diagonal_lines,
     _direct_lines,
+    _report,
     _residuals,
 )
 
@@ -98,7 +101,8 @@ def test_ghz_tables_skip_rows():
 @pytest.mark.parametrize("n", range(2, 9))
 def test_a_stack_row_with_every_row_skipped(n):
     """Row 1 of the stack is all zero, every postselection skipped: its
-    least kept probability and its residual are 0.0, and its C is 0.0."""
+    least kept probability is inf, its residual and its C are 0.0, and a
+    report on it reads C and the least kept probability as 0.0."""
     rho = random_density_matrix((2,) * n, 2_400 + n)
     basis = hadamard_mub(n)
     real = _direct_lines(rho.matrix, basis.matrix, rho.dims, [None, CFGS[0]])
@@ -108,10 +112,25 @@ def test_a_stack_row_with_every_row_skipped(n):
     lines = WeakValueTable(*stacked, real.dims)
     diag = rho.diagonal()
     got = combined(lines, diag)
-    assert_same_bytes(got, combine_by_wrappers(lines, diag))
+    want = combine_by_wrappers(lines, diag)
+    assert_same_bytes(got[:3], want[:3])
     terms, totals, _, least = got
-    assert least[1] == 0.0 and least[0] > 0.0
+    assert_same_bytes([least[0]], [want[3][0]])
+    assert least[1] == np.inf and least[0] > 0.0
     assert totals[1] == 0.0 and not terms[1].any()
+    report = _report(
+        lines.row(1),
+        diag,
+        CFGS[0],
+        basis.labels,
+        rho,
+        backend="circuit",
+        mode="idealized",
+        outcomes=(0,) * (n - 1),
+        broadcast_outcome=0,
+        skip_broadcast=True,
+    )
+    assert report.min_postselection_probability == 0.0 and report.C == 0.0
     residuals = _residuals(lines, limit)
     assert_same_bytes([residuals], [residuals_by_concatenation(lines, limit)])
     assert residuals[1] == 0.0
